@@ -1,5 +1,7 @@
 """Certified bounds for generalized hyperbolic Dehn filling."""
 
+import scipy  # noqa: F401  (unused; perfbench/child.py reads sys.modules["scipy"].__version__)
+
 from .certificates import (
     C_DERIVED,
     UNIVERSAL_C,

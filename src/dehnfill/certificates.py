@@ -15,7 +15,8 @@ ftilde(z-tilde) = x-hat, and
         <= (1/4) int_{z-hat}^1 H'/(H (H + G)),
     1/H(z-tilde) <= visual area <= 1/H(z-hat),
 
-with the core-length bound visual_area_hi/(2*pi) for a smooth core.
+with the core-length bound visual_area_hi/(2*pi) for a smooth core.  Both
+volume-drop integrands are rational in z and are integrated in closed form.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .envelope import G, Gtilde, H, H_prime, Z_MIN, f, ftilde, invert_f, invert_ftilde
+from .envelope import POLE, H, f, invert_f, invert_ftilde
 from .errors import DomainError, UncertifiableError
-from .packing import R0, h
+from .packing import PACKING, R0
 
 __all__ = [
     "UNIVERSAL_C",
@@ -50,16 +50,7 @@ __all__ = [
 #: Universal certification threshold, stored as the literal decimal.
 UNIVERSAL_C = 7.5832
 
-#: Quadrature tolerance for the volume-drop integrals.
-DV_QUAD_TOL = 1e-9
-
 Z0 = 1.0 / math.sqrt(3.0)  # tanh(R0)
-
-
-def _c_derived() -> float:
-    """Recompute sqrt((2*pi)^2 / f(1/sqrt(3))) ~ 7.58315."""
-    return 2.0 * math.pi / math.sqrt(f(Z0))
-
 
 C_DERIVED = 7.58315
 
@@ -106,7 +97,10 @@ def combine_normalized_lengths(lhats) -> float:
         raise DomainError("need at least one normalized length")
     if any(not v > 0.0 for v in lhats):
         raise DomainError(f"normalized lengths must be positive, got {lhats}")
-    return 1.0 / math.sqrt(sum(1.0 / v ** 2 for v in lhats))
+    inv_sq = sum(1.0 / v ** 2 for v in lhats)
+    if inv_sq == 0.0:
+        raise DomainError(f"every cusp is unfilled (normalized lengths {lhats})")
+    return 1.0 / math.sqrt(inv_sq)
 
 
 def certify(lhats) -> FillingCertificate:
@@ -138,29 +132,36 @@ def _zhat_ztilde(lhat: float) -> tuple[float, float]:
     return invert_f(x_hat), invert_ftilde(x_hat)
 
 
-def _dv_upper_from_z(z_hat: float) -> float:
-    if z_hat >= 1.0:
-        return 0.0
-    val, _ = quad(
-        lambda z: H_prime(z) / (H(z) * (H(z) + G(z))),
-        z_hat, 1.0, epsabs=DV_QUAD_TOL / 10.0, epsrel=1e-12,
-    )
-    return val / 4.0
+_C = PACKING.h_coefficient  # 3.3957
+_R2 = math.sqrt(2.0)
 
 
-def _dv_lower_from_z(z_tilde: float) -> float:
-    if z_tilde >= 1.0:
+def _dv_upper_from_z(z: float) -> float:
+    """(1/4) int_z^1 H'/(H (H + G)), integrand 2c w^2 (w^4 + 4w^2 - 1)/(1 + w^2)^3."""
+    if z >= 1.0:
         return 0.0
-    # the integrand needs H > Gtilde on [z_tilde, 1); this holds strictly
-    # above the pole sqrt(2)-1, but assert it rather than assume it
-    for z in np.linspace(z_tilde, 1.0, 65)[:-1]:
-        if not H(z) > Gtilde(z):
-            raise DomainError(f"H <= Gtilde at z = {z}; lower bound not applicable")
-    val, _ = quad(
-        lambda z: H_prime(z) / (H(z) * (H(z) - Gtilde(z))),
-        z_tilde, 1.0, epsabs=DV_QUAD_TOL / 10.0, epsrel=1e-12,
+    zz1 = 1.0 + z * z
+    return _C / 16.0 * (
+        4.0 - math.pi - 8.0 * z + 4.0 * math.atan(z) + (12.0 * z ** 3 + 4.0 * z) / (zz1 * zz1)
     )
-    return val / 4.0
+
+
+def _dv_lower_from_z(z: float) -> float:
+    """(1/4) int_z^1 H'/(H (H - Gtilde)) = (P(1) - P(z))/4, where
+    P' = 2c + 3c/(z^2+1) - 4c/(z^2+1)^2 - (c/2)(3z-1)/(z^2+2z-1)
+         + (c/2)(3z+1)/(z^2-2z-1)."""
+    if z >= 1.0:
+        return 0.0
+    # H - Gtilde = -(z^2+1)(z^2-2z-1)(z^2+2z-1) / (2c z^3 (z^2-1)(z^2-3)) has
+    # the sign of z^2+2z-1 on (0, 1), so the integrand needs z > sqrt(2)-1
+    if not z > POLE:
+        raise DomainError(f"H <= Gtilde at z = {z}; lower bound not applicable")
+    rational = 2.0 * (1.0 - z) + (math.pi / 4.0 - math.atan(z)) - (1.0 - z) ** 2 / (1.0 + z * z)
+    logs = 0.75 * math.log((z * z + 2.0 * z - 1.0) / (1.0 + 2.0 * z - z * z)) + 0.5 * _R2 * (
+        math.log((2.0 - _R2) * (z + 1.0 + _R2) / ((2.0 + _R2) * (z + 1.0 - _R2)))
+        - math.log((_R2 + 1.0 - z) / (z - 1.0 + _R2))
+    )
+    return _C / 4.0 * (rational + logs)
 
 
 def _area_from_z(z: float) -> float:
@@ -213,9 +214,10 @@ def schlafli_dV(step: SchlafliStep) -> float:
 
 
 def certificate_to_json(cert: FillingCertificate) -> str:
-    """Serialize a certificate with exactly its field names."""
+    """Serialize a certificate with exactly its field names, as strict JSON;
+    an unfilled cusp (Lhat = inf) is written as null."""
     doc = {
-        "per_cusp_lhat": list(cert.per_cusp_lhat),
+        "per_cusp_lhat": [None if v == math.inf else v for v in cert.per_cusp_lhat],
         "combined_lhat": cert.combined_lhat,
         "certified": cert.certified,
         "margin": cert.margin,
@@ -226,7 +228,7 @@ def certificate_to_json(cert: FillingCertificate) -> str:
         "z_hat": cert.z_hat,
         "z_tilde": cert.z_tilde,
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 FIGURE_HEADERS = {
@@ -252,7 +254,7 @@ def figure_data(which: int, samples: int) -> tuple[tuple[str, ...], np.ndarray]:
     x_max = f(Z0)
     xs = np.linspace(0.0, x_max, samples)
     rows = np.empty((samples, len(FIGURE_HEADERS[which])))
-    for i, x in enumerate(xs):
+    for i, x in enumerate(xs.tolist()):  # Python floats: scalar math on np.float64 is slow
         z_hat = invert_f(x)
         z_tilde = invert_ftilde(x)
         if which == 1:

@@ -62,7 +62,7 @@ def _report(command: str, payload, checks: list[Check], failed: bool = False) ->
         "payload": payload,
         "checks": [c.as_dict() for c in checks],
     }
-    return (1 if status == "error" else 0), json.dumps(doc, indent=2)
+    return (1 if status == "error" else 0), json.dumps(doc, indent=2, allow_nan=False)
 
 
 def _parse_shape(text: str) -> slope_lattice.CuspShape:
@@ -141,6 +141,8 @@ def cmd_certify(args) -> tuple[int, str]:
 
 def cmd_bounds(args) -> tuple[int, str]:
     lhat = args.lhat
+    if not math.isfinite(lhat):
+        raise argparse.ArgumentTypeError(f"--lhat must be finite, got {lhat}")
     try:
         dv = certificates.volume_drop_bounds(lhat)
         area = certificates.visual_area_bounds(lhat)
@@ -171,6 +173,8 @@ def cmd_weitz(args) -> tuple[int, str]:
     k1 = args.k1
     if not k1 > 0.0:
         raise argparse.ArgumentTypeError(f"--k1 must be positive, got {k1}")
+    if args.trials < 1:
+        raise argparse.ArgumentTypeError(f"--trials must be at least 1, got {args.trials}")
     curv = weitzenboeck.BoundaryCurvature(k1, 1.0 / k1, args.eps)
     rng = np.random.default_rng(args.seed)
     b_min = math.inf

@@ -12,22 +12,23 @@ Gtilde are the coefficient functions of the inequalities.  Ftilde has a pole
 at z = sqrt(2) - 1; we work on [Z_MIN, 1] with Z_MIN = 0.45, strictly above
 it (the certified range only needs [1/sqrt(3), 1]).
 
-Inversion of f and ftilde (producing z-hat and z-tilde from a target x) is
-by bisection: each function evaluation is a quadrature, the functions are
-strictly decreasing on the working domain, and f is flat near z = 1 where
-derivative-based methods are fragile.
+F and Ftilde are rational, so both exponents are elementary (a rational
+term and logarithms; see f and ftilde).  Inversion of f and ftilde
+(producing z-hat and z-tilde from a target x) is Newton's method with
+g' = -g (1/(1-z) + F) for g = f (Ftilde for ftilde), kept inside a
+bisection bracket: the slope at z = 1 is -3.3957, and both functions turn
+over just above Z_MIN (near z = 0.4506), where a step that leaves the
+bracket is replaced by a bisection step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import DomainError, UncertifiableError
+from .errors import ConvergenceError, DomainError, UncertifiableError
 from .packing import PACKING
 
 __all__ = [
@@ -54,13 +55,13 @@ POLE = math.sqrt(2.0) - 1.0
 #: Lower end of the working domain; the certified range is [1/sqrt(3), 1].
 Z_MIN = 0.45
 
-#: Absolute quadrature tolerance for the exponent integrals of f, ftilde.
-QUAD_TOL = 1e-10
-
-#: Bisection tolerance: |f(z) - x| <= INV_TOL * max(1, x).
+#: Inversion tolerance: |f(z) - x| <= INV_TOL * max(1, x).
 INV_TOL = 1e-12
 
 _COEFF = PACKING.h_coefficient  # 3.3957
+_R2 = math.sqrt(2.0)
+_A = (_R2 - 1.0) / (2.0 * _R2)
+_B = (_R2 + 1.0) / (2.0 * _R2)
 
 
 @dataclass(frozen=True)
@@ -130,36 +131,29 @@ def _check_working(z: float):
         raise DomainError(f"argument must lie in [{Z_MIN}, 1], got {z}")
 
 
-@lru_cache(maxsize=100_000)
-def _exponent_f(z: float) -> float:
-    val, _ = quad(F, 1.0, z, epsabs=QUAD_TOL, epsrel=1e-12)
-    return val
-
-
-@lru_cache(maxsize=100_000)
-def _exponent_ftilde(z: float) -> float:
-    val, _ = quad(Ftilde, 1.0, z, epsabs=QUAD_TOL, epsrel=1e-12)
-    return val
-
-
 def f(z: float) -> float:
-    """Lower envelope f(z) = 3.3957 (1-z) exp(-int_1^z F); f(1) = 0."""
+    """Lower envelope f(z) = 3.3957 (1-z^2)/2 exp((z^2-1)/(z^2+1)); f(1) = 0."""
     _check_working(z)
-    if z == 1.0:
-        return 0.0
-    return _COEFF * (1.0 - z) * math.exp(-_exponent_f(z))
+    zz = z * z
+    return 0.5 * _COEFF * (1.0 - z) * (1.0 + z) * math.exp((zz - 1.0) / (zz + 1.0))
 
 
 def ftilde(z: float) -> float:
-    """Upper envelope, same shape with Ftilde; ftilde(1) = 0."""
+    """Upper envelope, same shape with Ftilde; ftilde(1) = 0.  The partial fractions
+    -1/(w+1) + 2w/(w^2+1) - w/(w^2+2w-1) - w/(w^2-2w-1) of Ftilde give the logs."""
     _check_working(z)
-    if z == 1.0:
-        return 0.0
-    return _COEFF * (1.0 - z) * math.exp(-_exponent_ftilde(z))
+    exponent = (
+        math.log((1.0 + z * z) / (1.0 + z))
+        - _A * math.log((z + 1.0 - _R2) / (2.0 - _R2))
+        - _B * math.log((z + 1.0 + _R2) / (2.0 + _R2))
+        - _B * math.log((_R2 + 1.0 - z) / _R2)
+        - _A * math.log((z - 1.0 + _R2) / _R2)
+    )
+    return _COEFF * (1.0 - z) * math.exp(-exponent)
 
 
-def _invert_decreasing(func, x_hat: float, name: str) -> float:
-    if x_hat < 0.0:
+def _invert_decreasing(func, integrand, x_hat: float, name: str) -> float:
+    if not x_hat >= 0.0:
         raise DomainError(f"target value must be nonnegative, got {x_hat}")
     if x_hat == 0.0:
         return 1.0
@@ -171,28 +165,36 @@ def _invert_decreasing(func, x_hat: float, name: str) -> float:
         )
     tol = INV_TOL * max(1.0, x_hat)
     lo, hi = Z_MIN, 1.0  # func(lo) >= x_hat >= func(hi)
+    z = max(Z_MIN, 1.0 - x_hat / _COEFF)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = func(mid)
+        val = func(z)
         if abs(val - x_hat) <= tol:
-            return mid
+            return z
         if val > x_hat:
-            lo = mid
+            lo = z
         else:
-            hi = mid
-        if hi - lo < 1e-16:
+            hi = z
+        # z < 1 here: z = 1 is tried only when x_hat/c rounds away against 1,
+        # and then func(1) = 0 meets the tolerance
+        slope = -val * (1.0 / (1.0 - z) + integrand(z))
+        step = z - (val - x_hat) / slope if slope < 0.0 else lo
+        z = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < z < hi:
             break
-    return 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"{name} inversion at {x_hat} stopped in [{lo}, {hi}] "
+        f"without meeting |{name}(z) - x| <= {tol}"
+    )
 
 
 def invert_f(x_hat: float) -> float:
-    """z-hat with f(z-hat) = x_hat; bisection on the decreasing branch."""
-    return _invert_decreasing(f, x_hat, "f")
+    """z-hat with f(z-hat) = x_hat; bracketed Newton on the decreasing branch."""
+    return _invert_decreasing(f, F, x_hat, "f")
 
 
 def invert_ftilde(x_hat: float) -> float:
     """z-tilde with ftilde(z-tilde) = x_hat."""
-    return _invert_decreasing(ftilde, x_hat, "ftilde")
+    return _invert_decreasing(ftilde, Ftilde, x_hat, "ftilde")
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,6 @@ class EnvelopeTable:
     f_values: np.ndarray
     ftilde_values: np.ndarray
     H_values: np.ndarray
-    quad_tolerance: float
 
     def __post_init__(self):
         if np.any(np.diff(self.z_grid) <= 0.0):
@@ -224,4 +225,4 @@ def sample_envelope(samples: int, z_min: float = Z_MIN, z_max: float = 1.0) -> E
     fts = np.array([ftilde(z) for z in zs])
     # H blows up at z = 1; record inf there
     Hs = np.array([H(z) if z < 1.0 else math.inf for z in zs])
-    return EnvelopeTable(zs, fs, fts, Hs, QUAD_TOL)
+    return EnvelopeTable(zs, fs, fts, Hs)

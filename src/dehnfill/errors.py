@@ -22,3 +22,7 @@ class DegeneracyError(ValueError):
 
 class UncertifiableError(ValueError):
     """The normalized length is too small for the certified envelope to apply."""
+
+
+class ConvergenceError(ArithmeticError):
+    """An iteration stopped before meeting its tolerance."""

@@ -55,14 +55,14 @@ class BoundaryCurvature:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not (self.k1 > 0.0 and self.k2 > 0.0):
-            raise DomainError(f"curvatures must be positive, got {self.k1}, {self.k2}")
+        if not (0.0 < self.k1 < math.inf and 0.0 < self.k2 < math.inf):
+            raise DomainError(f"curvatures must be positive and finite, got {self.k1}, {self.k2}")
         if abs(self.k1 * self.k2 - 1.0) > _CURV_TOL:
             raise DomainError(
                 f"tubular boundary needs k1*k2 = 1, got {self.k1 * self.k2}"
             )
-        if self.epsilon < 0.0:
-            raise DomainError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
 
 
 class FourierMode1Form:
