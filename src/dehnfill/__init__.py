@@ -42,7 +42,11 @@ from .weitzenboeck import (
     StandardFormCoefficients,
     boundary_form_b,
     epsilon_zero_kernel,
+    exact_min_b,
+    mode_b,
     random_form,
+    random_modes,
+    scan_min_b,
     standard_form_coeffs,
     symbol_matrix_LS,
 )

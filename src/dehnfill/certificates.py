@@ -90,6 +90,18 @@ class SchlafliStep:
             raise DomainError(f"visual area must be positive, got {self.visual_area}")
 
 
+def _sq(v: float) -> float:
+    """v ** 2, or inf where the float power overflows (it raises there).
+
+    ``v ** 2`` is kept rather than ``v * v``: the two differ in the last bit
+    for some inputs, and decisions at the threshold depend on those bits.
+    """
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
 def combine_normalized_lengths(lhats) -> float:
     """Combined multi-cusp normalized length: 1/Lhat^2 = sum(1/Lhat_i^2)."""
     lhats = list(lhats)
@@ -97,9 +109,11 @@ def combine_normalized_lengths(lhats) -> float:
         raise DomainError("need at least one normalized length")
     if any(not v > 0.0 for v in lhats):
         raise DomainError(f"normalized lengths must be positive, got {lhats}")
-    inv_sq = sum(1.0 / v ** 2 for v in lhats)
+    inv_sq = sum(1.0 / _sq(v) for v in lhats)
     if inv_sq == 0.0:
-        raise DomainError(f"every cusp is unfilled (normalized lengths {lhats})")
+        raise DomainError(
+            f"sum of 1/Lhat^2 is 0: every cusp is unfilled or too long (normalized lengths {lhats})"
+        )
     return 1.0 / math.sqrt(inv_sq)
 
 
@@ -107,7 +121,7 @@ def certify(lhats) -> FillingCertificate:
     """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2."""
     lhats = tuple(float(v) for v in lhats)
     combined = combine_normalized_lengths(lhats)
-    margin = 1.0 / UNIVERSAL_C ** 2 - sum(1.0 / v ** 2 for v in lhats)
+    margin = 1.0 / UNIVERSAL_C ** 2 - sum(1.0 / _sq(v) for v in lhats)
     certified = margin > 0.0
     return FillingCertificate(
         per_cusp_lhat=lhats,
@@ -128,7 +142,7 @@ def _zhat_ztilde(lhat: float) -> tuple[float, float]:
         raise UncertifiableError(
             f"uncertifiable: normalized length {lhat} below threshold {UNIVERSAL_C}"
         )
-    x_hat = (2.0 * math.pi) ** 2 / lhat ** 2
+    x_hat = (2.0 * math.pi) ** 2 / _sq(lhat)
     return invert_f(x_hat), invert_ftilde(x_hat)
 
 

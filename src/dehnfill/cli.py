@@ -7,7 +7,7 @@ Subcommands:
               --shape re,im --slope p,q   (repeatable pairs) via cusp shapes
     bounds    --lhat v            geometric bounds for one normalized length
     enumerate --shape re,im --cutoff v    short-slope enumeration
-    weitz     --k1 v --eps v [--seed n --trials n]   positivity scan
+    weitz     --k1 v --eps v [--seed n --trials n]   exact minimum and random scan
     figure    --which 1|2|3 --samples n --out path   CSV figure data
 
 Every command prints a JSON report to stdout with fields
@@ -176,11 +176,8 @@ def cmd_weitz(args) -> tuple[int, str]:
     if args.trials < 1:
         raise argparse.ArgumentTypeError(f"--trials must be at least 1, got {args.trials}")
     curv = weitzenboeck.BoundaryCurvature(k1, 1.0 / k1, args.eps)
-    rng = np.random.default_rng(args.seed)
-    b_min = math.inf
-    for _ in range(args.trials):
-        sigma = weitzenboeck.random_form(rng)
-        b_min = min(b_min, weitzenboeck.boundary_form_b(curv, sigma))
+    b_min = weitzenboeck.scan_min_b(curv, np.random.default_rng(args.seed), args.trials)
+    b_exact, mode = weitzenboeck.exact_min_b(curv)
     in_certified_range = (
         1.0 / math.sqrt(3.0) - 1e-12 <= min(k1, 1.0 / k1)
         and max(k1, 1.0 / k1) <= math.sqrt(3.0) + 1e-12
@@ -193,11 +190,14 @@ def cmd_weitz(args) -> tuple[int, str]:
         "trials": args.trials,
         "seed": args.seed,
         "min_b": b_min,
+        "min_b_exact": b_exact,
+        "min_mode": list(mode),
         "in_certified_range": in_certified_range,
     }
     checks = []
     if in_certified_range:
         checks.append(Check("min_b_nonnegative", min(b_min, 0.0), 0.0, 1e-9))
+        checks.append(Check("min_b_exact_nonnegative", min(b_exact, 0.0), 0.0, 1e-9))
     return _report("weitz", payload, checks)
 
 
@@ -270,11 +270,13 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
     """Dispatch a command line; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)

@@ -34,7 +34,6 @@ from .packing import PACKING
 __all__ = [
     "Z_MIN",
     "POLE",
-    "EnvelopeDomain",
     "EnvelopeTable",
     "H",
     "H_prime",
@@ -62,20 +61,6 @@ _COEFF = PACKING.h_coefficient  # 3.3957
 _R2 = math.sqrt(2.0)
 _A = (_R2 - 1.0) / (2.0 * _R2)
 _B = (_R2 + 1.0) / (2.0 * _R2)
-
-
-@dataclass(frozen=True)
-class EnvelopeDomain:
-    """Working z-interval [z_min, 1] for the envelope, kept above the pole."""
-
-    z_min: float = Z_MIN
-    pole: float = POLE
-
-    def __post_init__(self):
-        if not self.z_min > self.pole:
-            raise DomainError(
-                f"z_min={self.z_min} must exceed the Ftilde pole {self.pole}"
-            )
 
 
 def _check_open_unit(z: float):

@@ -14,8 +14,10 @@ eps <= 2*k1.
 
 We evaluate b exactly (up to floating point) on finite Fourier sums over
 the unit-area square flat torus: derivatives act as multiplication by
-2*pi*(m, n) per mode, and L2 norms follow from Parseval.  The quadratic
-form depends on the flat metric only through L2 norms, so the square torus
+2*pi*(m, n) per mode, and L2 norms follow from Parseval, so b splits into
+a sum of per-mode 2x2 forms (``mode_b``).  Their smallest eigenvalue is the
+exact minimum of b on unit forms (``exact_min_b``).  The quadratic form
+depends on the flat metric only through L2 norms, so the square torus
 loses no generality.  The same module carries the coefficient record
 (a, b, c, xi, w) of the boundary-torus contribution in standard form, and
 the principal symbol computations behind ellipticity of the perturbed
@@ -38,9 +40,14 @@ __all__ = [
     "StandardFormCoefficients",
     "standard_form_coeffs",
     "boundary_form_b",
+    "mode_b",
+    "mode_min_eigenvalue",
+    "exact_min_b",
+    "scan_min_b",
     "symbol_matrix_LS",
     "epsilon_zero_kernel",
     "random_form",
+    "random_modes",
 ]
 
 _CURV_TOL = 1e-12
@@ -95,21 +102,42 @@ class FourierMode1Form:
         return sum(abs(c1) ** 2 + abs(c2) ** 2 for c1, c2 in self.modes.values())
 
 
+def _pair_classes(max_freq: int) -> np.ndarray:
+    """One frequency (m, n) from each pair {(m, n), (-m, -n)} of nonzero
+    frequencies with |m|, |n| <= max_freq, as an int array of shape (P, 2)."""
+    r = np.arange(-max_freq, max_freq + 1)
+    m, n = (a.ravel() for a in np.meshgrid(r, r, indexing="ij"))
+    keep = (m > 0) | ((m == 0) & (n > 0))
+    return np.stack([m[keep], n[keep]], axis=-1)
+
+
+def random_modes(
+    rng: np.random.Generator, count: int, n_modes: int = 8, max_freq: int = 3
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` random real 1-forms, each with ``n_modes`` distinct pair
+    classes drawn uniformly from the nonzero frequencies with
+    |m|, |n| <= max_freq, and standard complex Gaussian coefficients.
+
+    Returns (freqs, c1, c2) of shapes (count, n_modes, 2), (count, n_modes)
+    and (count, n_modes).  Each row lists one frequency per pair class; its
+    conjugate mode is implied, and the row has unit coefficient norm
+    counting conjugates: 2 * sum(|c1|^2 + |c2|^2) = 1.
+    """
+    classes = _pair_classes(max_freq)
+    if not 0 < n_modes <= len(classes):
+        raise DomainError(f"need 1 <= n_modes <= {len(classes)}, got {n_modes}")
+    pick = np.argsort(rng.random((count, len(classes))), axis=1)[:, :n_modes]
+    g = rng.standard_normal((count, n_modes, 4))
+    g /= np.sqrt(2.0 * np.sum(g * g, axis=(1, 2)))[:, None, None]
+    return classes[pick], g[..., 0] + 1j * g[..., 1], g[..., 2] + 1j * g[..., 3]
+
+
 def random_form(rng: np.random.Generator, n_modes: int = 8, max_freq: int = 3) -> FourierMode1Form:
     """A random real 1-form with ``n_modes`` independent nonzero modes,
-    scaled to unit coefficient norm."""
-    modes: dict[tuple[int, int], tuple[complex, complex]] = {}
-    while len(modes) < n_modes:
-        m = int(rng.integers(-max_freq, max_freq + 1))
-        n = int(rng.integers(-max_freq, max_freq + 1))
-        if (m, n) == (0, 0) or (m, n) in modes or (-m, -n) in modes:
-            continue
-        c = rng.standard_normal(4)
-        modes[m, n] = (complex(c[0], c[1]), complex(c[2], c[3]))
-    form = FourierMode1Form(modes)
-    scale = 1.0 / math.sqrt(form.coefficient_norm_sq())
+    scaled to unit coefficient norm (one row of :func:`random_modes`)."""
+    freqs, c1, c2 = random_modes(rng, 1, n_modes, max_freq)
     return FourierMode1Form(
-        {k: (scale * v[0], scale * v[1]) for k, v in form.modes.items()}
+        {(int(m), int(n)): (a, b) for (m, n), a, b in zip(freqs[0], c1[0], c2[0])}
     )
 
 
@@ -153,35 +181,85 @@ def standard_form_coeffs(R: float) -> StandardFormCoefficients:
     )
 
 
-def boundary_form_b(curv: BoundaryCurvature, sigma: FourierMode1Form) -> float:
-    """Evaluate the boundary quadratic form b on a finite Fourier sum.
+def _abs2(c):
+    return np.real(c) ** 2 + np.imag(c) ** 2
 
-    Per mode with wave vector kappa = 2*pi*(m, n): gradients multiply by
-    the frequency components, and delta(d sigma) has coefficients
-    [[kappa2^2, -kappa1*kappa2], [-kappa1*kappa2, kappa1^2]] @ (c1, c2).
+
+def mode_b(curv: BoundaryCurvature, kappa, c1, c2) -> np.ndarray:
+    """The boundary form b of single Fourier modes, elementwise.
+
+    ``kappa`` has shape (..., 2) and holds wave vectors 2*pi*(m, n); ``c1``
+    and ``c2`` broadcast against ``kappa[..., 0]``.  Per mode, with
+    A = (3 - k1^2) kappa1^2 + (3 - k2^2) kappa2^2,
+
+        b = (1/4) A (k1 |c1|^2 + k2 |c2|^2)
+            + (eps/2) |kappa2 c1 - kappa1 c2|^2
+              ((k2 - eps/2) kappa2^2 + (k1 - eps/2) kappa1^2):
+
+    gradients multiply by the wave vector, and delta(d sigma) has
+    components (kappa2, -kappa1) * (kappa2 c1 - kappa1 c2).  The form is
+    even in kappa, so a mode and its conjugate contribute equally.
     """
     k1, k2, eps = curv.k1, curv.k2, curv.epsilon
-    ks = (k1, k2)
-    grad2 = np.zeros((2, 2))  # ||grad_i sigma_j||^2
-    a1_sq = 0.0
-    a2_sq = 0.0
-    two_pi = 2.0 * math.pi
-    for (m, n), (c1, c2) in sigma.modes.items():
-        kap1, kap2 = two_pi * m, two_pi * n
-        for i, kap in ((0, kap1), (1, kap2)):
-            grad2[i, 0] += kap * kap * abs(c1) ** 2
-            grad2[i, 1] += kap * kap * abs(c2) ** 2
-        a1 = kap2 * kap2 * c1 - kap1 * kap2 * c2
-        a2 = -kap1 * kap2 * c1 + kap1 * kap1 * c2
-        a1_sq += abs(a1) ** 2
-        a2_sq += abs(a2) ** 2
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            total += (3.0 - ks[i] ** 2) * ks[j] * grad2[i, j]
-    total /= 4.0
-    total += (eps / 2.0) * ((k2 - eps / 2.0) * a1_sq + (k1 - eps / 2.0) * a2_sq)
-    return total
+    kappa = np.asarray(kappa, dtype=float)
+    kap1_sq, kap2_sq = kappa[..., 0] ** 2, kappa[..., 1] ** 2
+    area = (3.0 - k1 * k1) * kap1_sq + (3.0 - k2 * k2) * kap2_sq
+    curl = kappa[..., 1] * c1 - kappa[..., 0] * c2
+    return 0.25 * area * (k1 * _abs2(c1) + k2 * _abs2(c2)) + (eps / 2.0) * _abs2(curl) * (
+        (k2 - eps / 2.0) * kap2_sq + (k1 - eps / 2.0) * kap1_sq
+    )
+
+
+def boundary_form_b(curv: BoundaryCurvature, sigma: FourierMode1Form) -> float:
+    """Evaluate the boundary quadratic form b on a finite Fourier sum:
+    the sum of :func:`mode_b` over its modes."""
+    freqs = np.array(list(sigma.modes), dtype=float).reshape(-1, 2)
+    coeffs = np.array(list(sigma.modes.values()), dtype=complex).reshape(-1, 2)
+    return float(np.sum(mode_b(curv, 2.0 * math.pi * freqs, coeffs[:, 0], coeffs[:, 1])))
+
+
+_SCAN_BLOCK = 1024  # trials per batch: bounds the scan's memory for any trial count
+
+
+def scan_min_b(curv: BoundaryCurvature, rng: np.random.Generator, trials: int) -> float:
+    """Minimum of b over ``trials`` random unit forms from :func:`random_modes`,
+    drawn from ``rng`` in blocks of 1024."""
+    b_min = math.inf
+    for start in range(0, trials, _SCAN_BLOCK):
+        freqs, c1, c2 = random_modes(rng, min(_SCAN_BLOCK, trials - start))
+        b = 2.0 * mode_b(curv, 2.0 * math.pi * freqs, c1, c2).sum(axis=-1)
+        b_min = min(b_min, float(b.min()))
+    return b_min
+
+
+def mode_min_eigenvalue(curv: BoundaryCurvature, kappa) -> np.ndarray:
+    """Smallest eigenvalue of each mode's form (c1, c2) -> mode_b.
+
+    That form is a real symmetric 2x2 matrix Q, read off :func:`mode_b` by
+    polarization.  The eigenvalue of larger magnitude is tr/2 +- r with
+    r = hypot((q11 - q22)/2, q12) and the sign of tr; the other is det over
+    it, which avoids the cancellation in tr/2 -+ r when it is near 0.
+    """
+    q11 = mode_b(curv, kappa, 1.0, 0.0)
+    q22 = mode_b(curv, kappa, 0.0, 1.0)
+    q12 = (mode_b(curv, kappa, 1.0, 1.0) - q11 - q22) / 2.0
+    half_tr = (q11 + q22) / 2.0
+    big = half_tr + np.copysign(np.hypot((q11 - q22) / 2.0, q12), half_tr)
+    det = q11 * q22 - q12 * q12
+    return np.minimum(big, det / np.where(big == 0.0, 1.0, big))  # big == 0 only if Q == 0
+
+
+def exact_min_b(curv: BoundaryCurvature, max_freq: int = 3) -> tuple[float, tuple[int, int]]:
+    """Exact minimum of b over unit-norm real forms whose modes are nonzero
+    with |m|, |n| <= max_freq, and a frequency (m, n) that attains it.
+
+    b is a sum of per-mode forms and the norm a sum of per-mode norms, so
+    the minimum is the smallest eigenvalue over the pair classes.
+    """
+    classes = _pair_classes(max_freq)
+    lam = mode_min_eigenvalue(curv, 2.0 * math.pi * classes)
+    i = int(np.argmin(lam))
+    return float(lam[i]), (int(classes[i, 0]), int(classes[i, 1]))
 
 
 def symbol_matrix_LS(k: float, zeta: tuple[float, float]) -> tuple[np.ndarray, float]:

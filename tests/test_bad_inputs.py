@@ -60,3 +60,29 @@ class TestWeitzInputs:
 
     def test_zero_trials_exit_2(self):
         assert run(["weitz", "--k1", "0.8", "--eps", "1.0", "--trials", "0"]) == 2
+
+
+class TestHugeLhat:
+    """Lhat^2 overflows a float above about 1.3e154."""
+
+    def test_certify_alone_exit_2(self):
+        assert run(["certify", "--lhat", "1e200"]) == 2
+
+    def test_certify_with_finite_cusp(self, capsys):
+        assert run(["certify", "--lhat", "1e200,10"]) == 0
+        doc = _strict(capsys.readouterr().out)
+        assert doc["payload"]["combined_lhat"] == 10.0
+        assert doc["payload"]["certified"] is True
+
+    def test_bounds_report(self, capsys):
+        assert run(["bounds", "--lhat", "1e200"]) == 0
+        payload = _strict(capsys.readouterr().out)["payload"]
+        assert payload["volume_drop"] == [0.0, 0.0]
+        assert payload["visual_area"] == [0.0, 0.0]
+
+    def test_library(self):
+        assert combine_normalized_lengths([1e155, 12.0]) == 12.0
+        cert = full_certificate([1e300, 1e300, 20.0])
+        assert cert.certified and cert.combined_lhat == 20.0
+        with pytest.raises(DomainError):
+            combine_normalized_lengths([1e200, 1e300])

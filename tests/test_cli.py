@@ -153,3 +153,14 @@ class TestUsageErrors:
 
     def test_malformed_number(self):
         assert run(["bounds", "--lhat", "abc"]) == 2
+
+
+class TestParserReuse:
+    def test_append_defaults_do_not_leak(self, capsys):
+        argv = ["certify", "--shape", "0.1,1.3", "--slope", "7,1", "--shape", "0,1",
+                "--slope", "9,2"]
+        first = (run(argv), capsys.readouterr().out)
+        second = (run(argv), capsys.readouterr().out)
+        assert first == second
+        assert len(json.loads(first[1])["payload"]["per_cusp_lhat"]) == 2
+        assert run(["certify"]) == 2

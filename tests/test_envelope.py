@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import quad
 
 from dehnfill.envelope import (
-    EnvelopeDomain,
     F,
     Ftilde,
     G,
@@ -166,8 +165,6 @@ class TestEnvelopeTable:
         assert np.all(table.f_values <= table.ftilde_values + 1e-14)
         assert table.f_values[-1] == 0.0
 
-    def test_domain_guard(self):
+    def test_single_sample_rejected(self):
         with pytest.raises(DomainError):
             sample_envelope(1)
-        with pytest.raises(DomainError):
-            EnvelopeDomain(z_min=0.4)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,12 +6,17 @@ import pytest
 
 from dehnfill.errors import DomainError
 from dehnfill.packing import R0
+from dehnfill.cli import run
 from dehnfill.weitzenboeck import (
     BoundaryCurvature,
     FourierMode1Form,
     boundary_form_b,
     epsilon_zero_kernel,
+    exact_min_b,
+    mode_min_eigenvalue,
     random_form,
+    random_modes,
+    scan_min_b,
     standard_form_coeffs,
     symbol_matrix_LS,
 )
@@ -153,3 +159,206 @@ class TestEpsilonZeroKernel:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             epsilon_zero_kernel((0.0, 0.0))
+
+
+def direct_b(curv, sigma):
+    """Reference b: gradients and delta(d sigma) mode by mode, accumulated
+    into ||grad_i sigma_j||^2 and ||a_i||^2 before the curvature weights."""
+    k1, k2, eps = curv.k1, curv.k2, curv.epsilon
+    ks = (k1, k2)
+    grad2 = np.zeros((2, 2))
+    a1_sq = a2_sq = 0.0
+    for (m, n), (c1, c2) in sigma.modes.items():
+        kap1, kap2 = 2.0 * math.pi * m, 2.0 * math.pi * n
+        for i, kap in ((0, kap1), (1, kap2)):
+            grad2[i, 0] += kap * kap * abs(c1) ** 2
+            grad2[i, 1] += kap * kap * abs(c2) ** 2
+        a1_sq += abs(kap2 * kap2 * c1 - kap1 * kap2 * c2) ** 2
+        a2_sq += abs(-kap1 * kap2 * c1 + kap1 * kap1 * c2) ** 2
+    total = sum((3.0 - ks[i] ** 2) * ks[j] * grad2[i, j] for i in range(2) for j in range(2))
+    return total / 4.0 + (eps / 2.0) * ((k2 - eps / 2.0) * a1_sq + (k1 - eps / 2.0) * a2_sq)
+
+
+def reference_random_form(rng, n_modes=8, max_freq=3):
+    """Rejection sampler: uniform frequencies, skipping (0, 0) and repeated
+    pair classes, then scaled to unit norm counting conjugates."""
+    modes = {}
+    while len(modes) < n_modes:
+        m = int(rng.integers(-max_freq, max_freq + 1))
+        n = int(rng.integers(-max_freq, max_freq + 1))
+        if (m, n) == (0, 0) or (m, n) in modes or (-m, -n) in modes:
+            continue
+        c = rng.standard_normal(4)
+        modes[m, n] = (complex(c[0], c[1]), complex(c[2], c[3]))
+    scale = 1.0 / math.sqrt(2.0 * sum(abs(a) ** 2 + abs(b) ** 2 for a, b in modes.values()))
+    return FourierMode1Form({k: (scale * a, scale * b) for k, (a, b) in modes.items()})
+
+
+def random_curvature(rng, k_lo=0.4, k_hi=1.0, eps_hi=2.5):
+    k1 = float(rng.uniform(k_lo, k_hi))
+    return BoundaryCurvature(k1, 1.0 / k1, float(rng.uniform(0.0, eps_hi)))
+
+
+def row_form(freqs, c1, c2):
+    return FourierMode1Form({(int(m), int(n)): (a, b) for (m, n), a, b in zip(freqs, c1, c2)})
+
+
+PAIR_CLASSES = [(m, n) for m in range(-3, 4) for n in range(-3, 4) if m > 0 or (m == 0 and n > 0)]
+
+
+class TestModeFactorisation:
+    def test_matches_direct_formula(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            curv = random_curvature(rng)
+            sigma = random_form(rng, n_modes=int(rng.integers(1, 13)))
+            ref = direct_b(curv, sigma)
+            assert abs(boundary_form_b(curv, sigma) - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+    def test_scan_is_min_over_sampled_forms(self):
+        rng = np.random.default_rng(43)
+        for seed in range(5):
+            curv = random_curvature(rng)
+            freqs, c1, c2 = random_modes(np.random.default_rng(seed), 50)
+            ref = min(direct_b(curv, row_form(*row)) for row in zip(freqs, c1, c2))
+            assert scan_min_b(curv, np.random.default_rng(seed), 50) == pytest.approx(
+                ref, rel=1e-12
+            )
+
+
+class TestRandomModes:
+    ROWS = 20_000
+
+    def test_rows_are_unit_forms_on_distinct_pair_classes(self):
+        freqs, c1, c2 = random_modes(np.random.default_rng(47), 500)
+        assert freqs.shape == (500, 8, 2) and c1.shape == c2.shape == (500, 8)
+        norms = 2.0 * np.sum(np.abs(c1) ** 2 + np.abs(c2) ** 2, axis=1)
+        assert np.allclose(norms, 1.0, rtol=1e-12, atol=0.0)
+        for row in freqs:
+            keys = [(int(m), int(n)) for m, n in row]
+            assert (0, 0) not in keys
+            classes = {max((m, n), (-m, -n)) for m, n in keys}
+            assert len(classes) == 8
+            assert all(abs(m) <= 3 and abs(n) <= 3 for m, n in keys)
+
+    def test_pair_classes_uniform(self):
+        freqs, _, _ = random_modes(np.random.default_rng(53), self.ROWS)
+        index = {mn: i for i, mn in enumerate(PAIR_CLASSES)}
+        counts = np.zeros(len(PAIR_CLASSES))
+        for m, n in freqs.reshape(-1, 2).tolist():
+            counts[index[max((m, n), (-m, -n))]] += 1
+        p = 8 / len(PAIR_CLASSES)  # each row holds a given class with this chance
+        sigma = math.sqrt(self.ROWS * p * (1.0 - p))
+        assert np.all(np.abs(counts - self.ROWS * p) <= 5.0 * sigma)
+
+    @pytest.mark.parametrize("k1, eps", [(0.8, 0.9), (0.5, 0.3)])
+    def test_same_b_distribution_as_rejection_sampler(self, k1, eps):
+        curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+        rng = np.random.default_rng(59)
+        old = np.array([direct_b(curv, reference_random_form(rng)) for _ in range(3000)])
+        freqs, c1, c2 = random_modes(np.random.default_rng(61), 3000)
+        new = np.array([boundary_form_b(curv, row_form(*row)) for row in zip(freqs, c1, c2)])
+        stderr = math.sqrt(old.var() / old.size + new.var() / new.size)
+        assert abs(old.mean() - new.mean()) <= 5.0 * stderr
+
+    def test_too_many_modes_rejected(self):
+        with pytest.raises(DomainError):
+            random_modes(np.random.default_rng(0), 1, n_modes=25)
+
+
+def reference_mode_matrix(curv, m, n):
+    """The 2x2 form of mode (m, n), by polarization of the direct formula;
+    a single mode plus its conjugate counts twice."""
+    def q(c1, c2):
+        return direct_b(curv, FourierMode1Form({(m, n): (c1, c2)})) / 2.0
+
+    q11, q22 = q(1.0, 0.0), q(0.0, 1.0)
+    q12 = (q(1.0, 1.0) - q11 - q22) / 2.0
+    return np.array([[q11, q12], [q12, q22]])
+
+
+class TestExactMinimum:
+    CURVATURES = [
+        (0.9, 0.7), (1.0 / SQRT3, 0.0), (1.0 / SQRT3, 2.0 / SQRT3), (1.0, 2.0),
+        (0.5, 0.0), (0.5, 1.5), (0.3, 0.1), (1.0, 0.0),
+        # mode (1, 2) has trace -47 and a larger eigenvalue of -6e-13 here,
+        # so tr/2 + r would lose every digit of it
+        (0.5, 0.00021913433032562995),
+    ]
+
+    def test_matches_eigvalsh_on_every_mode(self):
+        rng = np.random.default_rng(67)
+        cases = self.CURVATURES + [(float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, 2.5)))
+                                   for _ in range(20)]
+        kappa = 2.0 * math.pi * np.array(PAIR_CLASSES, dtype=float)
+        for k1, eps in cases:
+            curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+            lam = mode_min_eigenvalue(curv, kappa)
+            refs = []
+            for (m, n), got in zip(PAIR_CLASSES, lam):
+                mat = reference_mode_matrix(curv, m, n)
+                ref = np.linalg.eigvalsh(mat)[0]
+                assert abs(got - ref) <= 1e-12 * max(np.abs(mat).max(), 1.0)
+                refs.append(ref)
+            value, mode = exact_min_b(curv)
+            assert value == float(np.min(lam))
+            assert mode == PAIR_CLASSES[int(np.argmin(lam))]
+            assert value == pytest.approx(min(refs), rel=1e-12, abs=1e-9)
+
+    def test_attained_by_a_unit_form(self):
+        curv = BoundaryCurvature(0.9, 1.0 / 0.9, 0.7)
+        value, (m, n) = exact_min_b(curv)
+        assert value == pytest.approx(19.36, abs=0.01)
+        _, vecs = np.linalg.eigh(reference_mode_matrix(curv, m, n))
+        sigma = FourierMode1Form({(m, n): tuple(vecs[:, 0] / math.sqrt(2.0))})
+        assert sigma.coefficient_norm_sq() == pytest.approx(1.0, rel=1e-12)
+        assert direct_b(curv, sigma) == pytest.approx(value, rel=1e-12)
+
+    def test_below_every_scan(self):
+        rng = np.random.default_rng(71)
+        for seed in range(50):
+            curv = random_curvature(rng, k_lo=0.3)
+            scan = scan_min_b(curv, np.random.default_rng(seed), 200)
+            assert exact_min_b(curv)[0] <= scan + 1e-12 * abs(scan)
+
+    def test_nonnegative_inside_window(self):
+        for k1 in np.linspace(1.0 / SQRT3, 1.0, 9):
+            for frac in np.linspace(0.0, 1.0, 9):
+                curv = BoundaryCurvature(float(k1), 1.0 / float(k1), float(2.0 * k1 * frac))
+                assert exact_min_b(curv)[0] >= -1e-9
+
+    def test_negative_at_k2_two(self):
+        value, mode = exact_min_b(BoundaryCurvature(0.5, 2.0, 0.0))
+        assert value == pytest.approx(-18.0 * math.pi ** 2, rel=1e-12)  # (0, 3): -2 pi^2 n^2
+        assert mode == (0, 3)
+
+    def test_eps_beyond_window_goes_negative(self):
+        assert exact_min_b(BoundaryCurvature(1.0, 1.0, 2.2))[0] < 0.0
+
+
+class TestWeitzCommand:
+    @staticmethod
+    def payload(capsys, argv):
+        code = run(argv)
+        return code, json.loads(capsys.readouterr().out)["payload"]
+
+    def test_many_blocks(self, capsys):
+        code, doc = self.payload(
+            capsys, ["weitz", "--k1", "0.8", "--eps", "0.5", "--seed", "11", "--trials", "5000"]
+        )
+        assert code == 0 and doc["trials"] == 5000
+        # the scan draws whole blocks of 1024 from one stream: 4 full ones and 904
+        curv = BoundaryCurvature(0.8, 1.0 / 0.8, 0.5)
+        rng = np.random.default_rng(11)
+        blocks = [scan_min_b(curv, rng, n) for n in (1024, 1024, 1024, 1024, 904)]
+        assert doc["min_b"] == min(blocks)
+        assert doc["min_b_exact"] <= doc["min_b"]
+
+    def test_exact_fields(self, capsys):
+        code, doc = self.payload(capsys, ["weitz", "--k1", "0.9", "--eps", "0.7", "--trials", "5"])
+        assert code == 0
+        assert doc["min_b_exact"] == pytest.approx(19.36, abs=0.01)
+        assert doc["min_mode"] == list(exact_min_b(BoundaryCurvature(0.9, 1 / 0.9, 0.7))[1])
+        code, doc = self.payload(capsys, ["weitz", "--k1", "0.5", "--eps", "0", "--trials", "5"])
+        assert code == 0 and doc["in_certified_range"] is False
+        assert doc["min_b_exact"] < 0.0
