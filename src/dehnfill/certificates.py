@@ -49,6 +49,7 @@ __all__ = [
 
 #: Universal certification threshold, stored as the literal decimal.
 UNIVERSAL_C = 7.5832
+_INV_C_SQ = 1.0 / UNIVERSAL_C ** 2
 
 Z0 = 1.0 / math.sqrt(3.0)  # tanh(R0)
 
@@ -102,26 +103,34 @@ def _sq(v: float) -> float:
         return math.inf
 
 
-def combine_normalized_lengths(lhats) -> float:
-    """Combined multi-cusp normalized length: 1/Lhat^2 = sum(1/Lhat_i^2)."""
-    lhats = list(lhats)
+def _inv_sq_sum(lhats) -> float:
+    """sum(1/Lhat_i^2) over a non-empty sequence of positive normalized
+    lengths; raises DomainError otherwise, or when the sum is 0."""
     if not lhats:
         raise DomainError("need at least one normalized length")
-    if any(not v > 0.0 for v in lhats):
-        raise DomainError(f"normalized lengths must be positive, got {lhats}")
-    inv_sq = sum(1.0 / _sq(v) for v in lhats)
+    for v in lhats:
+        if not v > 0.0:
+            raise DomainError(f"normalized lengths must be positive, got {list(lhats)}")
+    inv_sq = sum([1.0 / _sq(v) for v in lhats])
     if inv_sq == 0.0:
         raise DomainError(
-            f"sum of 1/Lhat^2 is 0: every cusp is unfilled or too long (normalized lengths {lhats})"
+            "sum of 1/Lhat^2 is 0: every cusp is unfilled or too long "
+            f"(normalized lengths {list(lhats)})"
         )
-    return 1.0 / math.sqrt(inv_sq)
+    return inv_sq
+
+
+def combine_normalized_lengths(lhats) -> float:
+    """Combined multi-cusp normalized length: 1/Lhat^2 = sum(1/Lhat_i^2)."""
+    return 1.0 / math.sqrt(_inv_sq_sum(list(lhats)))
 
 
 def certify(lhats) -> FillingCertificate:
     """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2."""
-    lhats = tuple(float(v) for v in lhats)
-    combined = combine_normalized_lengths(lhats)
-    margin = 1.0 / UNIVERSAL_C ** 2 - sum(1.0 / _sq(v) for v in lhats)
+    lhats = tuple(map(float, lhats))
+    inv_sq = _inv_sq_sum(lhats)
+    combined = 1.0 / math.sqrt(inv_sq)
+    margin = _INV_C_SQ - inv_sq
     certified = margin > 0.0
     return FillingCertificate(
         per_cusp_lhat=lhats,

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import certificates, envelope, packing, slope_lattice, weitzenboeck
-from .errors import UncertifiableError
+from .errors import DomainError, UncertifiableError
 
 __all__ = ["main", "run", "render_figure_csv"]
 
@@ -71,9 +71,10 @@ def _parse_shape(text: str) -> slope_lattice.CuspShape:
         re_v, im_v = float(re_s), float(im_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"shape must be 're,im', got {text!r}")
-    if not im_v > 0.0:
-        raise argparse.ArgumentTypeError(f"shape needs im > 0, got {im_v}")
-    return slope_lattice.CuspShape(re_v, im_v)
+    try:
+        return slope_lattice.CuspShape(re_v, im_v)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_slope(text: str) -> tuple[float, float]:

@@ -5,7 +5,7 @@ cross-section, presented as a modulus tau in the upper half plane: the
 lattice generated by 1 and tau.  A slope (p, q) is the class p*1 + q*tau.
 This module computes normalized slope lengths, Gauss-reduces the basis, and
 enumerates all primitive slopes below a normalized-length cutoff (complete,
-via a window bound derived from the reduced basis).
+by exact scanlines in the reduced basis, and capped at MAX_CANDIDATES tests).
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ class CuspShape:
     im: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise DomainError(
+                f"cusp shape needs finite re and im, got re={self.re}, im={self.im}"
+            )
         if not self.im > 0.0:
             raise DomainError(f"cusp shape needs im(tau) > 0, got {self.im}")
 
@@ -82,16 +86,8 @@ def lattice_reduce(shape: CuspShape) -> tuple[CuspShape, tuple[tuple[int, int], 
     return CuspShape(tau_red.real, tau_red.imag), ((m11, m12), (m21, m22))
 
 
-def _window_bounds(cutoff: float, shape: CuspShape) -> tuple[int, int]:
-    """Half-widths (P, Q) so that every slope with L-hat <= cutoff has
-    |p| <= P and |q| <= Q in this basis.
-
-    From |p + q*tau|^2 = (p + q*re)^2 + (q*im)^2 <= cutoff^2 * im:
-    |q| <= cutoff/sqrt(im) and |p| <= cutoff*sqrt(im) + |q|*|re|.
-    """
-    qmax = cutoff / math.sqrt(shape.im)
-    pmax = cutoff * math.sqrt(shape.im) + qmax * abs(shape.re)
-    return math.ceil(pmax), math.ceil(qmax)
+#: Most candidate slopes one enumeration may test (about a second of work).
+MAX_CANDIDATES = 1_500_000
 
 
 def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, int, float]]:
@@ -99,32 +95,50 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
 
     Identifies (p, q) ~ (-p, -q) and reports the representative with p > 0
     (or p = 0 and q > 0), sorted by (length, p, q).  Each entry is
-    (p, q, normalized_length).  Completeness comes from enumerating the
-    window bound of the Gauss-reduced basis and mapping back.
+    (p, q, normalized_length).
+
+    The scan walks the Gauss-reduced basis over q > 0 plus (1, 0), which
+    meets each class once: row q holds the p within one of the chord of
+    (p + q*re)^2 + (q*im)^2 <= cutoff^2 * im, for q <= cutoff/sqrt(im).
+    Slopes found are mapped back to the given basis with exact integers.
+
+    Raises DomainError for a cutoff that is not positive and finite, or one
+    whose scan would test more than MAX_CANDIDATES slopes.
     """
-    if not cutoff > 0.0:
-        raise DomainError(f"cutoff must be positive, got {cutoff}")
+    if not (cutoff > 0.0 and math.isfinite(cutoff)):
+        raise DomainError(f"cutoff must be positive and finite, got {cutoff}")
     reduced, m = lattice_reduce(shape)
+    tau, re, im = reduced.tau, reduced.re, reduced.im
+    root = math.sqrt(im)
+    # rows q = 1..floor(span); the slack keeps a row whose float length
+    # rounds down onto the cutoff
+    span = cutoff / root * (1.0 + 1e-12)
+    if span >= 1.0 and span * (2.0 * cutoff * root + 3.0) > MAX_CANDIDATES:
+        raise DomainError(
+            f"cutoff {cutoff} is too large for this shape: the scan would test more "
+            f"than {MAX_CANDIDATES} candidate slopes"
+        )
     # invert the integer coordinate map (det is +-1)
     (m11, m12), (m21, m22) = m
     det = m11 * m22 - m12 * m21
-    inv = ((m22 * det, -m12 * det), (-m21 * det, m11 * det))
-    pmax, qmax = _window_bounds(cutoff, reduced)
-    # the window covers both (p, q) and (-p, -q); key on the normalized
-    # representative so each class appears once
-    found: dict[tuple[int, int], float] = {}
-    for q in range(-qmax, qmax + 1):
-        for p in range(-pmax, pmax + 1):
-            if (p, q) == (0, 0) or math.gcd(p, q) != 1:
-                continue
-            if slope_normalized_length(reduced, (p, q)) > cutoff:
+    a, b, c, d = m22 * det, -m12 * det, -m21 * det, m11 * det
+    tau0, root0 = shape.tau, math.sqrt(shape.im)
+    reach = cutoff * cutoff * im
+    out = []
+    for q in range(math.floor(span) + 1):
+        if q == 0:
+            ps = (1,)
+        else:
+            half = math.sqrt(max(reach - (q * im) ** 2, 0.0))
+            centre = -q * re
+            ps = range(math.floor(centre - half) - 1, math.ceil(centre + half) + 2)
+        for p in ps:
+            if math.gcd(p, q) != 1 or abs(p + q * tau) / root > cutoff:
                 continue
             # back to original-basis coordinates
-            p0 = inv[0][0] * p + inv[0][1] * q
-            q0 = inv[1][0] * p + inv[1][1] * q
+            p0, q0 = a * p + b * q, c * p + d * q
             if p0 < 0 or (p0 == 0 and q0 < 0):
                 p0, q0 = -p0, -q0
-            found[(p0, q0)] = slope_normalized_length(shape, (p0, q0))
-    out = [(p0, q0, length) for (p0, q0), length in found.items()]
+            out.append((p0, q0, abs(p0 + q0 * tau0) / root0))
     out.sort(key=lambda s: (s[2], s[0], s[1]))
     return out

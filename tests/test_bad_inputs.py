@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dehnfill
 from dehnfill.certificates import certificate_to_json, combine_normalized_lengths, full_certificate
 from dehnfill.cli import run
 from dehnfill.errors import DomainError
+from dehnfill.slope_lattice import CuspShape, enumerate_short_slopes
 from dehnfill.weitzenboeck import BoundaryCurvature
 
 
@@ -86,3 +92,53 @@ class TestHugeLhat:
         assert cert.certified and cert.combined_lhat == 20.0
         with pytest.raises(DomainError):
             combine_normalized_lengths([1e200, 1e300])
+
+
+class TestNonFiniteEnumerate:
+    @pytest.mark.parametrize("re, im", [
+        (math.inf, 1.0),
+        (-math.inf, 1.0),
+        (math.nan, 1.0),
+        (0.5, math.inf),
+    ])
+    def test_shape_rejects(self, re, im):
+        with pytest.raises(DomainError):
+            CuspShape(re, im)
+
+    @pytest.mark.parametrize("shape", ["inf,1", "-inf,1", "nan,1", "0.5,inf"])
+    def test_shape_exit_2(self, shape, capsys):
+        assert run(["enumerate", f"--shape={shape}", "--cutoff", "8"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_cutoff_rejects(self):
+        with pytest.raises(DomainError):
+            enumerate_short_slopes(CuspShape(0.5, 1.7), math.inf)
+
+    def test_cutoff_exit_2(self, capsys):
+        assert run(["enumerate", "--shape", "0.5,1.7", "--cutoff", "inf"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
+def _enumerate_in_subprocess(shape, cutoff):
+    """dehnfill enumerate in a child process, which a hang cannot outlive."""
+    src = str(Path(dehnfill.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "dehnfill.cli", "enumerate", "--shape", shape,
+            "--cutoff", cutoff]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+
+
+class TestEnumerateTerminates:
+    """Two inputs on which a bounding-box scan never finished."""
+
+    def test_tall_shape(self):
+        # reduced modulus about -0.5 + 2.5e299 i: only the q = 0 row holds slopes
+        proc = _enumerate_in_subprocess("0.5,1e-300", "8")
+        assert proc.returncode == 0, proc.stderr
+        assert _strict(proc.stdout)["payload"]["slopes"] == [[1, -2, 2e-150]]
+
+    def test_huge_cutoff_exit_2(self):
+        proc = _enumerate_in_subprocess("0.5,1.7", "1e6")
+        assert proc.returncode == 2
+        assert "cutoff 1000000.0" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -66,6 +67,53 @@ class TestCertify:
         combined = combine_normalized_lengths(lhats)
         assert certify(lhats).certified == certify([combined]).certified
         assert certify(lhats).combined_lhat == pytest.approx(combined, rel=1e-14)
+
+
+def _certify_cases():
+    """Random 1-3-cusp L-hat tuples, some with an unfilled cusp, and the
+    tuples exactly at C padded with unfilled cusps."""
+    rng = random.Random(7)
+    cases = []
+    for _ in range(400):
+        lhats = [UNIVERSAL_C * 3.0 ** rng.uniform(-0.5, 1.0) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.25:
+            lhats.insert(rng.randint(0, len(lhats)), math.inf)
+        cases.append(tuple(lhats))
+    c, inf = UNIVERSAL_C, math.inf
+    return cases + [(c,), (inf, c), (c, inf), (inf, inf, c), (c, inf, inf), (inf, c, inf)]
+
+
+class TestCertifyBits:
+    """certify's margin, combined length and decision, bit for bit against
+    the formulas written out."""
+
+    def test_against_formula(self):
+        for lhats in _certify_cases():
+            inv_sq = sum(1 / v ** 2 for v in lhats if v != math.inf)
+            cert = certify(lhats)
+            assert cert.margin == 1 / 7.5832 ** 2 - inv_sq, lhats
+            assert cert.combined_lhat == 1 / math.sqrt(inv_sq), lhats
+            assert cert.combined_lhat == combine_normalized_lengths(lhats), lhats
+            assert cert.certified is (cert.margin > 0.0), lhats
+            assert cert.per_cusp_lhat == lhats
+
+    def test_at_c_not_certified(self):
+        for lhats in _certify_cases()[-6:]:
+            assert certify(lhats).certified is False
+
+    @pytest.mark.parametrize("lhats, message", [
+        ([], "need at least one normalized length"),
+        ((3.0, -1.0), "normalized lengths must be positive, got [3.0, -1.0]"),
+        ((0.0,), "normalized lengths must be positive, got [0.0]"),
+        ((math.inf, math.inf),
+         "sum of 1/Lhat^2 is 0: every cusp is unfilled or too long "
+         "(normalized lengths [inf, inf])"),
+    ])
+    def test_error_messages(self, lhats, message):
+        for fn in (certify, combine_normalized_lengths):
+            with pytest.raises(DomainError) as info:
+                fn(lhats)
+            assert str(info.value) == message
 
 
 class TestVolumeDrop:

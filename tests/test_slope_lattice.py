@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dehnfill import slope_lattice
 from dehnfill.errors import DomainError
 from dehnfill.slope_lattice import (
     CuspShape,
@@ -10,6 +13,8 @@ from dehnfill.slope_lattice import (
     lattice_reduce,
     slope_normalized_length,
 )
+
+C = 7.5832
 
 
 def brute_force_slopes(shape, cutoff):
@@ -26,6 +31,43 @@ def brute_force_slopes(shape, cutoff):
                 rep = (p, q) if (p > 0 or (p == 0 and q > 0)) else (-p, -q)
                 out.add(rep)
     return out
+
+
+def reference_enumerate(shape, cutoff):
+    """The bounding-box enumerator that the scanline one replaced, kept as
+    its exact oracle: every (p, q) in the reduced basis's window
+    |q| <= ceil(cutoff/sqrt(im)), |p| <= ceil(cutoff*sqrt(im) + qmax*|re|),
+    filtered by the same float length test, deduplicated through a dict."""
+    reduced, m = lattice_reduce(shape)
+    (m11, m12), (m21, m22) = m
+    det = m11 * m22 - m12 * m21
+    inv = ((m22 * det, -m12 * det), (-m21 * det, m11 * det))
+    qmax = math.ceil(cutoff / math.sqrt(reduced.im))
+    pmax = math.ceil(cutoff * math.sqrt(reduced.im) + qmax * abs(reduced.re))
+    found = {}
+    for q in range(-qmax, qmax + 1):
+        for p in range(-pmax, pmax + 1):
+            if (p, q) == (0, 0) or math.gcd(p, q) != 1:
+                continue
+            if slope_normalized_length(reduced, (p, q)) > cutoff:
+                continue
+            p0 = inv[0][0] * p + inv[0][1] * q
+            q0 = inv[1][0] * p + inv[1][1] * q
+            if p0 < 0 or (p0 == 0 and q0 < 0):
+                p0, q0 = -p0, -q0
+            found[(p0, q0)] = slope_normalized_length(shape, (p0, q0))
+    out = [(p0, q0, length) for (p0, q0), length in found.items()]
+    out.sort(key=lambda s: (s[2], s[0], s[1]))
+    return out
+
+
+def _sl2_word(rng, tau):
+    """tau moved by a random word in T^k and S: tau -> -1/tau."""
+    for _ in range(rng.randint(1, 4)):
+        tau = tau + rng.choice((-3, -2, -1, 1, 2, 3))
+        if rng.random() < 0.6:
+            tau = -1.0 / tau
+    return tau
 
 
 class TestNormalizedLength:
@@ -117,3 +159,73 @@ class TestEnumerate:
         res = enumerate_short_slopes(CuspShape(0.25, 1.7), 5.0)
         lengths = [l for _, _, l in res]
         assert lengths == sorted(lengths)
+
+
+class TestScanlineMatchesReference:
+    """The scanline enumerator returns the box enumerator's list exactly:
+    the same slopes, the same float lengths, in the same order."""
+
+    @staticmethod
+    def _cutoff(rng):
+        return C * 4.2 ** rng.random()
+
+    def test_reduced_shapes(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            re = rng.uniform(-0.5, 0.5)
+            shape = CuspShape(re, rng.uniform(math.sqrt(1.0 - re * re), 3.0))
+            cutoff = self._cutoff(rng)
+            assert enumerate_short_slopes(shape, cutoff) == reference_enumerate(shape, cutoff)
+
+    def test_unreduced_shapes(self):
+        rng = random.Random(42)
+        for _ in range(40):
+            re = rng.uniform(-0.5, 0.5)
+            tau = _sl2_word(rng, complex(re, rng.uniform(math.sqrt(1.0 - re * re), 3.0)))
+            shape = CuspShape(tau.real, tau.imag)
+            cutoff = self._cutoff(rng)
+            assert enumerate_short_slopes(shape, cutoff) == reference_enumerate(shape, cutoff)
+
+    def test_elongated_shapes(self):
+        rng = random.Random(43)
+        for _ in range(25):
+            shape = CuspShape(rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(1.0, 4.0))
+            cutoff = self._cutoff(rng)
+            assert enumerate_short_slopes(shape, cutoff) == reference_enumerate(shape, cutoff)
+
+    def test_huge_basis_change(self):
+        shape = CuspShape(1e300, 1.0)
+        got = enumerate_short_slopes(shape, 2.0)
+        assert got == reference_enumerate(shape, 2.0)
+        assert len(got) == 4 and max(abs(p) for p, _, _ in got) > 10 ** 299
+
+    def test_cutoff_through_slopes(self):
+        # cutoffs equal to a slope's float length keep that slope in both
+        shape = CuspShape(0.5, math.sqrt(3.0) / 2.0)
+        for _, _, length in reference_enumerate(shape, 3 * C)[:40]:
+            assert enumerate_short_slopes(shape, length) == reference_enumerate(shape, length)
+
+
+class TestScanlineOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=0.1, max_value=3.0),
+        st.floats(min_value=0.5, max_value=8.0),
+    )
+    def test_brute_force(self, re, im, cutoff):
+        # slopes within rounding of the cutoff may fall on either side
+        shape = CuspShape(re, im)
+        got = {(p, q) for p, q, _ in enumerate_short_slopes(shape, cutoff)}
+        assert brute_force_slopes(shape, cutoff * (1.0 - 1e-9)) <= got
+        assert got <= brute_force_slopes(shape, cutoff * (1.0 + 1e-9))
+
+
+class TestCandidateCap:
+    def test_cap_is_checked_before_scanning(self, monkeypatch):
+        monkeypatch.setattr(slope_lattice, "MAX_CANDIDATES", 100)
+        # square lattice: the bound is 5*(2*5 + 3) = 65 at cutoff 5, 10*(2*10 + 3) = 230 at 10
+        shape = CuspShape(0.0, 1.0)
+        assert enumerate_short_slopes(shape, 5.0) == reference_enumerate(shape, 5.0)
+        with pytest.raises(DomainError, match="cutoff 10.0"):
+            enumerate_short_slopes(CuspShape(0.0, 1.0), 10.0)
