@@ -13,10 +13,9 @@ import math
 import numpy as np
 
 from dehnfill import (
+    envelope_bounds,
     f,
     ftilde,
-    invert_f,
-    invert_ftilde,
     sample_envelope,
     visual_area_bounds,
     volume_drop_bounds,
@@ -38,9 +37,7 @@ assert gap.min() >= -1e-14
 print()
 print("L-hat    z-hat     z-tilde   dV in")
 for lhat in (7.6, 8.0, 10.0, 15.0, 30.0):
-    x = (2.0 * math.pi) ** 2 / lhat**2
-    zh, zt = invert_f(x), invert_ftilde(x)
-    lo, hi = volume_drop_bounds(lhat)
+    zh, zt, (lo, hi), _, _ = envelope_bounds(lhat)
     print(f"{lhat:5.1f}   {zh:.6f}  {zt:.6f}  [{lo:.6f}, {hi:.6f}]")
 
 print()

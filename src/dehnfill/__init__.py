@@ -11,6 +11,7 @@ from .certificates import (
     certify,
     combine_normalized_lengths,
     core_length_bound,
+    envelope_bounds,
     figure_data,
     full_certificate,
     schlafli_dV,

@@ -15,7 +15,8 @@ ftilde(z-tilde) = x-hat, and
         <= (1/4) int_{z-hat}^1 H'/(H (H + G)),
     1/H(z-tilde) <= visual area <= 1/H(z-hat),
 
-with the core-length bound visual_area_hi/(2*pi) for a smooth core.  Both
+with the core-length bound visual_area_hi/(2*pi) for a smooth core.
+``envelope_bounds`` is the one evaluation of all of these.  Both
 volume-drop integrands are rational in z and are integrated in closed form.
 """
 
@@ -39,6 +40,7 @@ __all__ = [
     "combine_normalized_lengths",
     "certify",
     "full_certificate",
+    "envelope_bounds",
     "volume_drop_bounds",
     "visual_area_bounds",
     "core_length_bound",
@@ -69,11 +71,11 @@ class FillingCertificate:
     certified: bool
     margin: float  # 1/C^2 - sum(1/Lhat_i^2); certified iff > 0
     tube_radius_floor: float | None
-    volume_drop: tuple[float, float] | None
-    visual_area: tuple[float, float] | None
-    core_length_hi: float | None
-    z_hat: float | None
-    z_tilde: float | None
+    volume_drop: tuple[float, float] | None = None
+    visual_area: tuple[float, float] | None = None
+    core_length_hi: float | None = None
+    z_hat: float | None = None
+    z_tilde: float | None = None
 
 
 @dataclass(frozen=True)
@@ -138,21 +140,7 @@ def certify(lhats) -> FillingCertificate:
         certified=certified,
         margin=margin,
         tube_radius_floor=R0 if certified else None,
-        volume_drop=None,
-        visual_area=None,
-        core_length_hi=None,
-        z_hat=None,
-        z_tilde=None,
     )
-
-
-def _zhat_ztilde(lhat: float) -> tuple[float, float]:
-    if not lhat >= UNIVERSAL_C:
-        raise UncertifiableError(
-            f"uncertifiable: normalized length {lhat} below threshold {UNIVERSAL_C}"
-        )
-    x_hat = (2.0 * math.pi) ** 2 / _sq(lhat)
-    return invert_f(x_hat), invert_ftilde(x_hat)
 
 
 _C = PACKING.h_coefficient  # 3.3957
@@ -191,21 +179,38 @@ def _area_from_z(z: float) -> float:
     return 0.0 if z >= 1.0 else 1.0 / H(z)
 
 
+def envelope_bounds(lhat: float) -> tuple:
+    """(z_hat, z_tilde, volume_drop, visual_area, core_length_hi) at one
+    normalized length Lhat >= C: both envelopes inverted once at
+    x-hat = (2*pi)^2/Lhat^2, and every bound read off z-hat and z-tilde.
+
+    volume_drop and visual_area are (lo, hi) pairs; core_length_hi is
+    visual_area_hi/(2*pi).  Raises UncertifiableError below C.
+    """
+    if not lhat >= UNIVERSAL_C:
+        raise UncertifiableError(
+            f"uncertifiable: normalized length {lhat} below threshold {UNIVERSAL_C}"
+        )
+    x_hat = (2.0 * math.pi) ** 2 / _sq(lhat)
+    z_hat, z_tilde = invert_f(x_hat), invert_ftilde(x_hat)
+    dv = (_dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat))
+    area = (_area_from_z(z_tilde), _area_from_z(z_hat))
+    return z_hat, z_tilde, dv, area, area[1] / (2.0 * math.pi)
+
+
 def volume_drop_bounds(lhat: float) -> tuple[float, float]:
     """Rigorous (lo, hi) bounds on the volume decrease during filling."""
-    z_hat, z_tilde = _zhat_ztilde(lhat)
-    return _dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat)
+    return envelope_bounds(lhat)[2]
 
 
 def visual_area_bounds(lhat: float) -> tuple[float, float]:
     """(lo, hi) bounds on the total visual area of the filled boundary."""
-    z_hat, z_tilde = _zhat_ztilde(lhat)
-    return _area_from_z(z_tilde), _area_from_z(z_hat)
+    return envelope_bounds(lhat)[3]
 
 
 def core_length_bound(lhat: float) -> float:
     """Upper bound on the core geodesic length: visual_area_hi / (2*pi)."""
-    return visual_area_bounds(lhat)[1] / (2.0 * math.pi)
+    return envelope_bounds(lhat)[4]
 
 
 def full_certificate(lhats) -> FillingCertificate:
@@ -213,21 +218,9 @@ def full_certificate(lhats) -> FillingCertificate:
     cert = certify(lhats)
     if not cert.certified:
         return cert
-    lhat = cert.combined_lhat
-    z_hat, z_tilde = _zhat_ztilde(lhat)
-    dv = (_dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat))
-    area = (_area_from_z(z_tilde), _area_from_z(z_hat))
+    z_hat, z_tilde, dv, area, core = envelope_bounds(cert.combined_lhat)
     return FillingCertificate(
-        per_cusp_lhat=cert.per_cusp_lhat,
-        combined_lhat=lhat,
-        certified=True,
-        margin=cert.margin,
-        tube_radius_floor=R0,
-        volume_drop=dv,
-        visual_area=area,
-        core_length_hi=area[1] / (2.0 * math.pi),
-        z_hat=z_hat,
-        z_tilde=z_tilde,
+        cert.per_cusp_lhat, cert.combined_lhat, True, cert.margin, R0, dv, area, core, z_hat, z_tilde
     )
 
 
@@ -239,18 +232,8 @@ def schlafli_dV(step: SchlafliStep) -> float:
 def certificate_to_json(cert: FillingCertificate) -> str:
     """Serialize a certificate with exactly its field names, as strict JSON;
     an unfilled cusp (Lhat = inf) is written as null."""
-    doc = {
-        "per_cusp_lhat": [None if v == math.inf else v for v in cert.per_cusp_lhat],
-        "combined_lhat": cert.combined_lhat,
-        "certified": cert.certified,
-        "margin": cert.margin,
-        "tube_radius_floor": cert.tube_radius_floor,
-        "volume_drop": list(cert.volume_drop) if cert.volume_drop else None,
-        "visual_area": list(cert.visual_area) if cert.visual_area else None,
-        "core_length_hi": cert.core_length_hi,
-        "z_hat": cert.z_hat,
-        "z_tilde": cert.z_tilde,
-    }
+    lhats = [None if v == math.inf else v for v in cert.per_cusp_lhat]
+    doc = dict(vars(cert), per_cusp_lhat=lhats)
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
@@ -276,14 +259,12 @@ def figure_data(which: int, samples: int) -> tuple[tuple[str, ...], np.ndarray]:
         raise DomainError(f"need at least 2 samples, got {samples}")
     x_max = f(Z0)
     xs = np.linspace(0.0, x_max, samples)
-    rows = np.empty((samples, len(FIGURE_HEADERS[which])))
+    width = len(FIGURE_HEADERS[which])
+    rows = np.empty((samples, width))
     for i, x in enumerate(xs.tolist()):  # Python floats: scalar math on np.float64 is slow
-        z_hat = invert_f(x)
-        z_tilde = invert_ftilde(x)
-        if which == 1:
-            rows[i] = (x, _area_from_z(z_tilde), _area_from_z(z_hat))
-        elif which == 2:
+        z_hat, z_tilde = invert_f(x), invert_ftilde(x)
+        if which == 2:
             rows[i] = (x, _dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat), x / 4.0)
-        else:
-            rows[i] = (x, _area_from_z(z_tilde), _area_from_z(z_hat), x)
+        else:  # figure 3 adds the asymptote x to figure 1's columns
+            rows[i] = (x, _area_from_z(z_tilde), _area_from_z(z_hat), x)[:width]
     return FIGURE_HEADERS[which], rows

@@ -44,13 +44,7 @@ class Check:
         return abs(self.computed - self.expected) <= self.tolerance
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "computed": self.computed,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        return {**vars(self), "pass": self.passed}
 
 
 def _report(command: str, payload, checks: list[Check], failed: bool = False) -> tuple[int, str]:
@@ -100,20 +94,16 @@ def _cert_payload(cert: certificates.FillingCertificate) -> dict:
 
 
 def cmd_constants(_args) -> tuple[int, str]:
-    z0 = 1.0 / math.sqrt(3.0)
-    lhat_sq = (2.0 * math.pi) ** 2 / envelope.f(z0)
+    lhat_sq = (2.0 * math.pi) ** 2 / envelope.f(certificates.Z0)
     s = packing.PACKING.s_constant
+    _, _, dv, area, core = certificates.envelope_bounds(certificates.UNIVERSAL_C)
     checks = [
         Check("threshold_squared", lhat_sq, 57.5041, 5e-3),
         Check("C", math.sqrt(lhat_sq), certificates.UNIVERSAL_C, 5e-4),
-        Check("volume_drop_hi", certificates.volume_drop_bounds(certificates.UNIVERSAL_C)[1],
-              0.197816, 5e-5),
+        Check("volume_drop_hi", dv[1], 0.197816, 5e-5),
         Check("visual_area_ceiling", packing.h(packing.R0), 0.980254, 1e-5),
-        Check("visual_area_hi_at_threshold",
-              certificates.visual_area_bounds(certificates.UNIVERSAL_C)[1],
-              packing.h(packing.R0), 1e-4),
-        Check("core_length_hi", certificates.core_length_bound(certificates.UNIVERSAL_C),
-              0.156012, 1e-5),
+        Check("visual_area_hi_at_threshold", area[1], packing.h(packing.R0), 1e-4),
+        Check("core_length_hi", core, 0.156012, 1e-5),
         Check("inverse_S", 1.0 / s, 0.980257, 5e-6),
         Check("h_coefficient", 2.0 * math.sqrt(3.0) * packing.PACKING.axis_coefficient,
               packing.PACKING.h_coefficient, 5e-4),
@@ -125,6 +115,8 @@ def cmd_constants(_args) -> tuple[int, str]:
 def _lhats_from_args(args) -> list[float]:
     if args.lhat is not None:
         return args.lhat
+    if not args.shape:
+        raise argparse.ArgumentTypeError("certify requires --lhat or --shape/--slope pairs")
     if len(args.shape) != len(args.slope):
         raise argparse.ArgumentTypeError("--shape and --slope must be paired")
     return [
@@ -136,7 +128,7 @@ def _lhats_from_args(args) -> list[float]:
 def cmd_certify(args) -> tuple[int, str]:
     lhats = _lhats_from_args(args)
     cert = certificates.full_certificate(lhats)
-    code, out = _report("certify", _cert_payload(cert), [])
+    _, out = _report("certify", _cert_payload(cert), [])
     return (0 if cert.certified else 1), out
 
 
@@ -145,18 +137,16 @@ def cmd_bounds(args) -> tuple[int, str]:
     if not math.isfinite(lhat):
         raise argparse.ArgumentTypeError(f"--lhat must be finite, got {lhat}")
     try:
-        dv = certificates.volume_drop_bounds(lhat)
-        area = certificates.visual_area_bounds(lhat)
-        payload = {
-            "lhat": lhat,
-            "volume_drop": list(dv),
-            "visual_area": list(area),
-            "core_length_hi": area[1] / (2.0 * math.pi),
-        }
-        return _report("bounds", payload, [])
+        _, _, dv, area, core = certificates.envelope_bounds(lhat)
     except UncertifiableError as exc:
-        code, out = _report("bounds", {"lhat": lhat, "error": str(exc)}, [], failed=True)
-        return 1, out
+        return _report("bounds", {"lhat": lhat, "error": str(exc)}, [], failed=True)
+    payload = {
+        "lhat": lhat,
+        "volume_drop": list(dv),
+        "visual_area": list(area),
+        "core_length_hi": core,
+    }
+    return _report("bounds", payload, [])
 
 
 def cmd_enumerate(args) -> tuple[int, str]:
@@ -174,16 +164,10 @@ def cmd_weitz(args) -> tuple[int, str]:
     k1 = args.k1
     if not k1 > 0.0:
         raise argparse.ArgumentTypeError(f"--k1 must be positive, got {k1}")
-    if args.trials < 1:
-        raise argparse.ArgumentTypeError(f"--trials must be at least 1, got {args.trials}")
     curv = weitzenboeck.BoundaryCurvature(k1, 1.0 / k1, args.eps)
     b_min = weitzenboeck.scan_min_b(curv, np.random.default_rng(args.seed), args.trials)
     b_exact, mode = weitzenboeck.exact_min_b(curv)
-    in_certified_range = (
-        1.0 / math.sqrt(3.0) - 1e-12 <= min(k1, 1.0 / k1)
-        and max(k1, 1.0 / k1) <= math.sqrt(3.0) + 1e-12
-        and args.eps <= 2.0 * min(k1, 1.0 / k1)
-    )
+    in_certified_range = curv.in_positivity_window()
     payload = {
         "k1": k1,
         "k2": 1.0 / k1,
@@ -216,8 +200,7 @@ def cmd_figure(args) -> tuple[int, str]:
     try:
         render_figure_csv(table, args.out)
     except OSError as exc:
-        code, out = _report("figure", {"error": str(exc)}, [], failed=True)
-        return 1, out
+        return _report("figure", {"error": str(exc)}, [], failed=True)
     payload = {
         "which": args.which,
         "samples": args.samples,
@@ -282,14 +265,8 @@ def run(argv: list[str]) -> int:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        if args.command == "certify" and args.lhat is None and not args.shape:
-            print("certify requires --lhat or --shape/--slope pairs", file=sys.stderr)
-            return 2
         code, out = _COMMANDS[args.command](args)
-    except argparse.ArgumentTypeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     print(out)

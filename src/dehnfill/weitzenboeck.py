@@ -10,7 +10,7 @@ perturbed tangential operator with parameter epsilon,
 where sigma = sigma_1 theta_1 + sigma_2 theta_2 is a tangential 1-form in
 the parallel principal frame and a1, a2 are the components of delta(d sigma).
 It is non-negative whenever 1/sqrt(3) <= k1 <= k2 <= sqrt(3) and
-eps <= 2*k1.
+eps <= 2*k1; ``BoundaryCurvature.in_positivity_window`` tests that window.
 
 We evaluate b exactly (up to floating point) on finite Fourier sums over
 the unit-area square flat torus: derivatives act as multiplication by
@@ -70,6 +70,16 @@ class BoundaryCurvature:
             )
         if not 0.0 <= self.epsilon < math.inf:
             raise DomainError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
+
+    def in_positivity_window(self) -> bool:
+        """Whether 1/sqrt(3) <= k1, k2 <= sqrt(3), with slack 1e-12 at both
+        ends, and eps <= 2*min(k1, k2): the window where b is nonnegative."""
+        k_min = min(self.k1, self.k2)
+        return (
+            1.0 / math.sqrt(3.0) - 1e-12 <= k_min
+            and max(self.k1, self.k2) <= math.sqrt(3.0) + 1e-12
+            and self.epsilon <= 2.0 * k_min
+        )
 
 
 class FourierMode1Form:
@@ -222,8 +232,10 @@ _SCAN_BLOCK = 1024  # trials per batch: bounds the scan's memory for any trial c
 
 
 def scan_min_b(curv: BoundaryCurvature, rng: np.random.Generator, trials: int) -> float:
-    """Minimum of b over ``trials`` random unit forms from :func:`random_modes`,
-    drawn from ``rng`` in blocks of 1024."""
+    """Minimum of b over ``trials`` >= 1 random unit forms from
+    :func:`random_modes`, drawn from ``rng`` in blocks of 1024."""
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     b_min = math.inf
     for start in range(0, trials, _SCAN_BLOCK):
         freqs, c1, c2 = random_modes(rng, min(_SCAN_BLOCK, trials - start))

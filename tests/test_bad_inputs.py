@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dehnfill
@@ -14,7 +15,7 @@ from dehnfill.certificates import certificate_to_json, combine_normalized_length
 from dehnfill.cli import run
 from dehnfill.errors import DomainError
 from dehnfill.slope_lattice import CuspShape, enumerate_short_slopes
-from dehnfill.weitzenboeck import BoundaryCurvature
+from dehnfill.weitzenboeck import BoundaryCurvature, scan_min_b
 
 
 def _strict(text):
@@ -142,3 +143,16 @@ class TestEnumerateTerminates:
         assert proc.returncode == 2
         assert "cutoff 1000000.0" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestScanTrials:
+    """scan_min_b over fewer than one trial returned inf without complaint."""
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_scan_rejects(self, trials):
+        with pytest.raises(DomainError, match=f"trials must be at least 1, got {trials}"):
+            scan_min_b(BoundaryCurvature(0.8, 1.25, 1.0), np.random.default_rng(0), trials)
+
+    def test_weitz_negative_trials_exit_2(self, capsys):
+        assert run(["weitz", "--k1", "0.8", "--eps", "1.0", "--trials", "-5"]) == 2
+        assert "trials must be at least 1" in capsys.readouterr().err

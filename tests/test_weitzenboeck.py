@@ -362,3 +362,41 @@ class TestWeitzCommand:
         code, doc = self.payload(capsys, ["weitz", "--k1", "0.5", "--eps", "0", "--trials", "5"])
         assert code == 0 and doc["in_certified_range"] is False
         assert doc["min_b_exact"] < 0.0
+
+
+def window_oracle(k1, eps):
+    """The window test as ``weitz`` wrote it inline, with k2 = 1/k1."""
+    return (
+        1.0 / math.sqrt(3.0) - 1e-12 <= min(k1, 1.0 / k1)
+        and max(k1, 1.0 / k1) <= math.sqrt(3.0) + 1e-12
+        and eps <= 2.0 * min(k1, 1.0 / k1)
+    )
+
+
+class TestPositivityWindow:
+    def test_random_points(self):
+        rng = np.random.default_rng(5)
+        k1s = np.exp(rng.uniform(math.log(0.3), math.log(3.0), 2000))
+        epss = rng.uniform(0.0, 4.0, 2000)
+        inside = 0
+        for k1, eps in zip(k1s.tolist(), epss.tolist()):
+            got = BoundaryCurvature(k1, 1.0 / k1, eps).in_positivity_window()
+            assert got is window_oracle(k1, eps)
+            inside += got
+        assert 200 < inside < 1800
+
+    @pytest.mark.parametrize("k1", [
+        1.0 / SQRT3, SQRT3, 1.0 / SQRT3 - 1e-12, SQRT3 + 1e-12, 1.0 / SQRT3 - 2e-12,
+        SQRT3 + 2e-12, 1.0,
+    ])
+    def test_corners(self, k1):
+        k_min = min(k1, 1.0 / k1)
+        for eps in (0.0, 2.0 * k_min, math.nextafter(2.0 * k_min, math.inf)):
+            got = BoundaryCurvature(k1, 1.0 / k1, eps).in_positivity_window()
+            assert got is window_oracle(k1, eps)
+
+    def test_corner_values(self):
+        assert BoundaryCurvature(SQRT3, 1.0 / SQRT3, 2.0 / SQRT3).in_positivity_window()
+        assert not BoundaryCurvature(
+            SQRT3, 1.0 / SQRT3, math.nextafter(2.0 / SQRT3, 3.0)).in_positivity_window()
+        assert not BoundaryCurvature(SQRT3 + 2e-12, 1.0 / (SQRT3 + 2e-12)).in_positivity_window()
