@@ -260,11 +260,11 @@ def figure_data(which: int, samples: int) -> tuple[tuple[str, ...], np.ndarray]:
     x_max = f(Z0)
     xs = np.linspace(0.0, x_max, samples)
     width = len(FIGURE_HEADERS[which])
-    rows = np.empty((samples, width))
-    for i, x in enumerate(xs.tolist()):  # Python floats: scalar math on np.float64 is slow
+    rows = []
+    for x in xs.tolist():  # Python floats: scalar math on np.float64 is slow
         z_hat, z_tilde = invert_f(x), invert_ftilde(x)
         if which == 2:
-            rows[i] = (x, _dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat), x / 4.0)
+            rows.append((x, _dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat), x / 4.0))
         else:  # figure 3 adds the asymptote x to figure 1's columns
-            rows[i] = (x, _area_from_z(z_tilde), _area_from_z(z_hat), x)[:width]
-    return FIGURE_HEADERS[which], rows
+            rows.append((x, _area_from_z(z_tilde), _area_from_z(z_hat), x)[:width])
+    return FIGURE_HEADERS[which], np.array(rows)

@@ -189,10 +189,10 @@ def cmd_weitz(args) -> tuple[int, str]:
 def render_figure_csv(table: tuple[tuple[str, ...], np.ndarray], path: str):
     """Write figure data as CSV: header row, >= 12 significant digits, LF."""
     header, rows = table
+    line = ",".join(["%.12e"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12e}" for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows.tolist())
 
 
 def cmd_figure(args) -> tuple[int, str]:

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import dehnfill
+from dehnfill import weitzenboeck
 from dehnfill.certificates import certificate_to_json, combine_normalized_lengths, full_certificate
 from dehnfill.cli import run
 from dehnfill.errors import DomainError
 from dehnfill.slope_lattice import CuspShape, enumerate_short_slopes
-from dehnfill.weitzenboeck import BoundaryCurvature, scan_min_b
+from dehnfill.weitzenboeck import BoundaryCurvature, exact_min_b, scan_min_b
 
 
 def _strict(text):
@@ -156,3 +157,68 @@ class TestScanTrials:
     def test_weitz_negative_trials_exit_2(self, capsys):
         assert run(["weitz", "--k1", "0.8", "--eps", "1.0", "--trials", "-5"]) == 2
         assert "trials must be at least 1" in capsys.readouterr().err
+
+
+class _NoDraws:
+    """An rng stand-in that fails the test if the scan draws from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the scan drew from the rng ({name})")
+
+
+class TestScanTrialCap:
+    """weitz --trials 100000000000000000000 ran until killed."""
+
+    def test_scan_refuses_before_drawing(self):
+        with pytest.raises(DomainError, match="trials must be at most"):
+            scan_min_b(BoundaryCurvature(0.8, 1.25, 1.0), _NoDraws(), 10 ** 20)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(weitzenboeck, "MAX_TRIALS", 5)
+        curv = BoundaryCurvature(0.8, 1.25, 1.0)
+        assert math.isfinite(scan_min_b(curv, np.random.default_rng(0), 5))
+        with pytest.raises(DomainError, match="at most 5, got 6"):
+            scan_min_b(curv, _NoDraws(), 6)
+
+    def test_weitz_huge_trials_exit_2(self, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the scan drew random forms")
+
+        monkeypatch.setattr(weitzenboeck, "random_modes", no_draws)
+        argv = ["weitz", "--k1", "0.8", "--eps", "1", "--trials", "100000000000000000000"]
+        assert run(argv) == 2
+        assert "trials must be at most" in capsys.readouterr().err
+
+
+class TestCurvatureOverflow:
+    """Curvatures whose per-mode terms overflow gave numpy RuntimeWarnings
+    and then a JSON error about an out-of-range float."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k1, eps, named", [
+        ("1e-300", "0", "k1=1e-300"),
+        ("1e-160", "0", "k2=1e+160"),
+        ("1", "1e300", "epsilon=1e+300"),
+    ])
+    def test_weitz_exit_2(self, capsys, k1, eps, named):
+        assert run(["weitz", "--k1", k1, "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at most 1e+40" in captured.err
+        assert named in captured.err
+
+    @pytest.mark.parametrize("k1, k2, eps", [
+        (1e-41, 1e41, 0.0),
+        (1.0, 1.0, 1.5e40),
+    ])
+    def test_curvature_rejects(self, k1, k2, eps):
+        with pytest.raises(DomainError, match="must be at most"):
+            BoundaryCurvature(k1, k2, eps)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cap_is_finite(self):
+        cap = weitzenboeck.MAX_CURVATURE
+        for k1, eps in ((1.0 / cap, cap), (cap, cap), (1.0, cap)):
+            curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+            assert math.isfinite(exact_min_b(curv)[0])
+            assert math.isfinite(scan_min_b(curv, np.random.default_rng(0), 100))

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from dehnfill.cli import run
+from dehnfill.certificates import figure_data
+from dehnfill.cli import render_figure_csv, run
 
 
 def run_json(capsys, argv):
@@ -164,3 +166,31 @@ class TestParserReuse:
         assert first == second
         assert len(json.loads(first[1])["payload"]["per_cusp_lhat"]) == 2
         assert run(["certify"]) == 2
+
+
+class TestFigureCsvBytes:
+    """render_figure_csv writes the header, then format(v, ".12e") per value,
+    comma-joined, one row per line, with LF line endings."""
+
+    @staticmethod
+    def _expected(header, rows):
+        lines = [",".join(header)] + [",".join(format(v, ".12e") for v in row) for row in rows]
+        return "".join(line + "\n" for line in lines).encode("utf-8")
+
+    def test_fixed_table(self, tmp_path):
+        header = ("x", "lo", "hi", "edge")
+        rows = np.array([
+            [0.0, -0.0, 1.5, 5e-324],
+            [math.pi, 2.0 / 3.0, 1e300, -7.25e-5],
+            [1e-300, 123456789.123456789, -1.0, 0.1],
+        ])
+        out = tmp_path / "table.csv"
+        render_figure_csv((header, rows), str(out))
+        assert out.read_bytes() == self._expected(header, rows.tolist())
+
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_figure_table(self, tmp_path, which):
+        header, rows = figure_data(which, 9)
+        out = tmp_path / "figure.csv"
+        render_figure_csv((header, rows), str(out))
+        assert out.read_bytes() == self._expected(header, rows.tolist())
