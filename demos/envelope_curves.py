@@ -12,21 +12,13 @@ import math
 
 import numpy as np
 
-from dehnfill import (
-    envelope_bounds,
-    f,
-    ftilde,
-    sample_envelope,
-    visual_area_bounds,
-    volume_drop_bounds,
-)
+from dehnfill import envelope_bounds, f, ftilde, visual_area_bounds, volume_drop_bounds
 
 Z0 = 1.0 / math.sqrt(3.0)
 
-table = sample_envelope(12, Z0, 1.0)
 print("z        f(z)        ftilde(z)")
-for z, fv, ft in zip(table.z_grid, table.f_values, table.ftilde_values):
-    print(f"{z:.4f}   {fv:.8f}  {ft:.8f}")
+for z in np.linspace(Z0, 1.0, 12):
+    print(f"{z:.4f}   {f(z):.8f}  {ftilde(z):.8f}")
 
 zs = np.linspace(0.5, 1.0, 500)
 gap = np.array([ftilde(z) - f(z) for z in zs])

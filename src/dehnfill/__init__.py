@@ -18,7 +18,7 @@ from .certificates import (
     visual_area_bounds,
     volume_drop_bounds,
 )
-from .envelope import EnvelopeTable, f, ftilde, invert_f, invert_ftilde, sample_envelope
+from .envelope import f, ftilde, invert_f, invert_ftilde
 from .packing import PACKING, R0, boundary_injectivity_bound, ellipse_axes, h
 from .slope_lattice import (
     CuspShape,

@@ -28,9 +28,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, UncertifiableError
 from .packing import PACKING
@@ -38,7 +35,6 @@ from .packing import PACKING
 __all__ = [
     "Z_MIN",
     "POLE",
-    "EnvelopeTable",
     "H",
     "H_prime",
     "G",
@@ -49,7 +45,6 @@ __all__ = [
     "ftilde",
     "invert_f",
     "invert_ftilde",
-    "sample_envelope",
 ]
 
 #: Excluded singularity of Ftilde.
@@ -203,22 +198,15 @@ class _InverseSeed:
         return z + dx * (d + dx * (c2 + dx * c3))
 
 
-def _linear_start(x_hat: float) -> float:
-    return 1.0 - x_hat / _COEFF
-
-
-def _invert_decreasing(func, integrand, x_hat: float, name: str, top=None,
-                       seed=_linear_start) -> float:
+def _invert_decreasing(func, integrand, x_hat: float, name: str, top: float, seed) -> float:
     """z in [Z_MIN, 1] with |func(z) - x_hat| <= INV_TOL * max(1, x_hat), by
     Newton's method from seed(x_hat) inside the bracket [Z_MIN, 1].  ``top``
-    is func(Z_MIN), the largest target accepted; it is evaluated if not given.
+    is func(Z_MIN), the largest target accepted.
     """
     if not x_hat >= 0.0:
         raise DomainError(f"target value must be nonnegative, got {x_hat}")
     if x_hat == 0.0:
         return 1.0
-    if top is None:
-        top = func(Z_MIN)
     if x_hat > top:
         raise UncertifiableError(
             f"uncertifiable: normalized length too small "
@@ -260,34 +248,3 @@ def invert_f(x_hat: float) -> float:
 def invert_ftilde(x_hat: float) -> float:
     """z-tilde with ftilde(z-tilde) = x_hat."""
     return _invert_decreasing(_ftilde, _Ftilde, x_hat, "ftilde", _FTILDE_TOP, _FTILDE_SEED)
-
-
-@dataclass(frozen=True)
-class EnvelopeTable:
-    """Sampled envelope values on an ascending z-grid.
-
-    Immutable once built; safe to share across threads.
-    """
-
-    z_grid: np.ndarray
-    f_values: np.ndarray
-    ftilde_values: np.ndarray
-    H_values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.z_grid) <= 0.0):
-            raise DomainError("z_grid must be strictly ascending")
-
-
-def sample_envelope(samples: int, z_min: float = Z_MIN, z_max: float = 1.0) -> EnvelopeTable:
-    """Tabulate f, ftilde and H at evenly spaced z values in [z_min, z_max]."""
-    if samples < 2:
-        raise DomainError("need at least 2 samples")
-    if not Z_MIN <= z_min < z_max <= 1.0:
-        raise DomainError(f"bad table range [{z_min}, {z_max}]")
-    zs = np.linspace(z_min, z_max, samples)
-    fs = np.array([f(z) for z in zs])
-    fts = np.array([ftilde(z) for z in zs])
-    # H blows up at z = 1; record inf there
-    Hs = np.array([H(z) if z < 1.0 else math.inf for z in zs])
-    return EnvelopeTable(zs, fs, fts, Hs)

@@ -52,9 +52,12 @@ __all__ = [
 
 _CURV_TOL = 1e-12
 
+#: Random and exact forms use the nonzero frequencies with |m|, |n| <= MAX_FREQ.
+MAX_FREQ = 3
+
 #: Largest k1, k2 or epsilon accepted.  Each per-mode term of b is cubic in
 #: them, and the 2x2 eigenvalue problem multiplies two terms, so at this cap
-#: every intermediate stays below 1e250 for frequencies |m|, |n| <= 3.
+#: every intermediate stays below 1e250 for frequencies |m|, |n| <= MAX_FREQ.
 MAX_CURVATURE = 1e40
 
 
@@ -123,40 +126,38 @@ class FourierMode1Form:
         return sum(abs(c1) ** 2 + abs(c2) ** 2 for c1, c2 in self.modes.values())
 
 
-def _pair_classes(max_freq: int) -> np.ndarray:
-    """One frequency (m, n) from each pair {(m, n), (-m, -n)} of nonzero
-    frequencies with |m|, |n| <= max_freq, as an int array of shape (P, 2)."""
-    r = np.arange(-max_freq, max_freq + 1)
-    m, n = (a.ravel() for a in np.meshgrid(r, r, indexing="ij"))
-    keep = (m > 0) | ((m == 0) & (n > 0))
-    return np.stack([m[keep], n[keep]], axis=-1)
+#: One frequency (m, n) from each pair {(m, n), (-m, -n)} of nonzero
+#: frequencies with |m|, |n| <= MAX_FREQ: 24 rows, m ascending, then n.
+_PAIR_CLASSES = np.array([
+    (m, n) for m in range(-MAX_FREQ, MAX_FREQ + 1) for n in range(-MAX_FREQ, MAX_FREQ + 1)
+    if m > 0 or (m == 0 and n > 0)
+])
 
 
 def random_modes(
-    rng: np.random.Generator, count: int, n_modes: int = 8, max_freq: int = 3
+    rng: np.random.Generator, count: int, n_modes: int = 8
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` random real 1-forms, each with ``n_modes`` distinct pair
     classes drawn uniformly from the nonzero frequencies with
-    |m|, |n| <= max_freq, and standard complex Gaussian coefficients.
+    |m|, |n| <= MAX_FREQ, and standard complex Gaussian coefficients.
 
     Returns (freqs, c1, c2) of shapes (count, n_modes, 2), (count, n_modes)
     and (count, n_modes).  Each row lists one frequency per pair class; its
     conjugate mode is implied, and the row has unit coefficient norm
     counting conjugates: 2 * sum(|c1|^2 + |c2|^2) = 1.
     """
-    classes = _pair_classes(max_freq)
-    if not 0 < n_modes <= len(classes):
-        raise DomainError(f"need 1 <= n_modes <= {len(classes)}, got {n_modes}")
-    pick = np.argsort(rng.random((count, len(classes))), axis=1)[:, :n_modes]
+    if not 0 < n_modes <= len(_PAIR_CLASSES):
+        raise DomainError(f"need 1 <= n_modes <= {len(_PAIR_CLASSES)}, got {n_modes}")
+    pick = np.argsort(rng.random((count, len(_PAIR_CLASSES))), axis=1)[:, :n_modes]
     g = rng.standard_normal((count, n_modes, 4))
     g /= np.sqrt(2.0 * np.sum(g * g, axis=(1, 2)))[:, None, None]
-    return classes[pick], g[..., 0] + 1j * g[..., 1], g[..., 2] + 1j * g[..., 3]
+    return _PAIR_CLASSES[pick], g[..., 0] + 1j * g[..., 1], g[..., 2] + 1j * g[..., 3]
 
 
-def random_form(rng: np.random.Generator, n_modes: int = 8, max_freq: int = 3) -> FourierMode1Form:
+def random_form(rng: np.random.Generator, n_modes: int = 8) -> FourierMode1Form:
     """A random real 1-form with ``n_modes`` independent nonzero modes,
     scaled to unit coefficient norm (one row of :func:`random_modes`)."""
-    freqs, c1, c2 = random_modes(rng, 1, n_modes, max_freq)
+    freqs, c1, c2 = random_modes(rng, 1, n_modes)
     return FourierMode1Form(
         {(int(m), int(n)): (a, b) for (m, n), a, b in zip(freqs[0], c1[0], c2[0])}
     )
@@ -279,17 +280,16 @@ def mode_min_eigenvalue(curv: BoundaryCurvature, kappa) -> np.ndarray:
     return np.minimum(big, det / np.where(big == 0.0, 1.0, big))  # big == 0 only if Q == 0
 
 
-def exact_min_b(curv: BoundaryCurvature, max_freq: int = 3) -> tuple[float, tuple[int, int]]:
+def exact_min_b(curv: BoundaryCurvature) -> tuple[float, tuple[int, int]]:
     """Exact minimum of b over unit-norm real forms whose modes are nonzero
-    with |m|, |n| <= max_freq, and a frequency (m, n) that attains it.
+    with |m|, |n| <= MAX_FREQ, and a frequency (m, n) that attains it.
 
     b is a sum of per-mode forms and the norm a sum of per-mode norms, so
     the minimum is the smallest eigenvalue over the pair classes.
     """
-    classes = _pair_classes(max_freq)
-    lam = mode_min_eigenvalue(curv, 2.0 * math.pi * classes)
+    lam = mode_min_eigenvalue(curv, 2.0 * math.pi * _PAIR_CLASSES)
     i = int(np.argmin(lam))
-    return float(lam[i]), (int(classes[i, 0]), int(classes[i, 1]))
+    return float(lam[i]), (int(_PAIR_CLASSES[i, 0]), int(_PAIR_CLASSES[i, 1]))
 
 
 def symbol_matrix_LS(k: float, zeta: tuple[float, float]) -> tuple[np.ndarray, float]:

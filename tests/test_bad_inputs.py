@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,14 @@ import numpy as np
 import pytest
 
 import dehnfill
-from dehnfill import weitzenboeck
-from dehnfill.certificates import certificate_to_json, combine_normalized_lengths, full_certificate
+from dehnfill import certificates, weitzenboeck
+from dehnfill.certificates import (
+    certificate_to_json,
+    certify,
+    combine_normalized_lengths,
+    figure_data,
+    full_certificate,
+)
 from dehnfill.cli import run
 from dehnfill.errors import DomainError
 from dehnfill.slope_lattice import CuspShape, enumerate_short_slopes
@@ -121,13 +128,16 @@ class TestNonFiniteEnumerate:
         assert "finite" in capsys.readouterr().err
 
 
-def _enumerate_in_subprocess(shape, cutoff):
-    """dehnfill enumerate in a child process, which a hang cannot outlive."""
+def _cli_in_subprocess(*args, **kwargs):
+    """dehnfill in a child process, which a hang cannot outlive."""
     src = str(Path(dehnfill.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    argv = [sys.executable, "-m", "dehnfill.cli", "enumerate", "--shape", shape,
-            "--cutoff", cutoff]
-    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+    argv = [sys.executable, "-m", "dehnfill.cli", *args]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10, **kwargs)
+
+
+def _enumerate_in_subprocess(shape, cutoff):
+    return _cli_in_subprocess("enumerate", "--shape", shape, "--cutoff", cutoff)
 
 
 class TestEnumerateTerminates:
@@ -222,3 +232,74 @@ class TestCurvatureOverflow:
             curv = BoundaryCurvature(k1, 1.0 / k1, eps)
             assert math.isfinite(exact_min_b(curv)[0])
             assert math.isfinite(scan_min_b(curv, np.random.default_rng(0), 100))
+
+
+class TestTinyLhat:
+    """1/Lhat^2 overflows below Lhat = 7.5e-155 and Lhat^2 underflows to 0
+    below 1.6e-162: certify divided by zero, or gave combined_lhat 0 and
+    margin -inf, which the CLI could not write as JSON."""
+
+    @pytest.mark.parametrize("lhat", ["1e-200", "1e-170,10", "1e-160"])
+    def test_certify_exit_2(self, capsys, lhat):
+        assert run(["certify", "--lhat", lhat]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sum of 1/Lhat^2 is not finite" in captured.err
+
+    @pytest.mark.parametrize("lhats", [[1e-200], [1e-170, 10.0], [1e-160], [1e-154, 1e-154]])
+    def test_library_rejects(self, lhats):
+        message = re.escape(f"not finite: a cusp is too short (normalized lengths {lhats})")
+        for fn in (certify, combine_normalized_lengths, full_certificate):
+            with pytest.raises(DomainError, match=message):
+                fn(lhats)
+
+    def test_smallest_finite_sum_is_kept(self):
+        cert = certify([1e-154])
+        assert cert.combined_lhat == 1 / math.sqrt(1 / 1e-154 ** 2)
+        assert not cert.certified
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("figure_data started work on a refused sample count")
+
+
+class TestFigureSampleCap:
+    """figure --samples 1000000000000 ended in numpy's _ArrayMemoryError."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        monkeypatch.setattr(certificates, "invert_f", _unreachable)
+        monkeypatch.setattr(certificates.np, "linspace", _unreachable)
+
+    def test_refused_before_any_work(self, no_work):
+        cap = certificates.MAX_SAMPLES
+        with pytest.raises(DomainError, match=f"samples must be at most {cap}, got {cap + 1}"):
+            figure_data(2, cap + 1)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(certificates, "MAX_SAMPLES", 5)
+        assert figure_data(2, 5)[1].shape == (5, 4)
+        with pytest.raises(DomainError, match="at most 5, got 6"):
+            figure_data(2, 6)
+
+    def test_cli_exit_2(self, capsys, no_work, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["figure", "--which", "2", "--samples", "1000000000000", "--out", str(out)]) == 2
+        assert "got 1000000000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_exit_2_under_memory_limit(self, tmp_path):
+        # 1 GiB of address space: the 8 GB x grid of 10^9 samples cannot be made
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out = tmp_path / "x.csv"
+        proc = _cli_in_subprocess("figure", "--which", "2", "--samples", "1000000000",
+                                  "--out", str(out), preexec_fn=limit_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert "samples must be at most" in proc.stderr
+        assert "got 1000000000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()

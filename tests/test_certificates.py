@@ -242,3 +242,7 @@ class TestFigureData:
     def test_invalid_figure(self):
         with pytest.raises(DomainError):
             figure_data(4, 10)
+
+    def test_too_few_samples(self):
+        with pytest.raises(DomainError, match="need at least 2 samples, got 1"):
+            figure_data(2, 1)

@@ -138,6 +138,16 @@ class TestFigure:
         last = out.read_text().splitlines()[-1].split(",")
         assert float(last[2]) == pytest.approx(0.980254, abs=1e-4)
 
+    def test_missing_directory_exit_1(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, doc = run_json(
+            capsys, ["figure", "--which", "2", "--samples", "4", "--out", str(out)]
+        )
+        assert code == 1
+        assert doc["status"] == "error"
+        assert "No such file or directory" in doc["payload"]["error"]
+        assert str(out) in doc["payload"]["error"]
+
     def test_significant_digits(self, capsys, tmp_path):
         out = tmp_path / "fig1.csv"
         run_json(capsys, ["figure", "--which", "1", "--samples", "4", "--out", str(out)])
@@ -147,6 +157,18 @@ class TestFigure:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["weitz", "--k1", "0", "--eps", "1"], "--k1 must be positive, got 0.0"),
+        (["certify", "--shape", "0.5,1.732", "--slope", "1,0", "--slope", "7,1"],
+         "--shape and --slope must be paired"),
+        (["certify", "--lhat", "0,10"], "normalized lengths must be positive: '0,10'"),
+    ])
+    def test_exit_2_names_the_problem(self, capsys, argv, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_unknown_flag(self):
         assert run(["constants", "--bogus"]) == 2
 

@@ -89,7 +89,8 @@ class TestInversionProperties:
             return 1.0 if z < 0.7 else 0.0
 
         with pytest.raises(ConvergenceError):
-            _invert_decreasing(step, lambda z: 0.0, 0.5, "step")
+            _invert_decreasing(step, lambda z: 0.0, 0.5, "step", step(Z_MIN),
+                               lambda x: 1.0 - x / 3.3957)
 
     def test_nan_target_rejected(self):
         with pytest.raises(DomainError):

@@ -18,7 +18,6 @@ from dehnfill.envelope import (
     ftilde,
     invert_f,
     invert_ftilde,
-    sample_envelope,
 )
 from dehnfill.errors import DomainError, UncertifiableError
 from dehnfill.packing import R0, h
@@ -109,9 +108,9 @@ class TestEnvelopeFunctions:
             assert ftilde(z) >= f(z) - 1e-14
 
     def test_strictly_decreasing(self):
-        # f and ftilde turn over just above the domain floor (f(0.45) <
-        # f(0.4506)); strict decrease holds from 0.5 on, which covers the
-        # certified range starting at 1/sqrt(3)
+        # f and ftilde turn over just above the domain floor, at z = 0.48587
+        # where f = 0.69911 (f(0.45) = 0.69760); strict decrease holds from
+        # 0.5 on, which covers the certified range starting at 1/sqrt(3)
         zs = np.linspace(0.5, 1.0, 1000)
         fs = [f(z) for z in zs]
         fts = [ftilde(z) for z in zs]
@@ -156,15 +155,3 @@ class TestInversion:
         with pytest.raises(UncertifiableError):
             invert_f(f(Z_MIN) * 1.01)
 
-
-class TestEnvelopeTable:
-    def test_build_and_invariants(self):
-        table = sample_envelope(64, 0.5, 1.0)
-        assert np.all(np.diff(table.f_values) < 0)
-        assert np.all(np.diff(table.ftilde_values) < 0)
-        assert np.all(table.f_values <= table.ftilde_values + 1e-14)
-        assert table.f_values[-1] == 0.0
-
-    def test_single_sample_rejected(self):
-        with pytest.raises(DomainError):
-            sample_envelope(1)

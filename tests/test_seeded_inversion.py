@@ -70,7 +70,7 @@ class TestSeedOutsideBracket:
     @pytest.mark.parametrize("start", [1.0, 1.5, 0.0])
     def test_start_is_clamped(self, x, start):
         z = envelope._invert_decreasing(envelope._f, envelope._F, x, "f",
-                                        seed=lambda _: start)
+                                        envelope._F_TOP, lambda _: start)
         _assert_meets_rule(f, x, z)
 
 
