@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from dehnfill import envelope_bounds, f, ftilde, visual_area_bounds, volume_drop_bounds
+from dehnfill import envelope_bounds, f, ftilde
 
 Z0 = 1.0 / math.sqrt(3.0)
 
@@ -35,5 +35,6 @@ for lhat in (7.6, 8.0, 10.0, 15.0, 30.0):
 print()
 print("asymptotics at L-hat = 1000 (both ratios should approach 1):")
 lhat = 1000.0
-print("  dV * L-hat^2 / pi^2      =", volume_drop_bounds(lhat)[1] * lhat**2 / math.pi**2)
-print("  area * L-hat^2 / (2pi)^2 =", visual_area_bounds(lhat)[1] * lhat**2 / (2 * math.pi) ** 2)
+env = envelope_bounds(lhat)
+print("  dV * L-hat^2 / pi^2      =", env.volume_drop[1] * lhat**2 / math.pi**2)
+print("  area * L-hat^2 / (2pi)^2 =", env.visual_area[1] * lhat**2 / (2 * math.pi) ** 2)

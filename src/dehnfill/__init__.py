@@ -3,20 +3,16 @@
 import scipy  # noqa: F401  (unused; perfbench/child.py reads sys.modules["scipy"].__version__)
 
 from .certificates import (
-    C_DERIVED,
     UNIVERSAL_C,
+    EnvelopeBounds,
     FillingCertificate,
     SchlafliStep,
     certificate_to_json,
     certify,
-    combine_normalized_lengths,
-    core_length_bound,
     envelope_bounds,
     figure_data,
     full_certificate,
     schlafli_dV,
-    visual_area_bounds,
-    volume_drop_bounds,
 )
 from .envelope import f, ftilde, invert_f, invert_ftilde
 from .packing import PACKING, R0, boundary_injectivity_bound, ellipse_axes, h

@@ -3,9 +3,9 @@
 A surgery coefficient is certified hyperbolic-fillable when the normalized
 lengths Lhat_i of its components satisfy sum(1/Lhat_i^2) < 1/C^2 with the
 universal constant C = 7.5832 (strict inequality; equality is reported as
-not certified).  The tighter derived value sqrt(57.5041) ~ 7.58315 is
-exposed as C_DERIVED, but decisions are governed by the literal 7.5832 the
-certified statements use.
+not certified).  Decisions use the literal 7.5832 the certified
+statements use, not the tighter derived value sqrt(57.5041) ~ 7.58315 that
+``dehnfill constants`` recomputes.
 
 For certified inputs the change of geometry is pinned by the envelope:
 with x-hat = (2*pi)^2/Lhat^2, z-hat and z-tilde solve f(z-hat) = x-hat and
@@ -16,8 +16,8 @@ ftilde(z-tilde) = x-hat, and
     1/H(z-tilde) <= visual area <= 1/H(z-hat),
 
 with the core-length bound visual_area_hi/(2*pi) for a smooth core.
-``envelope_bounds`` is the one evaluation of all of these.  Both
-volume-drop integrands are rational in z and are integrated in closed form.
+``envelope_bounds`` evaluates all of these at once, as one ``EnvelopeBounds``.
+Both volume-drop integrands are rational in z and integrated in closed form.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .envelope import POLE, H, f, invert_f, invert_ftilde
 from .errors import DomainError, UncertifiableError
@@ -34,16 +33,12 @@ from .packing import PACKING, R0
 
 __all__ = [
     "UNIVERSAL_C",
-    "C_DERIVED",
+    "EnvelopeBounds",
     "FillingCertificate",
     "SchlafliStep",
-    "combine_normalized_lengths",
     "certify",
     "full_certificate",
     "envelope_bounds",
-    "volume_drop_bounds",
-    "visual_area_bounds",
-    "core_length_bound",
     "schlafli_dV",
     "figure_data",
     "certificate_to_json",
@@ -55,8 +50,6 @@ _INV_C_SQ = 1.0 / UNIVERSAL_C ** 2
 
 Z0 = 1.0 / math.sqrt(3.0)  # tanh(R0)
 
-C_DERIVED = 7.58315
-
 
 @dataclass(frozen=True)
 class FillingCertificate:
@@ -67,7 +60,7 @@ class FillingCertificate:
     """
 
     per_cusp_lhat: tuple[float, ...]
-    combined_lhat: float
+    combined_lhat: float  # 1/combined_lhat^2 = sum(1/Lhat_i^2)
     certified: bool
     margin: float  # 1/C^2 - sum(1/Lhat_i^2); certified iff > 0
     tube_radius_floor: float | None
@@ -127,11 +120,6 @@ def _inv_sq_sum(lhats) -> float:
     return inv_sq
 
 
-def combine_normalized_lengths(lhats) -> float:
-    """Combined multi-cusp normalized length: 1/Lhat^2 = sum(1/Lhat_i^2)."""
-    return 1.0 / math.sqrt(_inv_sq_sum(list(lhats)))
-
-
 def certify(lhats) -> FillingCertificate:
     """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2."""
     lhats = tuple(map(float, lhats))
@@ -184,13 +172,22 @@ def _area_from_z(z: float) -> float:
     return 0.0 if z >= 1.0 else 1.0 / H(z)
 
 
-def envelope_bounds(lhat: float) -> tuple:
-    """(z_hat, z_tilde, volume_drop, visual_area, core_length_hi) at one
-    normalized length Lhat >= C: both envelopes inverted once at
-    x-hat = (2*pi)^2/Lhat^2, and every bound read off z-hat and z-tilde.
+class EnvelopeBounds(NamedTuple):
+    """Both envelope inversions at one normalized length and every bound
+    read off them: volume_drop and visual_area are (lo, hi) pairs, and
+    core_length_hi is visual_area_hi/(2*pi)."""
 
-    volume_drop and visual_area are (lo, hi) pairs; core_length_hi is
-    visual_area_hi/(2*pi).  Raises UncertifiableError below C.
+    z_hat: float
+    z_tilde: float
+    volume_drop: tuple[float, float]
+    visual_area: tuple[float, float]
+    core_length_hi: float
+
+
+def envelope_bounds(lhat: float) -> EnvelopeBounds:
+    """The envelope bounds at one normalized length Lhat >= C: both
+    envelopes inverted once at x-hat = (2*pi)^2/Lhat^2, and every bound
+    read off z-hat and z-tilde.  Raises UncertifiableError below C.
     """
     if not lhat >= UNIVERSAL_C:
         raise UncertifiableError(
@@ -200,22 +197,7 @@ def envelope_bounds(lhat: float) -> tuple:
     z_hat, z_tilde = invert_f(x_hat), invert_ftilde(x_hat)
     dv = (_dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat))
     area = (_area_from_z(z_tilde), _area_from_z(z_hat))
-    return z_hat, z_tilde, dv, area, area[1] / (2.0 * math.pi)
-
-
-def volume_drop_bounds(lhat: float) -> tuple[float, float]:
-    """Rigorous (lo, hi) bounds on the volume decrease during filling."""
-    return envelope_bounds(lhat)[2]
-
-
-def visual_area_bounds(lhat: float) -> tuple[float, float]:
-    """(lo, hi) bounds on the total visual area of the filled boundary."""
-    return envelope_bounds(lhat)[3]
-
-
-def core_length_bound(lhat: float) -> float:
-    """Upper bound on the core geodesic length: visual_area_hi / (2*pi)."""
-    return envelope_bounds(lhat)[4]
+    return EnvelopeBounds(z_hat, z_tilde, dv, area, area[1] / (2.0 * math.pi))
 
 
 def full_certificate(lhats) -> FillingCertificate:
@@ -223,9 +205,10 @@ def full_certificate(lhats) -> FillingCertificate:
     cert = certify(lhats)
     if not cert.certified:
         return cert
-    z_hat, z_tilde, dv, area, core = envelope_bounds(cert.combined_lhat)
+    env = envelope_bounds(cert.combined_lhat)
     return FillingCertificate(
-        cert.per_cusp_lhat, cert.combined_lhat, True, cert.margin, R0, dv, area, core, z_hat, z_tilde
+        cert.per_cusp_lhat, cert.combined_lhat, True, cert.margin, R0, env.volume_drop,
+        env.visual_area, env.core_length_hi, env.z_hat, env.z_tilde,
     )
 
 
@@ -254,15 +237,15 @@ FIGURE_HEADERS = {
 }
 
 
-def figure_data(which: int, samples: int) -> tuple[tuple[str, ...], np.ndarray]:
+def figure_data(which: int, samples: int) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
     """Tabulate the envelope figures on an x grid from 0 to f(1/sqrt(3)).
 
     Figure 1: visual-area envelope (lower from ftilde, upper from f) versus
     x = alpha^2/Lhat^2.  Figure 2: volume-drop bounds versus
     x_hat = (2*pi)^2/Lhat^2, with the asymptote pi^2/Lhat^2 = x_hat/4.
     Figure 3: visual-area bounds versus x_hat, asymptote (2*pi)^2/Lhat^2
-    = x_hat.  Returns (header, rows); refuses fewer than 2 or more than
-    MAX_SAMPLES samples before any work.
+    = x_hat.  Returns (header, rows of floats) on np.linspace's grid, bit
+    for bit; refuses fewer than 2 or more than MAX_SAMPLES samples first.
     """
     if which not in FIGURE_HEADERS:
         raise DomainError(f"figure id must be 1, 2 or 3, got {which}")
@@ -271,13 +254,13 @@ def figure_data(which: int, samples: int) -> tuple[tuple[str, ...], np.ndarray]:
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     x_max = f(Z0)
-    xs = np.linspace(0.0, x_max, samples)
+    step = x_max / (samples - 1)
     width = len(FIGURE_HEADERS[which])
     rows = []
-    for x in xs.tolist():  # Python floats: scalar math on np.float64 is slow
+    for x in [k * step for k in range(samples - 1)] + [x_max]:
         z_hat, z_tilde = invert_f(x), invert_ftilde(x)
         if which == 2:
             rows.append((x, _dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat), x / 4.0))
         else:  # figure 3 adds the asymptote x to figure 1's columns
             rows.append((x, _area_from_z(z_tilde), _area_from_z(z_hat), x)[:width])
-    return FIGURE_HEADERS[which], np.array(rows)
+    return FIGURE_HEADERS[which], rows

@@ -96,14 +96,14 @@ def _cert_payload(cert: certificates.FillingCertificate) -> dict:
 def cmd_constants(_args) -> tuple[int, str]:
     lhat_sq = (2.0 * math.pi) ** 2 / envelope.f(certificates.Z0)
     s = packing.PACKING.s_constant
-    _, _, dv, area, core = certificates.envelope_bounds(certificates.UNIVERSAL_C)
+    env = certificates.envelope_bounds(certificates.UNIVERSAL_C)
     checks = [
         Check("threshold_squared", lhat_sq, 57.5041, 5e-3),
         Check("C", math.sqrt(lhat_sq), certificates.UNIVERSAL_C, 5e-4),
-        Check("volume_drop_hi", dv[1], 0.197816, 5e-5),
+        Check("volume_drop_hi", env.volume_drop[1], 0.197816, 5e-5),
         Check("visual_area_ceiling", packing.h(packing.R0), 0.980254, 1e-5),
-        Check("visual_area_hi_at_threshold", area[1], packing.h(packing.R0), 1e-4),
-        Check("core_length_hi", core, 0.156012, 1e-5),
+        Check("visual_area_hi_at_threshold", env.visual_area[1], packing.h(packing.R0), 1e-4),
+        Check("core_length_hi", env.core_length_hi, 0.156012, 1e-5),
         Check("inverse_S", 1.0 / s, 0.980257, 5e-6),
         Check("h_coefficient", 2.0 * math.sqrt(3.0) * packing.PACKING.axis_coefficient,
               packing.PACKING.h_coefficient, 5e-4),
@@ -134,17 +134,17 @@ def cmd_certify(args) -> tuple[int, str]:
 
 def cmd_bounds(args) -> tuple[int, str]:
     lhat = args.lhat
-    if not math.isfinite(lhat):
-        raise argparse.ArgumentTypeError(f"--lhat must be finite, got {lhat}")
+    if not 0.0 < lhat < math.inf:
+        raise argparse.ArgumentTypeError(f"--lhat must be positive and finite, got {lhat}")
     try:
-        _, _, dv, area, core = certificates.envelope_bounds(lhat)
+        env = certificates.envelope_bounds(lhat)
     except UncertifiableError as exc:
         return _report("bounds", {"lhat": lhat, "error": str(exc)}, [], failed=True)
     payload = {
         "lhat": lhat,
-        "volume_drop": list(dv),
-        "visual_area": list(area),
-        "core_length_hi": core,
+        "volume_drop": list(env.volume_drop),
+        "visual_area": list(env.visual_area),
+        "core_length_hi": env.core_length_hi,
     }
     return _report("bounds", payload, [])
 
@@ -164,6 +164,8 @@ def cmd_weitz(args) -> tuple[int, str]:
     k1 = args.k1
     if not k1 > 0.0:
         raise argparse.ArgumentTypeError(f"--k1 must be positive, got {k1}")
+    if args.seed < 0:
+        raise argparse.ArgumentTypeError(f"--seed must be non-negative, got {args.seed}")
     curv = weitzenboeck.BoundaryCurvature(k1, 1.0 / k1, args.eps)
     b_min = weitzenboeck.scan_min_b(curv, np.random.default_rng(args.seed), args.trials)
     b_exact, mode = weitzenboeck.exact_min_b(curv)
@@ -186,13 +188,13 @@ def cmd_weitz(args) -> tuple[int, str]:
     return _report("weitz", payload, checks)
 
 
-def render_figure_csv(table: tuple[tuple[str, ...], np.ndarray], path: str):
+def render_figure_csv(table: tuple[tuple[str, ...], list[tuple[float, ...]]], path: str):
     """Write figure data as CSV: header row, >= 12 significant digits, LF."""
     header, rows = table
     line = ",".join(["%.12e"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows.tolist())
+        fh.writelines(line % row for row in rows)
 
 
 def cmd_figure(args) -> tuple[int, str]:

@@ -55,6 +55,9 @@ _CURV_TOL = 1e-12
 #: Random and exact forms use the nonzero frequencies with |m|, |n| <= MAX_FREQ.
 MAX_FREQ = 3
 
+#: Random forms have this many distinct pair classes of modes.
+N_MODES = 8
+
 #: Largest k1, k2 or epsilon accepted.  Each per-mode term of b is cubic in
 #: them, and the 2x2 eigenvalue problem multiplies two terms, so at this cap
 #: every intermediate stays below 1e250 for frequencies |m|, |n| <= MAX_FREQ.
@@ -134,30 +137,26 @@ _PAIR_CLASSES = np.array([
 ])
 
 
-def random_modes(
-    rng: np.random.Generator, count: int, n_modes: int = 8
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` random real 1-forms, each with ``n_modes`` distinct pair
+def random_modes(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` random real 1-forms, each with N_MODES distinct pair
     classes drawn uniformly from the nonzero frequencies with
     |m|, |n| <= MAX_FREQ, and standard complex Gaussian coefficients.
 
-    Returns (freqs, c1, c2) of shapes (count, n_modes, 2), (count, n_modes)
-    and (count, n_modes).  Each row lists one frequency per pair class; its
+    Returns (freqs, c1, c2) of shapes (count, N_MODES, 2), (count, N_MODES)
+    and (count, N_MODES).  Each row lists one frequency per pair class; its
     conjugate mode is implied, and the row has unit coefficient norm
     counting conjugates: 2 * sum(|c1|^2 + |c2|^2) = 1.
     """
-    if not 0 < n_modes <= len(_PAIR_CLASSES):
-        raise DomainError(f"need 1 <= n_modes <= {len(_PAIR_CLASSES)}, got {n_modes}")
-    pick = np.argsort(rng.random((count, len(_PAIR_CLASSES))), axis=1)[:, :n_modes]
-    g = rng.standard_normal((count, n_modes, 4))
+    pick = np.argsort(rng.random((count, len(_PAIR_CLASSES))), axis=1)[:, :N_MODES]
+    g = rng.standard_normal((count, N_MODES, 4))
     g /= np.sqrt(2.0 * np.sum(g * g, axis=(1, 2)))[:, None, None]
     return _PAIR_CLASSES[pick], g[..., 0] + 1j * g[..., 1], g[..., 2] + 1j * g[..., 3]
 
 
-def random_form(rng: np.random.Generator, n_modes: int = 8) -> FourierMode1Form:
-    """A random real 1-form with ``n_modes`` independent nonzero modes,
+def random_form(rng: np.random.Generator) -> FourierMode1Form:
+    """A random real 1-form with N_MODES independent nonzero modes,
     scaled to unit coefficient norm (one row of :func:`random_modes`)."""
-    freqs, c1, c2 = random_modes(rng, 1, n_modes)
+    freqs, c1, c2 = random_modes(rng, 1)
     return FourierMode1Form(
         {(int(m), int(n)): (a, b) for (m, n), a, b in zip(freqs[0], c1[0], c2[0])}
     )

@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dehnfill.certificates import (
-    UNIVERSAL_C,
-    core_length_bound,
-    visual_area_bounds,
-    volume_drop_bounds,
-)
+from dehnfill.certificates import UNIVERSAL_C, envelope_bounds
 from dehnfill.envelope import F, Ftilde, G, Gtilde, H, f, ftilde
 from dehnfill.packing import PACKING, R0, h
 from dehnfill.slope_lattice import CuspShape, enumerate_short_slopes
@@ -44,7 +39,7 @@ def test_01_constant_reproduction():
 
 def test_02_volume_drop_bound():
     start = time.perf_counter()
-    hi = volume_drop_bounds(UNIVERSAL_C)[1]
+    hi = envelope_bounds(UNIVERSAL_C).volume_drop[1]
     elapsed = time.perf_counter() - start
     ok = abs(hi - 0.197816) <= 5e-5 and elapsed < 1.0
     report(2, "volume-drop bound", ok, f"hi={hi:.7f}, {elapsed:.3f}s")
@@ -52,13 +47,13 @@ def test_02_volume_drop_bound():
 
 def test_03_visual_area_ceiling():
     h0 = h(R0)
-    hi = visual_area_bounds(UNIVERSAL_C)[1]
+    hi = envelope_bounds(UNIVERSAL_C).visual_area[1]
     ok = abs(h0 - 0.980254) <= 1e-5 and abs(hi - h0) <= 1e-4
     report(3, "visual-area ceiling", ok, f"h(R0)={h0:.7f}, hi={hi:.7f}")
 
 
 def test_04_core_length_bound():
-    val = core_length_bound(UNIVERSAL_C)
+    val = envelope_bounds(UNIVERSAL_C).core_length_hi
     ok = abs(val - 0.156012) <= 1e-5
     report(4, "core-length bound", ok, f"bound={val:.7f}")
 
@@ -112,8 +107,9 @@ def test_07_envelope_identities():
 
 def test_08_neumann_zagier_asymptotics():
     lhat = 1000.0
-    dv_ratio = volume_drop_bounds(lhat)[1] * lhat**2 / math.pi**2
-    area_ratio = visual_area_bounds(lhat)[1] * lhat**2 / (2 * math.pi) ** 2
+    env = envelope_bounds(lhat)
+    dv_ratio = env.volume_drop[1] * lhat**2 / math.pi**2
+    area_ratio = env.visual_area[1] * lhat**2 / (2 * math.pi) ** 2
     ok = 0.99 <= dv_ratio <= 1.01 and 0.99 <= area_ratio <= 1.01
     report(8, "Neumann-Zagier asymptotics", ok,
            f"dV ratio={dv_ratio:.6f}, area ratio={area_ratio:.6f}")
@@ -141,8 +137,8 @@ def test_10_monotonicity_and_ordering():
     dominance = all(x <= y + 1e-14 for x, y in zip(fs, fts))
     ordering = True
     for lhat in np.linspace(7.6, 100.0, 100):
-        lo, hi = volume_drop_bounds(float(lhat))
-        alo, ahi = visual_area_bounds(float(lhat))
+        env = envelope_bounds(float(lhat))
+        (lo, hi), (alo, ahi) = env.volume_drop, env.visual_area
         if not (lo <= hi and alo <= ahi):
             ordering = False
     ok = mono and dominance and ordering

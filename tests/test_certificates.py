@@ -10,13 +10,10 @@ from dehnfill.certificates import (
     SchlafliStep,
     certificate_to_json,
     certify,
-    combine_normalized_lengths,
-    core_length_bound,
+    envelope_bounds,
     figure_data,
     full_certificate,
     schlafli_dV,
-    visual_area_bounds,
-    volume_drop_bounds,
 )
 from dehnfill.errors import DomainError, UncertifiableError
 from dehnfill.packing import R0, h
@@ -24,23 +21,23 @@ from dehnfill.packing import R0, h
 
 class TestCombine:
     def test_single(self):
-        assert combine_normalized_lengths([8.0]) == pytest.approx(8.0, rel=1e-15)
+        assert certify([8.0]).combined_lhat == pytest.approx(8.0, rel=1e-15)
 
     def test_pair(self):
-        assert combine_normalized_lengths([8.0, 8.0]) == pytest.approx(
+        assert certify([8.0, 8.0]).combined_lhat == pytest.approx(
             8.0 / math.sqrt(2.0), rel=1e-14
         )
 
     def test_eleven_pair(self):
-        assert combine_normalized_lengths([11.0, 11.0]) == pytest.approx(7.77817, abs=1e-5)
+        assert certify([11.0, 11.0]).combined_lhat == pytest.approx(7.77817, abs=1e-5)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            combine_normalized_lengths([])
+            certify([])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
-            combine_normalized_lengths([3.0, -1.0])
+            certify([3.0, -1.0])
 
 
 class TestCertify:
@@ -64,7 +61,7 @@ class TestCertify:
 
     def test_combine_consistency(self):
         lhats = [9.0, 12.0, 30.0]
-        combined = combine_normalized_lengths(lhats)
+        combined = certify(lhats).combined_lhat
         assert certify(lhats).certified == certify([combined]).certified
         assert certify(lhats).combined_lhat == pytest.approx(combined, rel=1e-14)
 
@@ -93,7 +90,6 @@ class TestCertifyBits:
             cert = certify(lhats)
             assert cert.margin == 1 / 7.5832 ** 2 - inv_sq, lhats
             assert cert.combined_lhat == 1 / math.sqrt(inv_sq), lhats
-            assert cert.combined_lhat == combine_normalized_lengths(lhats), lhats
             assert cert.certified is (cert.margin > 0.0), lhats
             assert cert.per_cusp_lhat == lhats
 
@@ -110,57 +106,56 @@ class TestCertifyBits:
          "(normalized lengths [inf, inf])"),
     ])
     def test_error_messages(self, lhats, message):
-        for fn in (certify, combine_normalized_lengths):
-            with pytest.raises(DomainError) as info:
-                fn(lhats)
-            assert str(info.value) == message
+        with pytest.raises(DomainError) as info:
+            certify(lhats)
+        assert str(info.value) == message
 
 
 class TestVolumeDrop:
     def test_threshold_upper_bound(self):
-        lo, hi = volume_drop_bounds(UNIVERSAL_C)
+        lo, hi = envelope_bounds(UNIVERSAL_C).volume_drop
         assert hi == pytest.approx(0.197816, abs=5e-5)
         assert 0.0 <= lo <= hi
 
     def test_neumann_zagier_asymptote(self):
-        _, hi = volume_drop_bounds(1000.0)
+        _, hi = envelope_bounds(1000.0).volume_drop
         assert 0.99 <= hi * 1000.0**2 / math.pi**2 <= 1.01
 
     def test_ordering_sampled(self):
         for lhat in np.linspace(7.6, 100.0, 100):
-            lo, hi = volume_drop_bounds(float(lhat))
+            lo, hi = envelope_bounds(float(lhat)).volume_drop
             assert 0.0 <= lo <= hi
 
     def test_uncertifiable(self):
         with pytest.raises(UncertifiableError):
-            volume_drop_bounds(7.0)
+            envelope_bounds(7.0)
 
 
 class TestVisualArea:
     def test_threshold_ceiling(self):
-        lo, hi = visual_area_bounds(UNIVERSAL_C)
+        lo, hi = envelope_bounds(UNIVERSAL_C).visual_area
         assert hi == pytest.approx(h(R0), abs=1e-4)
         assert 0.0 < lo <= hi
 
     def test_asymptote(self):
-        _, hi = visual_area_bounds(1000.0)
+        _, hi = envelope_bounds(1000.0).visual_area
         assert 0.99 <= hi * 1000.0**2 / (2 * math.pi) ** 2 <= 1.01
 
     def test_ceiling_for_certified_inputs(self):
         for lhat in (7.5832, 8.0, 10.0, 50.0):
-            assert visual_area_bounds(lhat)[1] <= h(R0) + 1e-9
+            assert envelope_bounds(lhat).visual_area[1] <= h(R0) + 1e-9
 
 
 class TestCoreLength:
     def test_threshold(self):
-        assert core_length_bound(UNIVERSAL_C) == pytest.approx(0.156012, abs=1e-5)
+        assert envelope_bounds(UNIVERSAL_C).core_length_hi == pytest.approx(0.156012, abs=1e-5)
 
     def test_asymptote(self):
-        val = core_length_bound(1000.0)
+        val = envelope_bounds(1000.0).core_length_hi
         assert val == pytest.approx(2 * math.pi / 1000.0**2, rel=0.02)
 
     def test_monotone_decreasing(self):
-        vals = [core_length_bound(l) for l in (7.6, 8.0, 10.0, 20.0, 100.0)]
+        vals = [envelope_bounds(l).core_length_hi for l in (7.6, 8.0, 10.0, 20.0, 100.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -218,11 +213,11 @@ class TestCertificateReport:
 
 class TestFigureData:
     def test_figure2_asymptote_column(self):
-        _, rows = figure_data(2, 20)
+        rows = np.array(figure_data(2, 20)[1])
         assert np.allclose(rows[:, 3], rows[:, 0] / 4.0, rtol=0, atol=0)
 
     def test_figure1_lower_curve_origin(self):
-        _, rows = figure_data(1, 10)
+        rows = np.array(figure_data(1, 10)[1])
         assert rows[0, 0] == 0.0
         assert rows[0, 1] == 0.0
         assert rows[0, 2] == 0.0
@@ -230,12 +225,13 @@ class TestFigureData:
     def test_figure3_upper_curve_at_threshold(self):
         header, rows = figure_data(3, 12)
         assert header == ("x_hat", "area_lower", "area_upper", "nz_asymptote")
+        rows = np.array(rows)
         assert rows[-1, 2] == pytest.approx(0.980254, abs=1e-4)
         assert np.allclose(rows[:, 3], rows[:, 0])
 
     def test_monotone_in_x(self):
         for which in (1, 2, 3):
-            _, rows = figure_data(which, 16)
+            rows = np.array(figure_data(which, 16)[1])
             for col in range(1, rows.shape[1]):
                 assert np.all(np.diff(rows[:, col]) >= -1e-12)
 

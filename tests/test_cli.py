@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from dehnfill.certificates import figure_data
@@ -162,6 +161,10 @@ class TestUsageErrors:
         (["certify", "--shape", "0.5,1.732", "--slope", "1,0", "--slope", "7,1"],
          "--shape and --slope must be paired"),
         (["certify", "--lhat", "0,10"], "normalized lengths must be positive: '0,10'"),
+        (["bounds", "--lhat", "-1"], "--lhat must be positive and finite, got -1.0"),
+        (["bounds", "--lhat", "0"], "--lhat must be positive and finite, got 0.0"),
+        (["weitz", "--k1", "0.8", "--eps", "1", "--seed", "-1"],
+         "--seed must be non-negative, got -1"),
     ])
     def test_exit_2_names_the_problem(self, capsys, argv, message):
         assert run(argv) == 2
@@ -201,18 +204,18 @@ class TestFigureCsvBytes:
 
     def test_fixed_table(self, tmp_path):
         header = ("x", "lo", "hi", "edge")
-        rows = np.array([
-            [0.0, -0.0, 1.5, 5e-324],
-            [math.pi, 2.0 / 3.0, 1e300, -7.25e-5],
-            [1e-300, 123456789.123456789, -1.0, 0.1],
-        ])
+        rows = [
+            (0.0, -0.0, 1.5, 5e-324),
+            (math.pi, 2.0 / 3.0, 1e300, -7.25e-5),
+            (1e-300, 123456789.123456789, -1.0, 0.1),
+        ]
         out = tmp_path / "table.csv"
         render_figure_csv((header, rows), str(out))
-        assert out.read_bytes() == self._expected(header, rows.tolist())
+        assert out.read_bytes() == self._expected(header, rows)
 
     @pytest.mark.parametrize("which", [1, 2, 3])
     def test_figure_table(self, tmp_path, which):
         header, rows = figure_data(which, 9)
         out = tmp_path / "figure.csv"
         render_figure_csv((header, rows), str(out))
-        assert out.read_bytes() == self._expected(header, rows.tolist())
+        assert out.read_bytes() == self._expected(header, rows)

@@ -1,4 +1,5 @@
-"""Every exported name exists, and the package re-exports only exported names."""
+"""Every exported name exists, the package re-exports only exported names,
+and the modules that need no array arithmetic do not import numpy."""
 
 import ast
 import importlib
@@ -25,3 +26,17 @@ def test_reexports_are_in_module_all():
     for node in imports:
         module = importlib.import_module(f"dehnfill.{node.module}")
         assert [a.name for a in node.names if a.name not in module.__all__] == [], node.module
+
+
+@pytest.mark.parametrize("name", [
+    "certificates", "envelope", "errors", "packing", "slope_lattice", "torus_geometry",
+])
+def test_scalar_modules_do_not_import_numpy(name):
+    path = Path(dehnfill.__file__).with_name(f"{name}.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported

