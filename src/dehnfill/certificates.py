@@ -18,6 +18,9 @@ ftilde(z-tilde) = x-hat, and
 with the core-length bound visual_area_hi/(2*pi) for a smooth core.
 ``envelope_bounds`` evaluates all of these at once, as one ``EnvelopeBounds``.
 Both volume-drop integrands are rational in z and integrated in closed form.
+Results are immutable ``typing.NamedTuple`` records read by field name:
+``EnvelopeBounds`` and the ``FillingCertificate`` of ``certify`` and
+``full_certificate``.
 """
 
 from __future__ import annotations
@@ -51,12 +54,12 @@ _INV_C_SQ = 1.0 / UNIVERSAL_C ** 2
 Z0 = 1.0 / math.sqrt(3.0)  # tanh(R0)
 
 
-@dataclass(frozen=True)
-class FillingCertificate:
+class FillingCertificate(NamedTuple):
     """Full decision-plus-bounds report for one surgery coefficient.
 
     Bound fields are None when the input is not certified (the envelope
-    does not apply below the threshold).
+    does not apply below the threshold).  An immutable NamedTuple, read by
+    field name.
     """
 
     per_cusp_lhat: tuple[float, ...]
@@ -69,6 +72,12 @@ class FillingCertificate:
     core_length_hi: float | None = None
     z_hat: float | None = None
     z_tilde: float | None = None
+
+    def as_dict(self) -> dict:
+        """The fields by name, in order, ready for strict JSON: an unfilled
+        cusp (Lhat = inf) is written as None."""
+        lhats = [None if v == math.inf else v for v in self.per_cusp_lhat]
+        return {**self._asdict(), "per_cusp_lhat": lhats}
 
 
 @dataclass(frozen=True)
@@ -124,15 +133,10 @@ def certify(lhats) -> FillingCertificate:
     """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2."""
     lhats = tuple(map(float, lhats))
     inv_sq = _inv_sq_sum(lhats)
-    combined = 1.0 / math.sqrt(inv_sq)
     margin = _INV_C_SQ - inv_sq
     certified = margin > 0.0
     return FillingCertificate(
-        per_cusp_lhat=lhats,
-        combined_lhat=combined,
-        certified=certified,
-        margin=margin,
-        tube_radius_floor=R0 if certified else None,
+        lhats, 1.0 / math.sqrt(inv_sq), certified, margin, R0 if certified else None
     )
 
 
@@ -220,9 +224,7 @@ def schlafli_dV(step: SchlafliStep) -> float:
 def certificate_to_json(cert: FillingCertificate) -> str:
     """Serialize a certificate with exactly its field names, as strict JSON;
     an unfilled cusp (Lhat = inf) is written as null."""
-    lhats = [None if v == math.inf else v for v in cert.per_cusp_lhat]
-    doc = dict(vars(cert), per_cusp_lhat=lhats)
-    return json.dumps(doc, indent=2, allow_nan=False)
+    return json.dumps(cert.as_dict(), indent=2, allow_nan=False)
 
 
 #: Largest sample count accepted by figure_data: about 1 s of `dehnfill

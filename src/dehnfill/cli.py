@@ -4,7 +4,8 @@ Subcommands:
 
     constants                     recompute and check the certified constants
     certify   --lhat v[,v...]     certify normalized lengths directly, or
-              --shape re,im --slope p,q   (repeatable pairs) via cusp shapes
+              --shape re,im --slope p,q   (repeatable pairs) via cusp shapes;
+                                  each slope is reported primitive or generalized
     bounds    --lhat v            geometric bounds for one normalized length
     enumerate --shape re,im --cutoff v    short-slope enumeration
     weitz     --k1 v --eps v [--seed n --trials n]   exact minimum and random scan
@@ -72,11 +73,21 @@ def _parse_shape(text: str) -> slope_lattice.CuspShape:
 
 
 def _parse_slope(text: str) -> tuple[float, float]:
+    """A generalized surgery coefficient (p, q): any finite reals."""
     try:
         p_s, q_s = text.split(",")
-        return float(p_s), float(q_s)
+        p, q = float(p_s), float(q_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"slope must be 'p,q', got {text!r}")
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise argparse.ArgumentTypeError(f"slope must be finite, got {text!r}")
+    return p, q
+
+
+def _slope_kind(p: float, q: float) -> str:
+    """'primitive' for coprime integers p, q; otherwise 'generalized'."""
+    integral = p.is_integer() and q.is_integer()
+    return "primitive" if integral and math.gcd(int(p), int(q)) == 1 else "generalized"
 
 
 def _parse_lhat_list(text: str) -> list[float]:
@@ -87,10 +98,6 @@ def _parse_lhat_list(text: str) -> list[float]:
     if any(not v > 0.0 for v in vals):
         raise argparse.ArgumentTypeError(f"normalized lengths must be positive: {text!r}")
     return vals
-
-
-def _cert_payload(cert: certificates.FillingCertificate) -> dict:
-    return json.loads(certificates.certificate_to_json(cert))
 
 
 def cmd_constants(_args) -> tuple[int, str]:
@@ -128,7 +135,10 @@ def _lhats_from_args(args) -> list[float]:
 def cmd_certify(args) -> tuple[int, str]:
     lhats = _lhats_from_args(args)
     cert = certificates.full_certificate(lhats)
-    _, out = _report("certify", _cert_payload(cert), [])
+    payload = cert.as_dict()
+    if args.lhat is None:
+        payload["slopes"] = [{"p": p, "q": q, "kind": _slope_kind(p, q)} for p, q in args.slope]
+    _, out = _report("certify", payload, [])
     return (0 if cert.certified else 1), out
 
 

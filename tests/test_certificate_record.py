@@ -1,0 +1,131 @@
+"""The certificate record and the exact bytes every certificate report keeps."""
+
+import math
+
+import pytest
+
+from dehnfill.certificates import (
+    FillingCertificate,
+    certificate_to_json,
+    certify,
+    full_certificate,
+)
+from dehnfill.cli import run
+
+CERTIFIED_12_11 = """{
+  "per_cusp_lhat": [
+    12.0,
+    11.0
+  ],
+  "combined_lhat": 8.108695542208157,
+  "certified": true,
+  "margin": 0.002180908452656189,
+  "tube_radius_floor": 0.6584789484624085,
+  "volume_drop": [
+    0.13809049082574215,
+    0.16851763818339396
+  ],
+  "visual_area": [
+    0.5083041494648366,
+    0.7850311315337305
+  ],
+  "core_length_hi": 0.12494158506461708,
+  "z_hat": 0.7151194289383169,
+  "z_tilde": 0.8340730325726772
+}"""
+
+UNFILLED_INF_12 = """{
+  "per_cusp_lhat": [
+    null,
+    12.0
+  ],
+  "combined_lhat": 12.0,
+  "certified": true,
+  "margin": 0.010445371262573545,
+  "tube_radius_floor": 0.6584789484624085,
+  "volume_drop": [
+    0.06590614498930293,
+    0.0716616345189103
+  ],
+  "visual_area": [
+    0.2535755771085152,
+    0.30085318460532917
+  ],
+  "core_length_hi": 0.04788227147487665,
+  "z_hat": 0.9066152502999405,
+  "z_tilde": 0.9220394618503662
+}"""
+
+NOT_CERTIFIED_7_5 = """{
+  "per_cusp_lhat": [
+    7.5
+  ],
+  "combined_lhat": 7.5,
+  "certified": false,
+  "margin": -0.00038796207075978903,
+  "tube_radius_floor": null,
+  "volume_drop": null,
+  "visual_area": null,
+  "core_length_hi": null,
+  "z_hat": null,
+  "z_tilde": null
+}"""
+
+FIELDS = (
+    "per_cusp_lhat", "combined_lhat", "certified", "margin", "tube_radius_floor",
+    "volume_drop", "visual_area", "core_length_hi", "z_hat", "z_tilde",
+)
+
+
+def _indent(text: str, prefix: str) -> str:
+    return "\n".join(prefix + line if i else line for i, line in enumerate(text.split("\n")))
+
+
+def _cli_stdout(payload: str) -> str:
+    return (
+        '{\n  "command": "certify",\n  "status": "ok",\n  "payload": '
+        + _indent(payload, "  ")
+        + ',\n  "checks": []\n}\n'
+    )
+
+
+@pytest.mark.parametrize("lhats, expected", [
+    ([12, 11], CERTIFIED_12_11),
+    ([math.inf, 12.0], UNFILLED_INF_12),
+    ([7.5], NOT_CERTIFIED_7_5),
+])
+def test_certificate_to_json_bytes(lhats, expected):
+    assert certificate_to_json(full_certificate(lhats)) == expected
+
+
+@pytest.mark.parametrize("lhat, code, payload", [
+    ("12,11", 0, CERTIFIED_12_11),
+    ("7.5", 1, NOT_CERTIFIED_7_5),
+])
+def test_cli_certify_stdout_bytes(capsys, lhat, code, payload):
+    assert run(["certify", "--lhat", lhat]) == code
+    captured = capsys.readouterr()
+    assert captured.out == _cli_stdout(payload)
+    assert captured.err == ""
+
+
+def test_field_order():
+    assert FillingCertificate._fields == FIELDS
+
+
+def test_bound_fields_default_to_none():
+    cert = FillingCertificate((9.0,), 9.0, True, 0.1, 0.5)
+    assert [getattr(cert, name) for name in FIELDS[5:]] == [None] * 5
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_fields_cannot_be_assigned(name):
+    cert = full_certificate([12, 11])
+    with pytest.raises(AttributeError):
+        setattr(cert, name, None)
+
+
+@pytest.mark.parametrize("lhats", [[9.3], [7.5], [7.5832], [12, 11], [math.inf, 12.0]])
+def test_certified_is_a_bool(lhats):
+    assert type(certify(lhats).certified) is bool
+    assert type(full_certificate(lhats).certified) is bool

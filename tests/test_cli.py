@@ -219,3 +219,50 @@ class TestFigureCsvBytes:
         out = tmp_path / "figure.csv"
         render_figure_csv((header, rows), str(out))
         assert out.read_bytes() == self._expected(header, rows)
+
+
+class TestSlopeKind:
+    """--slope takes generalized coefficients: any finite real (p, q) but
+    (0, 0); the report names each one primitive or generalized."""
+
+    @pytest.mark.parametrize("slope, kind", [
+        ("1,0", "primitive"),
+        ("0,1", "primitive"),
+        ("-7,3", "primitive"),
+        ("2,4", "generalized"),
+        ("2.5,4", "generalized"),
+        ("8,0", "generalized"),
+    ])
+    def test_kind(self, capsys, slope, kind):
+        p, q = map(float, slope.split(","))
+        _, doc = run_json(capsys, ["certify", "--shape", "0.5,1.732", f"--slope={slope}"])
+        assert doc["payload"]["slopes"] == [{"p": p, "q": q, "kind": kind}]
+
+    def test_one_kind_per_cusp(self, capsys):
+        argv = ["certify", "--shape", "0.5,1.732", "--slope", "7,1",
+                "--shape", "0,1", "--slope", "9,2.5"]
+        _, doc = run_json(capsys, argv)
+        assert [s["kind"] for s in doc["payload"]["slopes"]] == ["primitive", "generalized"]
+        assert len(doc["payload"]["per_cusp_lhat"]) == 2
+
+    def test_lhat_route_has_no_slopes(self, capsys):
+        _, doc = run_json(capsys, ["certify", "--lhat", "12,11"])
+        assert "slopes" not in doc["payload"]
+
+    @pytest.mark.parametrize("slopes, message", [
+        (["0,0"], "slope (0, 0) has no normalized length"),
+        (["inf,1"], "slope must be finite, got 'inf,1'"),
+        (["1,nan"], "slope must be finite, got '1,nan'"),
+        (["0,0", "9,1"], "slope (0, 0) has no normalized length"),
+        (["inf,1", "9,1"], "slope must be finite, got 'inf,1'"),
+        (["1,-inf", "9,1"], "slope must be finite, got '1,-inf'"),
+        (["nan,nan", "9,1"], "slope must be finite, got 'nan,nan'"),
+    ])
+    def test_zero_or_non_finite_exit_2(self, capsys, slopes, message):
+        argv = ["certify"]
+        for slope in slopes:
+            argv += ["--shape", "0.5,1.732", f"--slope={slope}"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
