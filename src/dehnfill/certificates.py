@@ -17,7 +17,9 @@ ftilde(z-tilde) = x-hat, and
 
 with the core-length bound visual_area_hi/(2*pi) for a smooth core.
 ``envelope_bounds`` evaluates all of these at once, as one ``EnvelopeBounds``.
-Both volume-drop integrands are rational in z and integrated in closed form.
+The formulas live in ``envelope`` (both volume-drop integrands are rational
+in z and integrated in closed form there); this module owns the decision,
+the threshold C and the records, and z0 = 1/sqrt(3) comes from ``packing``.
 Results are immutable ``typing.NamedTuple`` records read by field name:
 ``EnvelopeBounds`` and the ``FillingCertificate`` of ``certify`` and
 ``full_certificate``.
@@ -30,9 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .envelope import POLE, H, f, invert_f, invert_ftilde
+from .envelope import _area_from_z, _dv_lower_from_z, _dv_upper_from_z, f, invert_f, invert_ftilde
 from .errors import DomainError, UncertifiableError
-from .packing import PACKING, R0
+from .packing import R0, Z0
 
 __all__ = [
     "UNIVERSAL_C",
@@ -50,8 +52,6 @@ __all__ = [
 #: Universal certification threshold, stored as the literal decimal.
 UNIVERSAL_C = 7.5832
 _INV_C_SQ = 1.0 / UNIVERSAL_C ** 2
-
-Z0 = 1.0 / math.sqrt(3.0)  # tanh(R0)
 
 
 class FillingCertificate(NamedTuple):
@@ -107,10 +107,11 @@ def _sq(v: float) -> float:
         return math.inf
 
 
-def _inv_sq_sum(lhats) -> float:
-    """sum(1/Lhat_i^2) over a non-empty sequence of positive normalized
-    lengths; raises DomainError otherwise, or when the sum is 0 or not
-    finite (Lhat_i^2 underflows, or a term or the sum overflows)."""
+def certify(lhats) -> FillingCertificate:
+    """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2.
+    Raises DomainError for no or non-positive lengths, or when the sum is 0
+    or not finite (Lhat_i^2 underflows, or a term or the sum overflows)."""
+    lhats = tuple(map(float, lhats))
     if not lhats:
         raise DomainError("need at least one normalized length")
     for v in lhats:
@@ -126,54 +127,11 @@ def _inv_sq_sum(lhats) -> float:
             else "not finite: a cusp is too short"
         )
         raise DomainError(f"sum of 1/Lhat^2 is {reason} (normalized lengths {list(lhats)})")
-    return inv_sq
-
-
-def certify(lhats) -> FillingCertificate:
-    """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2."""
-    lhats = tuple(map(float, lhats))
-    inv_sq = _inv_sq_sum(lhats)
     margin = _INV_C_SQ - inv_sq
     certified = margin > 0.0
     return FillingCertificate(
         lhats, 1.0 / math.sqrt(inv_sq), certified, margin, R0 if certified else None
     )
-
-
-_C = PACKING.h_coefficient  # 3.3957
-_R2 = math.sqrt(2.0)
-
-
-def _dv_upper_from_z(z: float) -> float:
-    """(1/4) int_z^1 H'/(H (H + G)), integrand 2c w^2 (w^4 + 4w^2 - 1)/(1 + w^2)^3."""
-    if z >= 1.0:
-        return 0.0
-    zz1 = 1.0 + z * z
-    return _C / 16.0 * (
-        4.0 - math.pi - 8.0 * z + 4.0 * math.atan(z) + (12.0 * z ** 3 + 4.0 * z) / (zz1 * zz1)
-    )
-
-
-def _dv_lower_from_z(z: float) -> float:
-    """(1/4) int_z^1 H'/(H (H - Gtilde)) = (P(1) - P(z))/4, where
-    P' = 2c + 3c/(z^2+1) - 4c/(z^2+1)^2 - (c/2)(3z-1)/(z^2+2z-1)
-         + (c/2)(3z+1)/(z^2-2z-1)."""
-    if z >= 1.0:
-        return 0.0
-    # H - Gtilde = -(z^2+1)(z^2-2z-1)(z^2+2z-1) / (2c z^3 (z^2-1)(z^2-3)) has
-    # the sign of z^2+2z-1 on (0, 1), so the integrand needs z > sqrt(2)-1
-    if not z > POLE:
-        raise DomainError(f"H <= Gtilde at z = {z}; lower bound not applicable")
-    rational = 2.0 * (1.0 - z) + (math.pi / 4.0 - math.atan(z)) - (1.0 - z) ** 2 / (1.0 + z * z)
-    logs = 0.75 * math.log((z * z + 2.0 * z - 1.0) / (1.0 + 2.0 * z - z * z)) + 0.5 * _R2 * (
-        math.log((2.0 - _R2) * (z + 1.0 + _R2) / ((2.0 + _R2) * (z + 1.0 - _R2)))
-        - math.log((_R2 + 1.0 - z) / (z - 1.0 + _R2))
-    )
-    return _C / 4.0 * (rational + logs)
-
-
-def _area_from_z(z: float) -> float:
-    return 0.0 if z >= 1.0 else 1.0 / H(z)
 
 
 class EnvelopeBounds(NamedTuple):

@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -269,10 +270,24 @@ _COMMANDS = {
 _PARSER = _build_parser()
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """argv with '--slope -7,3' written as '--slope=-7,3' (likewise --lhat
+    and --shape): argparse reads a value that begins with '-' and is not a
+    plain number as an option, so only the '=' form would parse."""
+    out = []
+    for tok in argv:
+        signed = tok[:1] == "-" and tok[1:2] != "-" and tok != "-h"
+        if signed and out and out[-1] in ("--lhat", "--shape", "--slope"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv: list[str]) -> int:
     """Dispatch a command line; returns the exit code."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
@@ -286,7 +301,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early: devnull keeps the flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("dehnfill: stdout was closed before the report was written", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

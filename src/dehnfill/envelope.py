@@ -7,10 +7,14 @@ integrated extremals of the differential inequalities for v = A/alpha^2 are
     ftilde(z) = 3.3957 (1 - z) exp(-int_1^z Ftilde(w) dw),
 
 and the deformation parameter x = alpha^2 / Lhat^2 is pinched between them:
-ftilde(z) >= x >= f(z).  H(z) = 1/A is the reciprocal visual area; G and
-Gtilde are the coefficient functions of the inequalities.  Ftilde has a pole
-at z = sqrt(2) - 1; we work on [Z_MIN, 1] with Z_MIN = 0.45, strictly above
-it (the certified range only needs [1/sqrt(3), 1]).
+ftilde(z) >= x >= f(z).  H(z) = 1/A is the reciprocal visual area.  Ftilde
+has a pole at z = sqrt(2) - 1; we work on [Z_MIN, 1] with Z_MIN = 0.45,
+strictly above it (the certified range only needs [1/sqrt(3), 1]).
+
+This module owns every envelope formula: H, F, Ftilde, f, ftilde, their
+inversions, and the closed forms that read the volume-drop and area bounds
+off a z (``_dv_upper_from_z``, ``_dv_lower_from_z``, ``_area_from_z``),
+which ``certificates`` applies at z-hat and z-tilde.
 
 F and Ftilde are rational, so both exponents are elementary (a rational
 term and logarithms; see f and ftilde).  Inversion of f and ftilde
@@ -36,9 +40,6 @@ __all__ = [
     "Z_MIN",
     "POLE",
     "H",
-    "H_prime",
-    "G",
-    "Gtilde",
     "F",
     "Ftilde",
     "f",
@@ -70,36 +71,43 @@ SEED_NODES = 32
 SEED_Z_FIRST = 0.49
 
 
-def _check_open_unit(z: float):
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"argument must lie in (0, 1), got {z}")
-
-
 def H(z: float) -> float:
     """Reciprocal visual area H(z) = (1+z^2)/(3.3957 z (1-z^2))."""
-    _check_open_unit(z)
+    if not 0.0 < z < 1.0:
+        raise DomainError(f"argument must lie in (0, 1), got {z}")
     return (1.0 + z * z) / (_COEFF * z * (1.0 - z * z))
 
 
-def H_prime(z: float) -> float:
-    """Analytic derivative of H."""
-    _check_open_unit(z)
-    num = 1.0 + z * z
-    den = z - z ** 3
-    return (2.0 * z * den - num * (1.0 - 3.0 * z * z)) / (_COEFF * den * den)
+def _dv_upper_from_z(z: float) -> float:
+    """(1/4) int_z^1 H'/(H (H + G)), integrand 2c w^2 (w^4 + 4w^2 - 1)/(1 + w^2)^3."""
+    if z >= 1.0:
+        return 0.0
+    zz1 = 1.0 + z * z
+    return _COEFF / 16.0 * (
+        4.0 - math.pi - 8.0 * z + 4.0 * math.atan(z) + (12.0 * z ** 3 + 4.0 * z) / (zz1 * zz1)
+    )
 
 
-def G(z: float) -> float:
-    """G(z) = (1+z^2)/(6.7914 z^3)."""
-    _check_open_unit(z)
-    return (1.0 + z * z) / (2.0 * _COEFF * z ** 3)
+def _dv_lower_from_z(z: float) -> float:
+    """(1/4) int_z^1 H'/(H (H - Gtilde)) = (P(1) - P(z))/4, where
+    P' = 2c + 3c/(z^2+1) - 4c/(z^2+1)^2 - (c/2)(3z-1)/(z^2+2z-1)
+         + (c/2)(3z+1)/(z^2-2z-1)."""
+    if z >= 1.0:
+        return 0.0
+    # H - Gtilde = -(z^2+1)(z^2-2z-1)(z^2+2z-1) / (2c z^3 (z^2-1)(z^2-3)) has
+    # the sign of z^2+2z-1 on (0, 1), so the integrand needs z > sqrt(2)-1
+    if not z > POLE:
+        raise DomainError(f"H <= Gtilde at z = {z}; lower bound not applicable")
+    rational = 2.0 * (1.0 - z) + (math.pi / 4.0 - math.atan(z)) - (1.0 - z) ** 2 / (1.0 + z * z)
+    logs = 0.75 * math.log((z * z + 2.0 * z - 1.0) / (1.0 + 2.0 * z - z * z)) + 0.5 * _R2 * (
+        math.log((2.0 - _R2) * (z + 1.0 + _R2) / ((2.0 + _R2) * (z + 1.0 - _R2)))
+        - math.log((_R2 + 1.0 - z) / (z - 1.0 + _R2))
+    )
+    return _COEFF / 4.0 * (rational + logs)
 
 
-def Gtilde(z: float) -> float:
-    """Gtilde(z) = (1+z^2)^2/(6.7914 z^3 (3-z^2)); finite at z = 1."""
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"argument must lie in (0, 1], got {z}")
-    return (1.0 + z * z) ** 2 / (2.0 * _COEFF * z ** 3 * (3.0 - z * z))
+def _area_from_z(z: float) -> float:
+    return 0.0 if z >= 1.0 else 1.0 / H(z)
 
 
 def _F(z: float) -> float:

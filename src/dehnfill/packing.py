@@ -25,14 +25,18 @@ __all__ = [
     "PackingConstants",
     "PACKING",
     "R0",
+    "Z0",
     "h",
     "ellipse_axes",
     "boundary_injectivity_bound",
 ]
 
+#: tanh(R0) = 1/sqrt(3), the lower end z0 of the certified envelope range.
+Z0 = 1.0 / math.sqrt(3.0)
+
 #: Critical tube radius arctanh(1/sqrt(3)) ~ 0.65848 below which the packing
 #: bound no longer pins the geometry.
-R0 = math.atanh(1.0 / math.sqrt(3.0))
+R0 = math.atanh(Z0)
 
 
 @dataclass(frozen=True)

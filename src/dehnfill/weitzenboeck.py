@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .packing import Z0
 
 __all__ = [
     "BoundaryCurvature",
@@ -93,7 +94,7 @@ class BoundaryCurvature:
         ends, and eps <= 2*min(k1, k2): the window where b is nonnegative."""
         k_min = min(self.k1, self.k2)
         return (
-            1.0 / math.sqrt(3.0) - 1e-12 <= k_min
+            Z0 - 1e-12 <= k_min
             and max(self.k1, self.k2) <= math.sqrt(3.0) + 1e-12
             and self.epsilon <= 2.0 * k_min
         )

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from dehnfill.certificates import UNIVERSAL_C, envelope_bounds
-from dehnfill.envelope import F, Ftilde, G, Gtilde, H, f, ftilde
+from dehnfill.envelope import F, Ftilde, H, f, ftilde
 from dehnfill.packing import PACKING, R0, h
 from dehnfill.slope_lattice import CuspShape, enumerate_short_slopes
 from dehnfill.weitzenboeck import BoundaryCurvature, FourierMode1Form, boundary_form_b, random_form
 
+from oracles import G, Gtilde
 from test_slope_lattice import brute_force_slopes
 
 Z0 = 1.0 / math.sqrt(3.0)

@@ -139,6 +139,29 @@ def _enumerate_in_subprocess(shape, cutoff):
     return _cli_in_subprocess("enumerate", "--shape", shape, "--cutoff", cutoff)
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early got a BrokenPipeError traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ("certify", "--lhat", "12,11"),
+        ("enumerate", "--shape", "0,1", "--cutoff", "20"),
+    ])
+    def test_exit_1_without_traceback(self, args):
+        # the read end is closed before the child starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(dehnfill.__file__).resolve().parents[1])
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dehnfill.cli", *args], env={**os.environ, "PYTHONPATH": src},
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=10,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == "dehnfill: stdout was closed before the report was written\n"
+
+
 class TestEnumerateTerminates:
     """Two inputs on which a bounding-box scan never finished."""
 

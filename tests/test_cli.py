@@ -266,3 +266,32 @@ class TestSlopeKind:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+class TestSignedValues:
+    """A value that begins with '-' parses after a space exactly as after '='."""
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (["certify", "--shape", "0.5,1.732", "--slope", "-7,3"],
+         ["certify", "--shape", "0.5,1.732", "--slope=-7,3"]),
+        (["certify", "--shape", "0,1", "--slope", "9,2", "--shape", "-0.5,1.7", "--slope", "-8,1"],
+         ["certify", "--shape", "0,1", "--slope", "9,2", "--shape=-0.5,1.7", "--slope=-8,1"]),
+        (["enumerate", "--shape", "-0.5,1.7", "--cutoff", "3"],
+         ["enumerate", "--shape=-0.5,1.7", "--cutoff", "3"]),
+        (["certify", "--lhat", "-1,2"], ["certify", "--lhat=-1,2"]),
+        (["certify", "--shape", "0.5,1.732", "--slope", "-inf,1"],
+         ["certify", "--shape", "0.5,1.732", "--slope=-inf,1"]),
+    ])
+    def test_space_form_matches_equals_form(self, capsys, spaced, joined):
+        code = run(spaced)
+        spaced_out = capsys.readouterr()
+        assert (code, spaced_out) == (run(joined), capsys.readouterr())
+        assert "expected one argument" not in spaced_out.err
+
+    def test_negative_lhat_names_the_problem(self, capsys):
+        assert run(["certify", "--lhat", "-1,2"]) == 2
+        assert "normalized lengths must be positive: '-1,2'" in capsys.readouterr().err
+
+    def test_missing_value_still_exit_2(self, capsys):
+        assert run(["certify", "--lhat", "--shape", "0,1"]) == 2
+        assert "argument --lhat: expected one argument" in capsys.readouterr().err

@@ -19,10 +19,7 @@ from dehnfill.certificates import _dv_lower_from_z, _dv_upper_from_z
 from dehnfill.envelope import (
     F,
     Ftilde,
-    G,
-    Gtilde,
     H,
-    H_prime,
     INV_TOL,
     POLE,
     Z_MIN,
@@ -33,6 +30,8 @@ from dehnfill.envelope import (
     invert_ftilde,
 )
 from dehnfill.errors import ConvergenceError, DomainError
+
+from oracles import G, Gtilde, H_prime
 
 C = 3.3957
 GRID = np.linspace(Z_MIN, 1.0 - 1e-9, 120)

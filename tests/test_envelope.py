@@ -8,10 +8,7 @@ from scipy.integrate import quad
 from dehnfill.envelope import (
     F,
     Ftilde,
-    G,
-    Gtilde,
     H,
-    H_prime,
     POLE,
     Z_MIN,
     f,
@@ -21,6 +18,8 @@ from dehnfill.envelope import (
 )
 from dehnfill.errors import DomainError, UncertifiableError
 from dehnfill.packing import R0, h
+
+from oracles import G, Gtilde, H_prime
 
 Z0 = 1.0 / math.sqrt(3.0)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dehnfill
+from dehnfill import certificates, envelope, packing
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(dehnfill.__path__))
 
@@ -40,3 +41,11 @@ def test_scalar_modules_do_not_import_numpy(name):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert "numpy" not in imported
+
+
+def test_envelope_formulas_are_defined_once():
+    for name in ("_dv_upper_from_z", "_dv_lower_from_z", "_area_from_z"):
+        assert getattr(certificates, name) is getattr(envelope, name)
+        assert getattr(envelope, name).__module__ == "dehnfill.envelope"
+    assert certificates.Z0 is packing.Z0
+    assert [n for n in ("H_prime", "G", "Gtilde") if hasattr(envelope, n)] == []
