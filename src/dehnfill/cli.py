@@ -4,17 +4,18 @@ Subcommands:
 
     constants                     recompute and check the certified constants
     certify   --lhat v[,v...]     certify normalized lengths directly, or
-              --shape re,im --slope p,q   (repeatable pairs) via cusp shapes;
-                                  each slope is reported primitive or generalized
+              --shape re,im --slope p,q   (repeatable pairs) via cusp shapes, not
+                                  both; each slope is reported primitive or generalized
     bounds    --lhat v            geometric bounds for one normalized length
     enumerate --shape re,im --cutoff v    short-slope enumeration
     weitz     --k1 v --eps v [--seed n --trials n]   exact minimum and random scan
     figure    --which 1|2|3 --samples n --out path   CSV figure data
 
-Every command prints a JSON report to stdout with fields
-(command, status, payload, checks); checks entries are
-(name, computed, expected, tolerance, pass).  Exit code 0 on success, 1 on
-a failed check or a mathematically uncertifiable input, 2 on usage errors.
+Options are spelled in full and each takes one value, '--opt v' or '--opt=v'; a
+value may begin with '-' (--slope -7,3).  Every command prints a JSON report to
+stdout with fields (command, status, payload, checks); checks entries are
+(name, computed, expected, tolerance, pass).  Exit code 0 on success, 1 on a
+failed check or a mathematically uncertifiable input, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ def cmd_constants(_args) -> tuple[int, str]:
 
 def _lhats_from_args(args) -> list[float]:
     if args.lhat is not None:
+        if args.shape or args.slope:
+            raise argparse.ArgumentTypeError("--lhat cannot be combined with --shape/--slope")
         return args.lhat
     if not args.shape:
         raise argparse.ArgumentTypeError("certify requires --lhat or --shape/--slope pairs")
@@ -134,8 +137,7 @@ def _lhats_from_args(args) -> list[float]:
 
 
 def cmd_certify(args) -> tuple[int, str]:
-    lhats = _lhats_from_args(args)
-    cert = certificates.full_certificate(lhats)
+    cert = certificates.full_certificate(_lhats_from_args(args))
     payload = cert.as_dict()
     if args.lhat is None:
         payload["slopes"] = [{"p": p, "q": q, "kind": _slope_kind(p, q)} for p, q in args.slope]
@@ -227,58 +229,56 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dehnfill",
         description="Certified bounds for generalized hyperbolic Dehn filling.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("constants", help="recompute and check the certified constants")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("certify", help="certify surgery coefficients")
+    command("constants", cmd_constants, "recompute and check the certified constants")
+
+    p = command("certify", cmd_certify, "certify surgery coefficients")
     p.add_argument("--lhat", type=_parse_lhat_list, help="comma-separated normalized lengths")
     p.add_argument("--shape", type=_parse_shape, action="append", default=[])
     p.add_argument("--slope", type=_parse_slope, action="append", default=[])
 
-    p = sub.add_parser("bounds", help="geometric bounds for one normalized length")
+    p = command("bounds", cmd_bounds, "geometric bounds for one normalized length")
     p.add_argument("--lhat", type=float, required=True)
 
-    p = sub.add_parser("enumerate", help="short-slope enumeration")
+    p = command("enumerate", cmd_enumerate, "short-slope enumeration")
     p.add_argument("--shape", type=_parse_shape, required=True)
     p.add_argument("--cutoff", type=float, required=True)
 
-    p = sub.add_parser("weitz", help="boundary-form positivity scan")
+    p = command("weitz", cmd_weitz, "boundary-form positivity scan")
     p.add_argument("--k1", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
 
-    p = sub.add_parser("figure", help="export figure data as CSV")
+    p = command("figure", cmd_figure, "export figure data as CSV")
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--out", required=True)
     return parser
 
 
-_COMMANDS = {
-    "constants": cmd_constants,
-    "certify": cmd_certify,
-    "bounds": cmd_bounds,
-    "enumerate": cmd_enumerate,
-    "weitz": cmd_weitz,
-    "figure": cmd_figure,
-}
-
-
 _PARSER = _build_parser()
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
-    """argv with '--slope -7,3' written as '--slope=-7,3' (likewise --lhat
-    and --shape): argparse reads a value that begins with '-' and is not a
-    plain number as an option, so only the '=' form would parse."""
+    """argv with '--opt -v' as '--opt=-v': every long option but --help takes one
+    value, so a single-'-' token other than -h right after one is its value. A
+    '--opt=--' is refused, as argparse would read that value as an empty list."""
     out = []
-    for tok in argv:
-        signed = tok[:1] == "-" and tok[1:2] != "-" and tok != "-h"
-        if signed and out and out[-1] in ("--lhat", "--shape", "--slope"):
+    for prev, tok in zip([""] + argv, argv):
+        takes_value = prev[:2] == "--" and prev not in ("--", "--help") and "=" not in prev
+        if takes_value and tok[:1] == "-" and tok[1:2] != "-" and tok != "-h":
             out[-1] += "=" + tok
+        elif tok[:2] == "--" and tok.partition("=")[2] == "--":
+            _PARSER.error(f"argument {tok[:-3]}: '--' cannot be a value")
         else:
             out.append(tok)
     return out
@@ -292,7 +292,7 @@ def run(argv: list[str]) -> int:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        code, out = _COMMANDS[args.command](args)
+        code, out = args.func(args)
     except (argparse.ArgumentTypeError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

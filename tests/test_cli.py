@@ -1,8 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from dehnfill import cli
 from dehnfill.certificates import figure_data
 from dehnfill.cli import render_figure_csv, run
 
@@ -165,6 +174,14 @@ class TestUsageErrors:
         (["bounds", "--lhat", "0"], "--lhat must be positive and finite, got 0.0"),
         (["weitz", "--k1", "0.8", "--eps", "1", "--seed", "-1"],
          "--seed must be non-negative, got -1"),
+        (["certify", "--lhat", "12", "--shape", "0,1", "--slope", "1,0"],
+         "--lhat cannot be combined with --shape/--slope"),
+        (["weitz", "--k1", "-1e5", "--eps", "1"], "--k1 must be positive, got -100000.0"),
+        (["enumerate", "--shape", "0,1", "--cutoff", "-1e5"],
+         "cutoff must be positive and finite, got -100000.0"),
+        (["certify", "--shape", "0.5,1.732", "--sl", "-7,3"], "unrecognized arguments: --sl=-7,3"),
+        (["bounds", "--lhat=--"], "argument --lhat: '--' cannot be a value"),
+        (["certify", "--lh", "12,11"], "unrecognized arguments: --lh 12,11"),
     ])
     def test_exit_2_names_the_problem(self, capsys, argv, message):
         assert run(argv) == 2
@@ -281,6 +298,11 @@ class TestSignedValues:
         (["certify", "--lhat", "-1,2"], ["certify", "--lhat=-1,2"]),
         (["certify", "--shape", "0.5,1.732", "--slope", "-inf,1"],
          ["certify", "--shape", "0.5,1.732", "--slope=-inf,1"]),
+        (["weitz", "--k1", "-1e5", "--eps", "1"], ["weitz", "--k1=-1e5", "--eps", "1"]),
+        (["enumerate", "--shape", "0,1", "--cutoff", "-1e5"],
+         ["enumerate", "--shape", "0,1", "--cutoff=-1e5"]),
+        (["certify", "--shape", "0.5,1.732", "--sl", "-7,3"],
+         ["certify", "--shape", "0.5,1.732", "--sl=-7,3"]),
     ])
     def test_space_form_matches_equals_form(self, capsys, spaced, joined):
         code = run(spaced)
@@ -295,3 +317,154 @@ class TestSignedValues:
     def test_missing_value_still_exit_2(self, capsys):
         assert run(["certify", "--lhat", "--shape", "0,1"]) == 2
         assert "argument --lhat: expected one argument" in capsys.readouterr().err
+
+
+def _parsers():
+    yield cli._PARSER
+    for action in cli._PARSER._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield from action.choices.values()
+
+
+class TestGrammar:
+    """_attach_signed_values reads a single-'-' token right after a long
+    option as that option's value, which holds only while every option but
+    -h/--help is long, takes exactly one value and is spelled in full."""
+
+    @pytest.mark.parametrize("parser", list(_parsers()), ids=lambda p: p.prog)
+    def test_every_option_takes_one_value(self, parser):
+        assert parser.allow_abbrev is False
+        for action in parser._actions:
+            for opt in action.option_strings:
+                if opt in ("-h", "--help"):
+                    assert isinstance(action, argparse._HelpAction)
+                else:
+                    assert opt.startswith("--") and action.nargs is None, opt
+
+
+# Values meant to break parsing: non-finite and signed zeros, subnormals,
+# overflow, '-'-led tokens, non-ASCII digits and text, and integers far past
+# any float or past int()'s digit limit.
+_ODD = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "+inf", "-0", "-0.0", "5e-324", "-5e-324",
+    "2.2250738585072014e-308", "1e308", "-1e308", "1e309", "", " ", "-", "--",
+    "-x", "-7,3", "−1", "٣", "１２", "∞", "1_0", "0x10",
+    "9" * 400, "-" + "9" * 400, "1" + "0" * 5000,
+])
+# no '--out' token outside the temporary directory, whatever the parse
+_TEXT = st.text(max_size=8).filter(lambda t: "--o" not in t)
+_ATOM = st.one_of(
+    st.floats().map(repr), st.integers(-10**400, 10**400).map(str), _ODD, _TEXT
+)
+_ATOM_PAIR = st.one_of(st.tuples(_ATOM, _ATOM).map(",".join), _ATOM)
+# odd counts and cutoffs are refused before any work
+_ODD_BOUNDED = st.one_of(_ODD, _TEXT)
+
+
+def _real(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _pair(first, second):
+    return st.tuples(first, second).map(",".join)
+
+
+# option: (well-formed value, odd value); well-formed counts and cutoffs
+# stay far below the work caps
+_OPTIONS = {
+    "--lhat": (st.lists(_real(0.5, 100.0), min_size=1, max_size=3).map(",".join),
+               st.lists(_ATOM, min_size=1, max_size=3).map(",".join)),
+    "--shape": (_pair(_real(-3.0, 3.0), _real(0.05, 3.0)), _ATOM_PAIR),
+    "--slope": (_pair(*[st.integers(-20, 20).map(str)] * 2), _ATOM_PAIR),
+    "--cutoff": (_real(-50.0, 50.0), _ODD_BOUNDED),
+    "--k1": (_real(0.01, 3.0), _ATOM),
+    "--eps": (_real(0.0, 2.0), _ATOM),
+    "--seed": (st.integers(0, 2**64).map(str), _ATOM),
+    "--trials": (st.integers(-2, 1000).map(str), _ODD_BOUNDED),
+    "--which": (st.sampled_from(["1", "2", "3"]), _ATOM),
+    "--samples": (st.integers(-2, 500).map(str), _ODD_BOUNDED),
+}
+_COMMAND_OPTIONS = {
+    "constants": [],
+    "bounds": ["--lhat"],
+    "enumerate": ["--shape", "--cutoff"],
+    "weitz": ["--k1", "--eps", "--seed", "--trials"],
+    "figure": ["--which", "--samples", "--out"],
+}
+_STRAYS = ["--bogus", "--lh", "--sl", "--k", "--cut", "--help=x", "-x", "-7,3", "9"]
+
+
+@st.composite
+def _argv(draw, out_dir):
+    """A subcommand and its options in any order, well formed, then up to
+    three faults: an odd value, a dropped, repeated or bare option, or a
+    stray token."""
+    command = draw(st.sampled_from([*_COMMAND_OPTIONS, "certify", "certify", "frobnicate", ""]))
+    if command == "certify":
+        names = draw(st.sampled_from([["--lhat"], ["--shape", "--slope"] * draw(st.integers(1, 3))]))
+    else:
+        names = list(_COMMAND_OPTIONS.get(command, []))
+
+    def well_formed(opt):
+        if opt == "--out":
+            name = draw(st.sampled_from(["fig.csv", "missing/fig.csv", "", "é∂.csv"]))
+            return os.path.join(out_dir, name)
+        return draw(_OPTIONS[opt][0]) if opt in _OPTIONS else draw(_ATOM)
+
+    entries = [[opt, well_formed(opt), draw(st.sampled_from(["space", "equals"]))]
+               for opt in names]
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["odd", "drop", "repeat", "bare", "stray"]))
+        if fault == "stray" or not entries:
+            entries.append([draw(st.sampled_from(_STRAYS)), draw(_ATOM), "space"])
+            continue
+        i = draw(st.integers(0, len(entries) - 1))
+        opt = entries[i][0]
+        if fault == "drop":
+            del entries[i]
+        elif fault == "repeat":
+            entries.append([opt, well_formed(opt), "space"])
+        elif opt == "--out":
+            pass  # an --out value always names a file in out_dir
+        elif fault == "odd":
+            entries[i][1] = draw(_OPTIONS[opt][1]) if opt in _OPTIONS else draw(_ATOM)
+        else:
+            entries[i][2] = "bare"
+    argv = [command] if command else []
+    for opt, value, form in draw(st.permutations(entries)):
+        argv += {"space": [opt, value], "equals": [f"{opt}={value}"], "bare": [opt]}[form]
+    return argv
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+class TestArgvFuzz:
+    """Every argv has exactly one outcome: exit 0 or 1 with a strict JSON
+    report on stdout, exit 2 with nothing on stdout and a message on stderr,
+    or, for -h/--help, exit 0 with usage text; never an escaped exception or
+    a warning."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_one_outcome_per_argv(self, data):
+        with tempfile.TemporaryDirectory() as out_dir:
+            argv = data.draw(_argv(out_dir), label="argv")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(argv)
+        event(f"{argv[0] if argv else '(none)'} exit {code}")
+        assert not caught, [str(w.message) for w in caught]
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().strip()
+        elif out.getvalue().startswith("usage: dehnfill"):
+            assert code == 0 and {"-h", "--help"} & set(argv)
+        else:
+            assert code in (0, 1)
+            assert err.getvalue() == ""
+            doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert set(doc) == {"command", "status", "payload", "checks"}
+            assert doc["command"] == argv[0]
