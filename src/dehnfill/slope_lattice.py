@@ -3,13 +3,15 @@
 A cusp shape is the unit-area normalization of the flat metric on a cusp
 cross-section, presented as a modulus tau in the upper half plane: the
 lattice generated by 1 and tau.  A slope (p, q) is the class p*1 + q*tau.
-This module computes normalized slope lengths, Gauss-reduces the basis, and
-enumerates all primitive slopes below a normalized-length cutoff (complete,
-by exact scanlines in the reduced basis, and capped at MAX_CANDIDATES tests).
+This module computes normalized slope lengths, reduces the modulus by an
+SL(2, Z) walk, and enumerates all primitive slopes below a normalized-length
+cutoff (complete, by exact scanlines in the reduced basis, and capped at
+MAX_CANDIDATES tests).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,46 +46,45 @@ class CuspShape:
 
 
 def slope_normalized_length(shape: CuspShape, slope: tuple[float, float]) -> float:
-    """Normalized length |p + q*tau| / sqrt(im tau) of the class p + q*tau."""
+    """Normalized length |p + q*tau| / sqrt(im tau) of the class p + q*tau, or
+    inf where |p + q*tau| leaves the float range."""
     p, q = slope
     if p == 0.0 and q == 0.0:
         raise DomainError("slope (0, 0) has no normalized length")
-    return abs(p + q * shape.tau) / math.sqrt(shape.im)
+    try:
+        return abs(p + q * shape.tau) / math.sqrt(shape.im)
+    except OverflowError:
+        return math.inf
 
 
 def lattice_reduce(shape: CuspShape) -> tuple[CuspShape, tuple[tuple[int, int], tuple[int, int]]]:
-    """Gauss-reduce the basis (1, tau).
+    """SL(2, Z) walk on tau: translate by round(re tau), invert while |tau| < 1.
 
     Returns (reduced shape, M) where the reduced modulus tau' satisfies
-    |re tau'| <= 1/2 and |tau'| >= 1, and M is an integer matrix of
-    determinant +-1 mapping old slope coordinates to new ones:
+    |re tau'| <= 1/2 and |tau'| >= 1 (to rounding), and M is an integer matrix of
+    determinant 1 mapping old slope coordinates to new ones:
     normalized lengths satisfy L(slope, tau) == L(M @ slope, tau').
+
+    Raises DomainError when an inversion leaves the float range.
     """
     tau = shape.tau
-    # Basis vectors e1, e2 as complex numbers; coordinates transform by the
-    # inverse transpose of the basis change, which we track directly:
-    # row i of M gives the new i-th coordinate of a vector from its old ones.
-    e1, e2 = complex(1.0, 0.0), tau
-    # rows of inverse-coordinate map: new_coords = M @ old_coords
     m11, m12, m21, m22 = 1, 0, 0, 1
     for _ in range(10_000):
-        t = round((e2 / e1).real)
-        if t != 0:
-            # e2 <- e2 - t*e1; a vector p*e1 + q*e2 keeps q, gains t*q on p
-            e2 -= t * e1
-            m11, m12 = m11 + t * m21, m12 + t * m22
-        if abs(e2) < abs(e1):
-            e1, e2 = e2, e1
-            m11, m12, m21, m22 = m21, m22, m11, m12
-        else:
+        t = round(tau.real)
+        # p + q*tau == (p + t*q) + q*(tau - t)
+        tau -= t
+        m11, m12 = m11 + t * m21, m12 + t * m22
+        if abs(tau) >= 1.0:
             break
-    tau_red = e2 / e1
-    if tau_red.imag < 0.0:
-        # keep the modulus in the upper half plane by negating e1
-        e1 = -e1
-        m11, m12 = -m11, -m12
-        tau_red = e2 / e1
-    return CuspShape(tau_red.real, tau_red.imag), ((m11, m12), (m21, m22))
+        # p + q*tau == tau * (q + (-p)*(-1/tau)), and |tau| cancels in the length
+        inv = -1.0 / tau
+        if inv.imag <= tau.imag:
+            break  # |tau| is 1 to rounding, and inverting would cycle
+        tau = inv
+        m11, m12, m21, m22 = m21, m22, -m11, -m12
+        if not cmath.isfinite(tau):
+            raise DomainError(f"cusp shape re={shape.re}, im={shape.im} overflows when reduced")
+    return CuspShape(tau.real, tau.imag), ((m11, m12), (m21, m22))
 
 
 #: Most candidate slopes one enumeration may test (about a second of work).
@@ -97,17 +98,18 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
     (or p = 0 and q > 0), sorted by (length, p, q).  Each entry is
     (p, q, normalized_length).
 
-    The scan walks the Gauss-reduced basis over q > 0 plus (1, 0), which
+    The scan walks the reduced basis over q > 0 plus (1, 0), which
     meets each class once: row q holds the p within one of the chord of
     (p + q*re)^2 + (q*im)^2 <= cutoff^2 * im, for q <= cutoff/sqrt(im).
     Slopes found are mapped back to the given basis with exact integers.
 
     Raises DomainError for a cutoff that is not positive and finite, or one
-    whose scan would test more than MAX_CANDIDATES slopes.
+    whose scan would test more than MAX_CANDIDATES slopes, and for a shape
+    whose reduction or short slopes leave the float range.
     """
     if not (cutoff > 0.0 and math.isfinite(cutoff)):
         raise DomainError(f"cutoff must be positive and finite, got {cutoff}")
-    reduced, m = lattice_reduce(shape)
+    reduced, ((m11, m12), (m21, m22)) = lattice_reduce(shape)
     tau, re, im = reduced.tau, reduced.re, reduced.im
     root = math.sqrt(im)
     # rows q = 1..floor(span); the slack keeps a row whose float length
@@ -118,10 +120,6 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
             f"cutoff {cutoff} is too large for this shape: the scan would test more "
             f"than {MAX_CANDIDATES} candidate slopes"
         )
-    # invert the integer coordinate map (det is +-1)
-    (m11, m12), (m21, m22) = m
-    det = m11 * m22 - m12 * m21
-    a, b, c, d = m22 * det, -m12 * det, -m21 * det, m11 * det
     tau0, root0 = shape.tau, math.sqrt(shape.im)
     reach = cutoff * cutoff * im
     out = []
@@ -135,10 +133,14 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
         for p in ps:
             if math.gcd(p, q) != 1 or abs(p + q * tau) / root > cutoff:
                 continue
-            # back to original-basis coordinates
-            p0, q0 = a * p + b * q, c * p + d * q
+            # back to original-basis coordinates: M has det 1, so its inverse is its adjugate
+            p0, q0 = m22 * p - m12 * q, m11 * q - m21 * p
             if p0 < 0 or (p0 == 0 and q0 < 0):
                 p0, q0 = -p0, -q0
-            out.append((p0, q0, abs(p0 + q0 * tau0) / root0))
+            try:
+                out.append((p0, q0, abs(p0 + q0 * tau0) / root0))
+            except OverflowError:
+                raise DomainError(f"cusp shape re={shape.re}, im={shape.im} has a slope beyond "
+                                  f"the float range at cutoff {cutoff}") from None
     out.sort(key=lambda s: (s[2], s[0], s[1]))
     return out

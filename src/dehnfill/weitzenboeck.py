@@ -114,15 +114,11 @@ class FourierMode1Form:
         full: dict[tuple[int, int], tuple[complex, complex]] = {}
         for (m, n), (c1, c2) in modes.items():
             c1, c2 = complex(c1), complex(c2)
-            conj = (complex(c1).conjugate(), complex(c2).conjugate())
-            for key, val in (((m, n), (c1, c2)), ((-m, -n), conj)):
-                if key in full:
-                    if abs(full[key][0] - val[0]) > 1e-14 or abs(full[key][1] - val[1]) > 1e-14:
-                        raise DomainError(f"mode {key} violates the reality constraint")
-                else:
-                    full[key] = val
-        if (0, 0) in full and (abs(full[0, 0][0].imag) > 1e-14 or abs(full[0, 0][1].imag) > 1e-14):
-            raise DomainError("constant mode must be real")
+            for key, val in (((m, n), (c1, c2)), ((-m, -n), (c1.conjugate(), c2.conjugate()))):
+                # a constant mode is its own conjugate, so it must be real
+                old = full.setdefault(key, val)
+                if abs(old[0] - val[0]) > 1e-14 or abs(old[1] - val[1]) > 1e-14:
+                    raise DomainError(f"mode {key} violates the reality constraint")
         self.modes = full
 
     def coefficient_norm_sq(self) -> float:

@@ -8,7 +8,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dehnfill import cli
@@ -182,6 +182,15 @@ class TestUsageErrors:
         (["certify", "--shape", "0.5,1.732", "--sl", "-7,3"], "unrecognized arguments: --sl=-7,3"),
         (["bounds", "--lhat=--"], "argument --lhat: '--' cannot be a value"),
         (["certify", "--lh", "12,11"], "unrecognized arguments: --lh 12,11"),
+        (["enumerate", "--shape", "1e-310,1e-310", "--cutoff", "8"],
+         "cusp shape re=1e-310, im=1e-310 overflows when reduced"),
+        (["enumerate", "--shape", "1e308,5e-324", "--cutoff", "50"],
+         "cusp shape re=1e+308, im=5e-324 overflows when reduced"),
+        (["enumerate", "--shape", "1e+308,0.3", "--cutoff", "8"],
+         "cusp shape re=1e+308, im=0.3 has a slope beyond the float range at cutoff 8.0"),
+        (["certify", "--shape", "-1.7976931348623157e+308,1.7976931348623157e+308",
+          "--slope", "-5e-324,-1"],
+         "every cusp is unfilled or too long (normalized lengths [inf])"),
     ])
     def test_exit_2_names_the_problem(self, capsys, argv, message):
         assert run(argv) == 2
@@ -369,13 +378,18 @@ def _pair(first, second):
     return st.tuples(first, second).map(",".join)
 
 
+# finite pairs at any scale, where reduction and lengths can leave the float range
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_ODD_PAIR = st.one_of(_ATOM_PAIR, _pair(_FINITE, _FINITE))
+
+
 # option: (well-formed value, odd value); well-formed counts and cutoffs
 # stay far below the work caps
 _OPTIONS = {
     "--lhat": (st.lists(_real(0.5, 100.0), min_size=1, max_size=3).map(",".join),
                st.lists(_ATOM, min_size=1, max_size=3).map(",".join)),
-    "--shape": (_pair(_real(-3.0, 3.0), _real(0.05, 3.0)), _ATOM_PAIR),
-    "--slope": (_pair(*[st.integers(-20, 20).map(str)] * 2), _ATOM_PAIR),
+    "--shape": (_pair(_real(-3.0, 3.0), _real(0.05, 3.0)), _ODD_PAIR),
+    "--slope": (_pair(*[st.integers(-20, 20).map(str)] * 2), _ODD_PAIR),
     "--cutoff": (_real(-50.0, 50.0), _ODD_BOUNDED),
     "--k1": (_real(0.01, 3.0), _ATOM),
     "--eps": (_real(0.0, 2.0), _ATOM),
@@ -440,6 +454,20 @@ def _reject_constant(token):
     raise ValueError(f"non-strict JSON token {token}")
 
 
+class _GivenArgv:
+    """Stands in for hypothesis' data object in an explicit example: its
+    draw returns a fixed argv."""
+
+    def __init__(self, *argv):
+        self.argv = list(argv)
+
+    def draw(self, strategy, label=None):
+        return self.argv
+
+    def __repr__(self):
+        return f"_GivenArgv{tuple(self.argv)!r}"
+
+
 class TestArgvFuzz:
     """Every argv has exactly one outcome: exit 0 or 1 with a strict JSON
     report on stdout, exit 2 with nothing on stdout and a message on stderr,
@@ -448,6 +476,12 @@ class TestArgvFuzz:
 
     @settings(max_examples=1000, deadline=None)
     @given(data=st.data())
+    @example(data=_GivenArgv("enumerate", "--shape", "1e-310,1e-310", "--cutoff", "8"))
+    @example(data=_GivenArgv("enumerate", "--shape", "1e308,5e-324", "--cutoff", "50"))
+    @example(data=_GivenArgv("enumerate", "--shape", "1e+308,0.3", "--cutoff", "8"))
+    @example(data=_GivenArgv("certify", "--shape",
+                             "-1.7976931348623157e+308,1.7976931348623157e+308",
+                             "--slope", "-5e-324,-1"))
     def test_one_outcome_per_argv(self, data):
         with tempfile.TemporaryDirectory() as out_dir:
             argv = data.draw(_argv(out_dir), label="argv")

@@ -102,6 +102,7 @@ class TestLatticeReduce:
         assert reduced.im == pytest.approx(1.0, abs=1e-12)
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         assert abs(det) == 1
+        assert det == 1
 
     def test_short_modulus_reduces(self):
         reduced, _ = lattice_reduce(CuspShape(0.1, 0.3))
@@ -115,6 +116,8 @@ class TestLatticeReduce:
             reduced, m = lattice_reduce(shape)
             assert abs(reduced.tau) >= 1.0 - 1e-12
             assert abs(reduced.re) <= 0.5 + 1e-12
+            assert abs(reduced.re) <= 0.5 and reduced.im > 0.0
+            assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
             for _ in range(5):
                 p, q = rng.randint(-7, 7), rng.randint(-7, 7)
                 if (p, q) == (0, 0):
@@ -124,6 +127,15 @@ class TestLatticeReduce:
                 assert slope_normalized_length(reduced, (p2, q2)) == pytest.approx(
                     slope_normalized_length(shape, (p, q)), rel=1e-12
                 )
+
+    @pytest.mark.parametrize("re, im, given", [
+        (1e-310, 1e-310, "re=1e-310, im=1e-310"),
+        (1e308, 5e-324, "re=1e+308, im=5e-324"),
+    ])
+    def test_overflow_names_the_given_shape(self, re, im, given):
+        with pytest.raises(DomainError) as exc:
+            lattice_reduce(CuspShape(re, im))
+        assert f"cusp shape {given} overflows when reduced" in str(exc.value)
 
 
 class TestEnumerate:
