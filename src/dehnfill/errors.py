@@ -12,13 +12,6 @@ class OrientationError(ValueError):
 class InfiniteCoefficientError(ValueError):
     """The surgery coefficient is infinite (complete cusp, tube radius = inf)."""
 
-    def __init__(self, message="infinite coefficient: complete cusp (R = inf)"):
-        super().__init__(message)
-
-
-class DegeneracyError(ValueError):
-    """A holonomy matrix is singular; the requested linear solve is degenerate."""
-
 
 class UncertifiableError(ValueError):
     """The normalized length is too small for the certified envelope to apply."""

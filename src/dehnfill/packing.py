@@ -57,25 +57,33 @@ PACKING = PackingConstants(
 )
 
 
+def _over(x: float, hyp, R: float) -> float:
+    """x / hyp(R) for hyp = cosh or sinh; past their float range 1/hyp(R) = 2e^(-R)."""
+    try:
+        return x / hyp(R)
+    except OverflowError:
+        e = math.exp(-0.5 * R)  # e^(-R) itself would be subnormal
+        return x * e * 2.0 * e
+
+
 def h(r: float) -> float:
     """Visual-area lower bound h(r) = 3.3957 tanh(r)/cosh(2r), r > 0."""
     if not r > 0.0:
         raise DomainError(f"h needs r > 0, got {r}")
-    return PACKING.h_coefficient * math.tanh(r) / math.cosh(2.0 * r)
+    return _over(PACKING.h_coefficient * math.tanh(r), math.cosh, 2.0 * r)
 
 
 def ellipse_axes(R_i: float, R: float) -> tuple[float, float]:
-    """Semi-axes of the disjoint shadow ellipse on a torus of radius R_i.
+    """Semi-axes of the disjoint shadow ellipse on a torus of radius R_i, 0 < R <= R_i <= inf.
 
-    a = 0.980258 sinh(R) cosh(R_i) / cosh(R_i + R),
-    b = sinh(R) sinh(R_i) / sinh(R_i + R), valid for 0 < R <= R_i.
+    a = 0.980258 t/(1 + t t_i), b = t t_i/(t + t_i) (t = tanh R, t_i = tanh R_i) are
+    0.980258 sinh R cosh R_i/cosh(R_i + R) and sinh R sinh R_i/sinh(R_i + R) over cosh R cosh R_i.
     At R_i = R these are the bumping-ellipse axes, with b = tanh(R)/2.
     """
     if not 0.0 < R <= R_i:
         raise DomainError(f"ellipse_axes needs 0 < R <= R_i, got R={R}, R_i={R_i}")
-    a = PACKING.axis_coefficient * math.sinh(R) * math.cosh(R_i) / math.cosh(R_i + R)
-    b = math.sinh(R) * math.sinh(R_i) / math.sinh(R_i + R)
-    return a, b
+    t, t_i = math.tanh(R), math.tanh(R_i)
+    return PACKING.axis_coefficient * t / (1.0 + t * t_i), t * t_i / (t + t_i)
 
 
 def boundary_injectivity_bound(R: float) -> float:

@@ -18,12 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegeneracyError,
-    DomainError,
-    InfiniteCoefficientError,
-    OrientationError,
-)
+from .errors import DomainError, InfiniteCoefficientError, OrientationError
+from .packing import _over
 
 __all__ = [
     "TubularTorus",
@@ -68,7 +64,7 @@ class TubularTorus:
 
     ``basis_holonomy`` holds the two translation vectors ((x1_a, x2_a),
     (x1_b, x2_b)) of the basis generators a, b in the principal frame.
-    The basis must be positively oriented: x1_a*x2_b - x1_b*x2_a > 0.
+    The basis must be finite and positively oriented: 0 < x1_a*x2_b - x1_b*x2_a < inf.
     ``tube_radius`` is a positive real or ``math.inf`` (horospherical torus).
     """
 
@@ -78,15 +74,12 @@ class TubularTorus:
     def __post_init__(self):
         if not self.tube_radius > 0.0:
             raise DomainError(f"tube radius must be positive, got {self.tube_radius}")
-        if self._basis_det() <= 0.0:
+        if not math.isfinite(self.area):  # so is every entry: inf or NaN ones make it inf or NaN
+            raise DomainError(f"basis holonomy and area must be finite, got {self.basis_holonomy}")
+        if not self.area > 0.0:
             raise OrientationError(
-                "basis holonomy is not positively oriented "
-                f"(determinant {self._basis_det()!r} <= 0)"
+                f"basis holonomy is not positively oriented (determinant {self.area!r} <= 0)"
             )
-
-    def _basis_det(self) -> float:
-        (x1a, x2a), (x1b, x2b) = self.basis_holonomy
-        return x1a * x2b - x1b * x2a
 
     def holonomy(self, slope: SlopeClass) -> tuple[float, float]:
         """Real-linear extension of the holonomy applied to p*a + q*b."""
@@ -95,8 +88,9 @@ class TubularTorus:
 
     @property
     def area(self) -> float:
-        """Area of the fundamental parallelogram of the flat metric."""
-        return self._basis_det()
+        """Area x1_a*x2_b - x1_b*x2_a of the fundamental parallelogram."""
+        (x1a, x2a), (x1b, x2b) = self.basis_holonomy
+        return x1a * x2b - x1b * x2a
 
     @property
     def is_horospherical(self) -> bool:
@@ -111,8 +105,6 @@ def principal_curvatures(tube_radius: float) -> tuple[float, float]:
     """
     if not tube_radius > 0.0:
         raise DomainError(f"tube radius must be positive, got {tube_radius}")
-    if math.isinf(tube_radius):
-        return (1.0, 1.0)
     t = math.tanh(tube_radius)
     return (1.0 / t, t)
 
@@ -126,7 +118,7 @@ def complex_length(torus: TubularTorus, slope: SlopeClass) -> ComplexLength:
         return ComplexLength(0.0, 0.0)
     x1, x2 = torus.holonomy(slope)
     R = torus.tube_radius
-    return ComplexLength(x2 / math.cosh(R), x1 / math.sinh(R))
+    return ComplexLength(_over(x2, math.cosh, R), _over(x1, math.sinh, R))
 
 
 def euclidean_length(torus: TubularTorus, slope: SlopeClass) -> float:
@@ -146,31 +138,30 @@ def visual_area(torus: TubularTorus) -> float:
     if torus.is_horospherical:
         raise DomainError("visual area requires a finite tube radius")
     R = torus.tube_radius
-    return torus.area / (math.sinh(R) * math.cosh(R))
+    return _over(_over(torus.area, math.sinh, R), math.cosh, R)
 
 
 def normalized_length(torus: TubularTorus, slope: SlopeClass) -> float:
     """Euclidean length of the class after rescaling the torus to unit area."""
-    slope.require_nonzero()
     return euclidean_length(torus, slope) / math.sqrt(torus.area)
 
 
 def surgery_coefficient(torus: TubularTorus) -> SlopeClass:
-    """The unique real class c with complex length (0, 2*pi).
+    """The unique real class c = (p, q) with complex length (0, 2*pi).
 
-    Solves the 2x2 real linear system p*L(a) + q*L(b) = 2*pi*i.  Raises
-    for a horospherical torus (the coefficient is infinite) and for a
-    degenerate holonomy matrix.
+    p*L(a) + q*L(b) = 2*pi*i reads p*x2_a + q*x2_b = 0, p*x1_a + q*x1_b = 2*pi*sinh R,
+    so (p, q) = 2*pi*sinh(R)/area * (x2_b, -x2_a).  Raises for a horospherical torus
+    (the coefficient is infinite) and where it leaves the float range (any R > 710.47).
     """
     if torus.is_horospherical:
-        raise InfiniteCoefficientError()
-    La = complex_length(torus, SlopeClass(1.0, 0.0))
-    Lb = complex_length(torus, SlopeClass(0.0, 1.0))
-    det = La.trans * Lb.rot - Lb.trans * La.rot
-    if det == 0.0:
-        raise DegeneracyError("holonomy matrix is singular; complex length not invertible")
-    # [trans_a trans_b; rot_a rot_b] (p, q) = (0, 2*pi)
-    two_pi = 2.0 * math.pi
-    p = -Lb.trans * two_pi / det
-    q = La.trans * two_pi / det
+        raise InfiniteCoefficientError("infinite coefficient: complete cusp (R = inf)")
+    R = torus.tube_radius
+    try:
+        sinh_r = math.sinh(R)
+    except OverflowError:
+        sinh_r = math.inf
+    (_, x2a), (_, x2b) = torus.basis_holonomy
+    p, q = (x / torus.area * 2.0 * math.pi * sinh_r for x in (x2b, -x2a))
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise DomainError(f"surgery coefficient at tube radius {R} is beyond the float range")
     return SlopeClass(p, q)

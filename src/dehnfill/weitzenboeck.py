@@ -187,13 +187,18 @@ def standard_form_coeffs(R: float) -> StandardFormCoefficients:
     """
     if not (R > 0.0 and math.isfinite(R)):
         raise DomainError(f"tube radius must be positive and finite, got {R}")
-    sh2 = math.sinh(R) ** 2
-    ch2 = math.cosh(R) ** 2
-    a = -(sh2 / ch2) * (2.0 * ch2 + 1.0)
-    b = -2.0 / ch2
-    c = (2.0 * ch2 - 1.0) / (sh2 * ch2)
-    xi = 1.0 / (sh2 * (2.0 * ch2 + 1.0))
-    w = 2.0 * ch2 / (sh2 * (2.0 * ch2 + 1.0))
+    try:
+        sh2 = math.sinh(R) ** 2
+        ch2 = math.cosh(R) ** 2
+        a = -(sh2 / ch2) * (2.0 * ch2 + 1.0)
+        b = -2.0 / ch2
+        c = (2.0 * ch2 - 1.0) / (sh2 * ch2)
+        xi = 1.0 / (sh2 * (2.0 * ch2 + 1.0))
+        w = 2.0 * ch2 / (sh2 * (2.0 * ch2 + 1.0))
+    except (OverflowError, ZeroDivisionError):  # sh2 or ch2 overflows, or sh2 underflows to 0
+        a = c = xi = w = math.inf
+    if not all(map(math.isfinite, (a, c, w + xi))):  # b is in [-2, 0); w, xi > 0
+        raise DomainError(f"standard form coefficients at tube radius {R} leave the float range")
     return StandardFormCoefficients(
         a=a, b=b, c=c, xi=xi, w=w, x_ratio_bounds=(-w - xi, w - xi)
     )
@@ -308,9 +313,7 @@ def epsilon_zero_kernel(zeta: tuple[float, float]) -> tuple[float, np.ndarray]:
     solving h0*|zeta| - i zeta.sigma0 = 0 and sigma0*|zeta| + i h0 zeta = 0.
     """
     z = np.asarray(zeta, dtype=float)
-    norm = float(np.hypot(z[0], z[1]))
-    if norm == 0.0:
-        raise DomainError("zeta must be nonzero")
-    h0 = 1.0
-    sigma0 = -1j * h0 * z / norm
-    return h0, sigma0
+    if not (np.isfinite(z).all() and z.any()):
+        raise DomainError(f"zeta must be finite and nonzero, got {zeta}")
+    z = z / np.abs(z).max()  # so the norm can neither overflow nor underflow
+    return 1.0, -1j * z / math.hypot(*z)

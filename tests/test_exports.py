@@ -1,15 +1,17 @@
 """Every exported name exists, the package re-exports only exported names,
-and the modules that need no array arithmetic do not import numpy."""
+every exception class is raised somewhere, and the modules that need no
+array arithmetic do not import numpy."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import dehnfill
-from dehnfill import certificates, envelope, packing
+from dehnfill import certificates, envelope, errors, packing
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(dehnfill.__path__))
 
@@ -27,6 +29,21 @@ def test_reexports_are_in_module_all():
     for node in imports:
         module = importlib.import_module(f"dehnfill.{node.module}")
         assert [a.name for a in node.names if a.name not in module.__all__] == [], node.module
+
+
+def test_every_error_class_is_raised():
+    raised = set()
+    for path in Path(dehnfill.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    defined = [
+        name for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if cls.__module__ == errors.__name__ and issubclass(cls, BaseException)
+    ]
+    assert defined
+    assert [name for name in defined if name not in raised] == []
 
 
 @pytest.mark.parametrize("name", [

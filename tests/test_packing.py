@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -17,7 +18,17 @@ class TestH:
         assert h(R0) == pytest.approx(0.980254, abs=1e-5)
 
     def test_decays_at_infinity(self):
-        assert h(50.0) < 1e-40
+        for r in (50.0, 400.0, 1e6):  # cosh(2r) overflows from r = 355.24
+            assert h(r) < 1e-40
+
+    def test_past_the_range_of_cosh(self):
+        # 1/cosh(2r) = 2e^(-2r) there; h is subnormal, where one ulp is 5e-324
+        for r in (355.3, 360.0, 371.0):
+            with mpmath.workdps(50):
+                mr = mpmath.mpf(r)
+                expected = float(mpmath.mpf("3.3957") * mpmath.tanh(mr) / mpmath.cosh(2 * mr))
+            assert expected > 0.0
+            assert abs(h(r) - expected) <= math.ulp(0.0)
 
     def test_against_arbitrary_precision(self):
         with mpmath.workdps(50):
@@ -58,6 +69,25 @@ class TestEllipseAxes:
                 math.sinh(R) * math.cosh(R)
             )
             assert bound == pytest.approx(h(R), abs=5e-4 * h(R))
+
+    @pytest.mark.parametrize("R_i", [800.0, math.inf])
+    def test_horospherical_limit(self, R_i):
+        # tanh R_i = 1.0: sinh and cosh of R_i overflow at 800 and give nan at inf
+        for R in (0.3, 1.0, 5.0, 30.0, 800.0):
+            t = math.tanh(R)
+            assert ellipse_axes(R_i, R) == (0.980258 * t / (1.0 + t), t / (1.0 + t))
+
+    def test_against_arbitrary_precision(self):
+        rng = random.Random(41)
+        for _ in range(500):
+            R, R_i = sorted(rng.uniform(1e-3, 30.0) for _ in range(2))
+            with mpmath.workdps(50):
+                r, ri = mpmath.mpf(R), mpmath.mpf(R_i)
+                a = mpmath.mpf("0.980258") * mpmath.sinh(r) * mpmath.cosh(ri) / mpmath.cosh(ri + r)
+                b = mpmath.sinh(r) * mpmath.sinh(ri) / mpmath.sinh(ri + r)
+            got = ellipse_axes(R_i, R)
+            assert got[0] == pytest.approx(float(a), rel=1e-14)
+            assert got[1] == pytest.approx(float(b), rel=1e-14)
 
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,10 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from dehnfill.errors import (
-    DegeneracyError,
     DomainError,
     InfiniteCoefficientError,
     OrientationError,
@@ -87,6 +87,16 @@ class TestComplexLength:
             assert Lc.trans == pytest.approx(s * La.trans + t * Lb.trans, abs=1e-12)
             assert Lc.rot == pytest.approx(s * La.rot + t * Lb.rot, abs=1e-12)
 
+    def test_past_the_range_of_cosh(self):
+        # cosh R and sinh R overflow above R = 710.47; 1/cosh R = 1/sinh R = 2e^(-R) there
+        torus = TubularTorus(720.0, ((3e20, -5e19), (1e19, 2e20)))
+        L = complex_length(torus, SlopeClass(2, -3))
+        x1, x2 = torus.holonomy(SlopeClass(2, -3))
+        with mpmath.workdps(50):
+            R = mpmath.mpf(720.0)
+            assert L.trans == pytest.approx(float(x2 / mpmath.cosh(R)), rel=1e-14)
+            assert L.rot == pytest.approx(float(x1 / mpmath.sinh(R)), rel=1e-14)
+
     def test_doubling(self):
         rng = random.Random(3)
         torus = random_torus(rng)
@@ -156,6 +166,28 @@ class TestVisualArea:
         with pytest.raises(OrientationError):
             TubularTorus(1.0, ((0.0, 1.0), (1.0, 0.0)))
 
+    @pytest.mark.parametrize("holonomy", [
+        ((math.nan, 0.0), (0.0, 1.0)),
+        ((math.inf, 0.0), (0.0, 1.0)),
+        ((1.0, 0.0), (-math.inf, 1.0)),
+        ((1.0, 0.0), (0.0, math.nan)),
+        ((1e200, 0.0), (0.0, 1e200)),  # finite entries, area beyond the float range
+    ])
+    def test_non_finite_holonomy_rejected(self, holonomy):
+        with pytest.raises(DomainError, match="holonomy"):
+            TubularTorus(1.0, holonomy)
+
+    def test_past_the_range_of_sinh_cosh_product(self):
+        # sinh R * cosh R overflows above R = 355.2, sinh R and cosh R above 710.47
+        for R, holonomy in ((400.0, ((1e150, 0.0), (0.0, 1e150))),
+                            (720.0, ((1e154, 0.0), (0.0, 1e154)))):
+            torus = TubularTorus(R, holonomy)
+            with mpmath.workdps(50):
+                mR = mpmath.mpf(R)
+                expected = float(mpmath.mpf(torus.area) / (mpmath.sinh(mR) * mpmath.cosh(mR)))
+            # the value at R = 720 is subnormal, where one ulp is 5e-324
+            assert visual_area(torus) == pytest.approx(expected, rel=1e-14, abs=2 * math.ulp(0.0))
+
 
 class TestNormalizedLength:
     def test_unit_square(self):
@@ -190,6 +222,34 @@ class TestSurgeryCoefficient:
         torus = TubularTorus(math.inf, ((1.0, 0.0), (0.0, 1.0)))
         with pytest.raises(InfiniteCoefficientError):
             surgery_coefficient(torus)
+
+    def test_against_arbitrary_precision_at_large_radius(self):
+        # the 2x2 solve's determinant -area/(sinh R cosh R) is subnormal from R ~ 355
+        rng = random.Random(37)
+        for _ in range(200):
+            R = rng.uniform(300.0, 710.0)
+            vecs = random_torus(rng).basis_holonomy
+            torus = TubularTorus(R, vecs)
+            c = surgery_coefficient(torus)
+            (_, x2a), (_, x2b) = vecs
+            with mpmath.workdps(50):
+                scale = 2 * mpmath.pi * mpmath.sinh(mpmath.mpf(R)) / mpmath.mpf(torus.area)
+                p, q = float(scale * x2b), float(-scale * x2a)
+            assert c.p == pytest.approx(p, rel=1e-13)
+            assert c.q == pytest.approx(q, rel=1e-13)
+
+    @pytest.mark.parametrize("torus", [
+        TubularTorus(720.0, ((1.0, 0.0), (0.0, 1.0))),  # sinh R overflows
+        TubularTorus(1e6, ((1.0, 0.5), (-0.5, 1.0))),
+        TubularTorus(1.0, ((5e-324, 0.0), (0.0, 1e10))),  # p = 2*pi*sinh(1)/5e-324
+    ])
+    def test_beyond_the_float_range(self, torus):
+        with pytest.raises(DomainError, match="float range"):
+            surgery_coefficient(torus)
+
+    def test_subnormal_area(self):
+        c = surgery_coefficient(TubularTorus(1.0, ((1.0, 0.0), (0.0, 5e-324))))
+        assert (c.p, c.q) == (pytest.approx(2 * math.pi * math.sinh(1.0), rel=1e-15), 0.0)
 
     def test_roundtrip(self):
         rng = random.Random(31)

@@ -1,6 +1,8 @@
 import json
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -63,6 +65,17 @@ class TestStandardFormCoefficients:
             standard_form_coeffs(0.0)
         with pytest.raises(DomainError):
             standard_form_coeffs(math.inf)
+        # a ~ -e^(2R)/2 leaves the float range above R ~ 355.2, and c, xi, w ~ 1/R^2
+        # below R ~ 1e-154
+        for R in (356.0, 1e-160, 1e-200):
+            with pytest.raises(DomainError, match="float range"):
+                standard_form_coeffs(R)
+
+    def test_finite_near_the_float_range(self):
+        for R in (350.0, 1e-150):
+            rec = standard_form_coeffs(R)
+            values = (rec.a, rec.b, rec.c, rec.xi, rec.w, *rec.x_ratio_bounds)
+            assert all(math.isfinite(v) for v in values)
 
 
 class TestBoundaryForm:
@@ -159,6 +172,30 @@ class TestEpsilonZeroKernel:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             epsilon_zero_kernel((0.0, 0.0))
+
+    @pytest.mark.parametrize("zeta", [
+        (math.inf, 1.0), (1.0, -math.inf), (math.nan, 0.0), (math.inf, math.inf),
+    ])
+    def test_non_finite_rejected(self, zeta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="zeta"):
+                epsilon_zero_kernel(zeta)
+
+    @pytest.mark.parametrize("zeta", [
+        (1.7e308, 1.7e308), (-1e308, 3e307), (5e-324, 5e-324), (1e-320, -3e-321),
+    ])
+    def test_extreme_scales(self, zeta):
+        # |zeta| overflows or is subnormal here; sigma0 is still -i zeta/|zeta|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h0, sigma0 = epsilon_zero_kernel(zeta)
+        with mpmath.workdps(50):
+            norm = mpmath.hypot(*map(mpmath.mpf, zeta))
+            expected = [float(mpmath.mpf(z) / norm) for z in zeta]
+        assert h0 == 1.0
+        assert sigma0.real.tolist() == [0.0, 0.0]
+        assert (-sigma0.imag).tolist() == pytest.approx(expected, rel=1e-15)
 
 
 def direct_b(curv, sigma):
