@@ -11,6 +11,11 @@ limit R = inf is represented by ``math.inf`` and carries its own conventions
 
 Sign convention: complex length is defined up to sign; we fix it by always
 evaluating the stored, positively oriented basis in the given order.
+
+Overflow policy: each function and method below whose value would overflow
+the float range (a tiny radius, a huge slope or holonomy, a subnormal area)
+raises DomainError naming its input; none returns inf or NaN.  Values below
+the float range round to subnormals or 0, as float arithmetic does.
 """
 
 from __future__ import annotations
@@ -32,6 +37,13 @@ __all__ = [
     "normalized_length",
     "surgery_coefficient",
 ]
+
+
+def _finite(values: tuple[float, ...], what: str, *inputs) -> None:
+    """The overflow policy: DomainError unless every value is finite, naming
+    the input as ``what.format(*inputs)`` (formatted only then)."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError(what.format(*inputs) + " is beyond the float range")
 
 
 @dataclass(frozen=True)
@@ -84,7 +96,9 @@ class TubularTorus:
     def holonomy(self, slope: SlopeClass) -> tuple[float, float]:
         """Real-linear extension of the holonomy applied to p*a + q*b."""
         (x1a, x2a), (x1b, x2b) = self.basis_holonomy
-        return (slope.p * x1a + slope.q * x1b, slope.p * x2a + slope.q * x2b)
+        x = (slope.p * x1a + slope.q * x1b, slope.p * x2a + slope.q * x2b)
+        _finite(x, "holonomy of {} on {}", slope, self)
+        return x
 
     @property
     def area(self) -> float:
@@ -106,7 +120,9 @@ def principal_curvatures(tube_radius: float) -> tuple[float, float]:
     if not tube_radius > 0.0:
         raise DomainError(f"tube radius must be positive, got {tube_radius}")
     t = math.tanh(tube_radius)
-    return (1.0 / t, t)
+    k1 = 1.0 / t
+    _finite((k1,), "coth R at tube radius {}", tube_radius)
+    return (k1, t)
 
 
 def complex_length(torus: TubularTorus, slope: SlopeClass) -> ComplexLength:
@@ -118,14 +134,17 @@ def complex_length(torus: TubularTorus, slope: SlopeClass) -> ComplexLength:
         return ComplexLength(0.0, 0.0)
     x1, x2 = torus.holonomy(slope)
     R = torus.tube_radius
-    return ComplexLength(_over(x2, math.cosh, R), _over(x1, math.sinh, R))
+    trans, rot = _over(x2, math.cosh, R), _over(x1, math.sinh, R)
+    _finite((trans, rot), "complex length of {} on {}", slope, torus)
+    return ComplexLength(trans, rot)
 
 
 def euclidean_length(torus: TubularTorus, slope: SlopeClass) -> float:
     """Euclidean length of a homology class on the flat torus."""
     slope.require_nonzero()
-    x1, x2 = torus.holonomy(slope)
-    return math.hypot(x1, x2)
+    length = math.hypot(*torus.holonomy(slope))
+    _finite((length,), "euclidean length of {} on {}", slope, torus)
+    return length
 
 
 def visual_area(torus: TubularTorus) -> float:
@@ -138,12 +157,16 @@ def visual_area(torus: TubularTorus) -> float:
     if torus.is_horospherical:
         raise DomainError("visual area requires a finite tube radius")
     R = torus.tube_radius
-    return _over(_over(torus.area, math.sinh, R), math.cosh, R)
+    area = _over(_over(torus.area, math.sinh, R), math.cosh, R)
+    _finite((area,), "visual area of {}", torus)
+    return area
 
 
 def normalized_length(torus: TubularTorus, slope: SlopeClass) -> float:
     """Euclidean length of the class after rescaling the torus to unit area."""
-    return euclidean_length(torus, slope) / math.sqrt(torus.area)
+    length = euclidean_length(torus, slope) / math.sqrt(torus.area)
+    _finite((length,), "normalized length of {} on {}", slope, torus)
+    return length
 
 
 def surgery_coefficient(torus: TubularTorus) -> SlopeClass:
@@ -162,6 +185,5 @@ def surgery_coefficient(torus: TubularTorus) -> SlopeClass:
         sinh_r = math.inf
     (_, x2a), (_, x2b) = torus.basis_holonomy
     p, q = (x / torus.area * 2.0 * math.pi * sinh_r for x in (x2b, -x2a))
-    if not (math.isfinite(p) and math.isfinite(q)):
-        raise DomainError(f"surgery coefficient at tube radius {R} is beyond the float range")
+    _finite((p, q), "surgery coefficient at tube radius {}", R)
     return SlopeClass(p, q)

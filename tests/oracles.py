@@ -1,6 +1,9 @@
 """Test-only oracles: the derivative of H and the coefficient functions G
 and Gtilde of the differential inequalities, against which the closed forms
-in dehnfill.envelope are checked.  No package code calls them."""
+in dehnfill.envelope are checked, and the json serialization against which
+certificate_to_json is checked.  No package code calls them."""
+
+import json
 
 from dehnfill.errors import DomainError
 from dehnfill.packing import PACKING
@@ -32,3 +35,8 @@ def Gtilde(z: float) -> float:
     if not 0.0 < z <= 1.0:
         raise DomainError(f"argument must lie in (0, 1], got {z}")
     return (1.0 + z * z) ** 2 / (2.0 * _COEFF * z ** 3 * (3.0 - z * z))
+
+
+def certificate_json(cert) -> str:
+    """A certificate as json's indent-2 strict encoder writes it."""
+    return json.dumps(cert.as_dict(), indent=2, allow_nan=False)

@@ -3,14 +3,19 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dehnfill.certificates import (
+    UNIVERSAL_C,
     FillingCertificate,
     certificate_to_json,
     certify,
     full_certificate,
 )
 from dehnfill.cli import run
+
+from oracles import certificate_json
 
 CERTIFIED_12_11 = """{
   "per_cusp_lhat": [
@@ -129,3 +134,42 @@ def test_fields_cannot_be_assigned(name):
 def test_certified_is_a_bool(lhats):
     assert type(certify(lhats).certified) is bool
     assert type(full_certificate(lhats).certified) is bool
+
+
+_LHAT = st.one_of(
+    st.floats(min_value=UNIVERSAL_C, max_value=100.0),  # mostly certified
+    st.floats(min_value=0.01, max_value=1e150),  # mostly not
+    st.just(math.inf),  # an unfilled cusp
+)
+_INT = st.integers(min_value=-10**20, max_value=10**20)
+CERTIFICATES = st.one_of(
+    st.lists(_LHAT, min_size=1, max_size=3)
+    .filter(lambda lhats: any(map(math.isfinite, lhats)))
+    .map(full_certificate),
+    st.tuples(  # hand-built, with int fields and the bounds left at their default None
+        st.lists(_INT, max_size=3).map(tuple), _INT, st.booleans(), _INT, st.none() | _INT,
+    ).map(lambda fields: FillingCertificate(*fields)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(CERTIFICATES)
+@example(full_certificate([UNIVERSAL_C]))
+def test_certificate_to_json_matches_json_dumps(cert):
+    assert certificate_to_json(cert) == certificate_json(cert)
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+def test_non_finite_margin_raises_value_error(margin):
+    cert = FillingCertificate((9.0,), 9.0, True, margin, 0.5)
+    with pytest.raises(ValueError):
+        certificate_json(cert)
+    with pytest.raises(ValueError):
+        certificate_to_json(cert)
+
+
+@pytest.mark.parametrize("margin", ["0.1", ((0.1,),)])
+def test_unsupported_value_raises_type_error(margin):
+    cert = FillingCertificate((9.0,), 9.0, True, margin, 0.5)
+    with pytest.raises(TypeError):
+        certificate_to_json(cert)

@@ -33,6 +33,15 @@ def random_torus(rng):
             return TubularTorus(rng.uniform(0.2, 4.0), (tuple(vecs[0]), tuple(vecs[1])))
 
 
+class TestHolonomy:
+    @pytest.mark.parametrize("slope", [SlopeClass(1e10, 1e10), SlopeClass(1e10, -1e10)])
+    def test_beyond_the_float_range(self, slope):
+        # p*x1_a = 1e310 overflows; with q < 0 the sum would be inf - inf = NaN
+        torus = TubularTorus(1.0, ((1e300, 0.0), (1e300, 1.0)))
+        with pytest.raises(DomainError, match="float range"):
+            torus.holonomy(slope)
+
+
 class TestPrincipalCurvatures:
     def test_critical_radius(self):
         k1, k2 = principal_curvatures(math.atanh(1.0 / SQRT3))
@@ -59,6 +68,11 @@ class TestPrincipalCurvatures:
             principal_curvatures(0.0)
         with pytest.raises(DomainError):
             principal_curvatures(-1.0)
+
+    def test_coth_beyond_the_float_range(self):
+        # tanh(1e-309) = 1e-309, whose reciprocal overflows
+        with pytest.raises(DomainError, match="1e-309"):
+            principal_curvatures(1e-309)
 
 
 class TestComplexLength:
@@ -105,6 +119,12 @@ class TestComplexLength:
         assert L2.trans == pytest.approx(2 * L1.trans, rel=1e-14)
         assert L2.rot == pytest.approx(2 * L1.rot, rel=1e-14)
 
+    def test_beyond_the_float_range(self):
+        # rot = 1e10/sinh(1e-310) overflows
+        torus = TubularTorus(1e-310, ((1e10, 0.0), (0.0, 1e10)))
+        with pytest.raises(DomainError, match="float range"):
+            complex_length(torus, SlopeClass(1, 0))
+
 
 class TestEuclideanLength:
     def test_norm(self):
@@ -136,6 +156,16 @@ class TestEuclideanLength:
         torus = TubularTorus(1.0, ((1.0, 0.0), (0.0, 1.0)))
         with pytest.raises(DomainError):
             euclidean_length(torus, SlopeClass(0, 0))
+
+    @pytest.mark.parametrize("torus, slope", [
+        # the holonomy's first component is 2e310
+        (TubularTorus(1.0, ((1e300, 0.0), (1e300, 1.0))), SlopeClass(1e10, 1e10)),
+        # a finite holonomy (1.5e308, 1.5e308) whose length overflows
+        (TubularTorus(1.0, ((1.5e308, 0.0), (0.0, 1.0))), SlopeClass(1.0, 1.5e308)),
+    ])
+    def test_beyond_the_float_range(self, torus, slope):
+        with pytest.raises(DomainError, match="float range"):
+            euclidean_length(torus, slope)
 
 
 class TestVisualArea:
@@ -188,6 +218,12 @@ class TestVisualArea:
             # the value at R = 720 is subnormal, where one ulp is 5e-324
             assert visual_area(torus) == pytest.approx(expected, rel=1e-14, abs=2 * math.ulp(0.0))
 
+    def test_beyond_the_float_range(self):
+        # area/sinh R = 1e20/1e-310 overflows
+        torus = TubularTorus(1e-310, ((1e10, 0.0), (0.0, 1e10)))
+        with pytest.raises(DomainError, match="float range"):
+            visual_area(torus)
+
 
 class TestNormalizedLength:
     def test_unit_square(self):
@@ -202,6 +238,16 @@ class TestNormalizedLength:
             assert normalized_length(scaled, slope) == pytest.approx(
                 normalized_length(torus, slope), rel=1e-13
             )
+
+    @pytest.mark.parametrize("torus, slope", [
+        # the Euclidean length overflows
+        (TubularTorus(1.0, ((1e300, 0.0), (1e300, 1.0))), SlopeClass(1e10, 1e10)),
+        # a finite length over sqrt of a subnormal area overflows
+        (TubularTorus(1.0, ((1.0, 0.0), (0.0, 5e-324))), SlopeClass(1e200, 0.0)),
+    ])
+    def test_beyond_the_float_range(self, torus, slope):
+        with pytest.raises(DomainError, match="float range"):
+            normalized_length(torus, slope)
 
 
 class TestSurgeryCoefficient:
