@@ -81,17 +81,20 @@ class FillingCertificate(NamedTuple):
 
 @dataclass(frozen=True)
 class SchlafliStep:
-    """An infinitesimal radial deformation step: visual area, angle, d(angle)."""
+    """An infinitesimal radial deformation step: visual area, angle, d(angle),
+    all finite."""
 
     visual_area: float
     alpha: float
     d_alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not self.visual_area > 0.0:
-            raise DomainError(f"visual area must be positive, got {self.visual_area}")
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.visual_area < math.inf:
+            raise DomainError(f"visual area must be positive and finite, got {self.visual_area}")
+        if not math.isfinite(self.d_alpha):
+            raise DomainError(f"d_alpha must be finite, got {self.d_alpha}")
 
 
 def _sq(v: float) -> float:
@@ -174,8 +177,12 @@ def full_certificate(lhats) -> FillingCertificate:
 
 
 def schlafli_dV(step: SchlafliStep) -> float:
-    """Variation in volume dV = -(A/(2*alpha)) d(alpha)."""
-    return -step.visual_area / (2.0 * step.alpha) * step.d_alpha
+    """Variation in volume dV = -(A/(2*alpha)) d(alpha); raises DomainError
+    where A/(2*alpha) or the product overflows."""
+    dv = -step.visual_area / (2.0 * step.alpha) * step.d_alpha
+    if not math.isfinite(dv):  # inf, or inf * 0 = nan for a zero step
+        raise DomainError(f"dV of {step} overflows")
+    return dv
 
 
 #: '{' or ',' then the indented key of each field, in field order.

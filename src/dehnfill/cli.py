@@ -21,13 +21,10 @@ failed check or a mathematically uncertifiable input, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import certificates, envelope, packing, slope_lattice, weitzenboeck
 from .errors import DomainError, UncertifiableError
@@ -35,30 +32,16 @@ from .errors import DomainError, UncertifiableError
 __all__ = ["main", "run", "render_figure_csv"]
 
 
-@dataclasses.dataclass
-class Check:
-    name: str
-    computed: float
-    expected: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.computed - self.expected) <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {**vars(self), "pass": self.passed}
+def _check(name: str, computed: float, expected: float, tolerance: float) -> dict:
+    """One checks entry; it passes iff |computed - expected| <= tolerance."""
+    entry = {"name": name, "computed": computed, "expected": expected, "tolerance": tolerance}
+    return {**entry, "pass": abs(computed - expected) <= tolerance}
 
 
-def _report(command: str, payload, checks: list[Check], failed: bool = False) -> tuple[int, str]:
-    check_fail = any(not c.passed for c in checks)
+def _report(command: str, payload, checks: list[dict], failed: bool = False) -> tuple[int, str]:
+    check_fail = any(not c["pass"] for c in checks)
     status = "error" if (failed or check_fail) else "ok"
-    doc = {
-        "command": command,
-        "status": status,
-        "payload": payload,
-        "checks": [c.as_dict() for c in checks],
-    }
+    doc = {"command": command, "status": status, "payload": payload, "checks": checks}
     return (1 if status == "error" else 0), json.dumps(doc, indent=2, allow_nan=False)
 
 
@@ -107,15 +90,15 @@ def cmd_constants(_args) -> tuple[int, str]:
     s = packing.PACKING.s_constant
     env = certificates.envelope_bounds(certificates.UNIVERSAL_C)
     checks = [
-        Check("threshold_squared", lhat_sq, 57.5041, 5e-3),
-        Check("C", math.sqrt(lhat_sq), certificates.UNIVERSAL_C, 5e-4),
-        Check("volume_drop_hi", env.volume_drop[1], 0.197816, 5e-5),
-        Check("visual_area_ceiling", packing.h(packing.R0), 0.980254, 1e-5),
-        Check("visual_area_hi_at_threshold", env.visual_area[1], packing.h(packing.R0), 1e-4),
-        Check("core_length_hi", env.core_length_hi, 0.156012, 1e-5),
-        Check("inverse_S", 1.0 / s, 0.980257, 5e-6),
-        Check("h_coefficient", 2.0 * math.sqrt(3.0) * packing.PACKING.axis_coefficient,
-              packing.PACKING.h_coefficient, 5e-4),
+        _check("threshold_squared", lhat_sq, 57.5041, 5e-3),
+        _check("C", math.sqrt(lhat_sq), certificates.UNIVERSAL_C, 5e-4),
+        _check("volume_drop_hi", env.volume_drop[1], 0.197816, 5e-5),
+        _check("visual_area_ceiling", packing.h(packing.R0), 0.980254, 1e-5),
+        _check("visual_area_hi_at_threshold", env.visual_area[1], packing.h(packing.R0), 1e-4),
+        _check("core_length_hi", env.core_length_hi, 0.156012, 1e-5),
+        _check("inverse_S", 1.0 / s, 0.980257, 5e-6),
+        _check("h_coefficient", 2.0 * math.sqrt(3.0) * packing.PACKING.axis_coefficient,
+               packing.PACKING.h_coefficient, 5e-4),
     ]
     payload = {"C": certificates.UNIVERSAL_C, "C_derived": math.sqrt(lhat_sq), "R0": packing.R0}
     return _report("constants", payload, checks)
@@ -155,8 +138,8 @@ def cmd_bounds(args) -> tuple[int, str]:
         return _report("bounds", {"lhat": lhat, "error": str(exc)}, [], failed=True)
     payload = {
         "lhat": lhat,
-        "volume_drop": list(env.volume_drop),
-        "visual_area": list(env.visual_area),
+        "volume_drop": env.volume_drop,
+        "visual_area": env.visual_area,
         "core_length_hi": env.core_length_hi,
     }
     return _report("bounds", payload, [])
@@ -168,7 +151,7 @@ def cmd_enumerate(args) -> tuple[int, str]:
         "shape": [args.shape.re, args.shape.im],
         "cutoff": args.cutoff,
         "count": len(slopes),
-        "slopes": [[p, q, l] for p, q, l in slopes],
+        "slopes": slopes,
     }
     return _report("enumerate", payload, [])
 
@@ -180,7 +163,7 @@ def cmd_weitz(args) -> tuple[int, str]:
     if args.seed < 0:
         raise argparse.ArgumentTypeError(f"--seed must be non-negative, got {args.seed}")
     curv = weitzenboeck.BoundaryCurvature(k1, 1.0 / k1, args.eps)
-    b_min = weitzenboeck.scan_min_b(curv, np.random.default_rng(args.seed), args.trials)
+    b_min = weitzenboeck.scan_min_b(curv, args.seed, args.trials)
     b_exact, mode = weitzenboeck.exact_min_b(curv)
     in_certified_range = curv.in_positivity_window()
     payload = {
@@ -191,13 +174,13 @@ def cmd_weitz(args) -> tuple[int, str]:
         "seed": args.seed,
         "min_b": b_min,
         "min_b_exact": b_exact,
-        "min_mode": list(mode),
+        "min_mode": mode,
         "in_certified_range": in_certified_range,
     }
     checks = []
     if in_certified_range:
-        checks.append(Check("min_b_nonnegative", min(b_min, 0.0), 0.0, 1e-9))
-        checks.append(Check("min_b_exact_nonnegative", min(b_exact, 0.0), 0.0, 1e-9))
+        checks.append(_check("min_b_nonnegative", min(b_min, 0.0), 0.0, 1e-9))
+        checks.append(_check("min_b_exact_nonnegative", min(b_exact, 0.0), 0.0, 1e-9))
     return _report("weitz", payload, checks)
 
 
@@ -220,7 +203,7 @@ def cmd_figure(args) -> tuple[int, str]:
         "which": args.which,
         "samples": args.samples,
         "out": args.out,
-        "columns": list(table[0]),
+        "columns": table[0],
     }
     return _report("figure", payload, [])
 

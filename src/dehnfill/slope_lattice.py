@@ -51,10 +51,12 @@ def slope_normalized_length(shape: CuspShape, slope: tuple[float, float]) -> flo
 
     Unlike torus_geometry, which raises DomainError on overflow, this returns
     inf by design: certify reads an infinite normalized length as a cusp too
-    long to count (1/Lhat^2 = 0)."""
+    long to count (1/Lhat^2 = 0).  A NaN entry raises DomainError."""
     p, q = slope
     if p == 0.0 and q == 0.0:
         raise DomainError("slope (0, 0) has no normalized length")
+    if math.isnan(p) or math.isnan(q):
+        raise DomainError(f"slope {slope} has no normalized length: an entry is NaN")
     try:
         return abs(p + q * shape.tau) / math.sqrt(shape.im)
     except OverflowError:

@@ -17,12 +17,13 @@ the unit-area square flat torus: derivatives act as multiplication by
 2*pi*(m, n) per mode, and L2 norms follow from Parseval, so b splits into
 a sum of per-mode 2x2 forms (``mode_b``).  Their smallest eigenvalue is the
 exact minimum of b on unit forms (``exact_min_b``).  The quadratic form
-depends on the flat metric only through L2 norms, so the square torus
-loses no generality.  The same module carries the coefficient record
-(a, b, c, xi, w) of the boundary-torus contribution in standard form, and
-the principal symbol computations behind ellipticity of the perturbed
-boundary value problem (including the explicit epsilon = 0 kernel showing
-the unperturbed problem is not elliptic).
+depends on the flat metric only through L2 norms, and another flat torus
+only moves the modes to other wave vectors, so the square torus stands for
+every flat torus in the sign of the minimum, not in its value.  The same
+module carries the coefficient record (a, b, c, xi, w) of the boundary-torus
+contribution in standard form, and the principal symbol computations behind
+ellipticity of the perturbed boundary value problem (including the explicit
+epsilon = 0 kernel showing the unperturbed problem is not elliptic).
 """
 
 from __future__ import annotations
@@ -248,14 +249,17 @@ _SCAN_BLOCK = 1024  # trials per batch: bounds the scan's memory for any trial c
 MAX_TRIALS = 1_500_000
 
 
-def scan_min_b(curv: BoundaryCurvature, rng: np.random.Generator, trials: int) -> float:
+def scan_min_b(curv: BoundaryCurvature, rng: int | np.random.Generator, trials: int) -> float:
     """Minimum of b over ``trials`` random unit forms from
-    :func:`random_modes`, drawn from ``rng`` in blocks of 1024; refuses
-    counts below 1 or above MAX_TRIALS before drawing anything."""
+    :func:`random_modes`, drawn in blocks of 1024 from
+    ``np.random.default_rng(rng)``: a Generator is used as it is, a seed
+    starts a fresh one.  Refuses counts below 1 or above MAX_TRIALS before
+    seeding or drawing anything."""
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     if trials > MAX_TRIALS:
         raise DomainError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    rng = np.random.default_rng(rng)
     b_min = math.inf
     for start in range(0, trials, _SCAN_BLOCK):
         freqs, c1, c2 = random_modes(rng, min(_SCAN_BLOCK, trials - start))
@@ -297,13 +301,23 @@ def symbol_matrix_LS(k: float, zeta: tuple[float, float]) -> tuple[np.ndarray, f
     """Principal symbol diag(k^2 a^2 + b^2, a^2 + k^-2 b^2) and its determinant.
 
     Positive determinant for every zeta != 0, so the perturbed second
-    boundary operator is invertible on each nonzero frequency.
+    boundary operator is invertible on each nonzero frequency.  Raises
+    DomainError for k not positive and finite, for zeta not finite or zero,
+    and where an entry or the determinant overflows or underflows to 0.
     """
-    if not k > 0.0:
-        raise DomainError(f"curvature must be positive, got {k}")
     a, b = zeta
-    mat = np.diag([k * k * a * a + b * b, a * a + b * b / (k * k)])
-    return mat, float(mat[0, 0] * mat[1, 1])
+    if not (0.0 < k < math.inf and math.isfinite(a) and math.isfinite(b) and (a or b)):
+        raise DomainError(
+            f"need k positive and finite and zeta finite and nonzero, got k={k}, zeta={zeta}"
+        )
+    try:
+        d1, d2 = k * k * a * a + b * b, a * a + b * b / (k * k)
+    except ZeroDivisionError:  # k*k underflows to 0
+        d1 = d2 = math.inf
+    det = float(d1 * d2)
+    if not 0.0 < det < math.inf:  # else both entries, being >= 0, are positive and finite
+        raise DomainError(f"symbol at k={k}, zeta={zeta} leaves the positive float range")
+    return np.diag([d1, d2]), det
 
 
 def epsilon_zero_kernel(zeta: tuple[float, float]) -> tuple[float, np.ndarray]:

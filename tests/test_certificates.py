@@ -178,6 +178,19 @@ class TestSchlafli:
         with pytest.raises(DomainError):
             SchlafliStep(0.5, 0.0, 0.1)
 
+    @pytest.mark.parametrize("fields", [
+        (math.inf, 1.0, 1.0), (0.5, math.inf, 1.0), (0.5, 1.0, math.inf),
+        (0.5, 1.0, -math.inf), (0.5, 1.0, math.nan), (math.nan, 1.0, 1.0),
+    ])
+    def test_non_finite_field_refused(self, fields):
+        with pytest.raises(DomainError, match="finite"):
+            SchlafliStep(*fields)
+
+    @pytest.mark.parametrize("fields", [(1e308, 1e-308, 1.0), (1e308, 1e-308, 0.0)])
+    def test_overflowing_dv_refused(self, fields):
+        with pytest.raises(DomainError, match="overflows"):
+            schlafli_dV(SchlafliStep(*fields))
+
 
 class TestCertificateReport:
     def test_full_certificate_fields(self):

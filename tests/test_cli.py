@@ -7,6 +7,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from dehnfill import cli
 from dehnfill.certificates import figure_data
 from dehnfill.cli import render_figure_csv, run
+from dehnfill.weitzenboeck import BoundaryCurvature, exact_min_b, scan_min_b
 
 
 def run_json(capsys, argv):
@@ -245,6 +247,108 @@ class TestFigureCsvBytes:
         out = tmp_path / "figure.csv"
         render_figure_csv((header, rows), str(out))
         assert out.read_bytes() == self._expected(header, rows)
+
+CONSTANTS_STDOUT = """{
+  "command": "constants",
+  "status": "ok",
+  "payload": {
+    "C": 7.5832,
+    "C_derived": 7.583146720051686,
+    "R0": 0.6584789484624085
+  },
+  "checks": [
+    {
+      "name": "threshold_squared",
+      "computed": 57.50411417783064,
+      "expected": 57.5041,
+      "tolerance": 0.005,
+      "pass": true
+    },
+    {
+      "name": "C",
+      "computed": 7.583146720051686,
+      "expected": 7.5832,
+      "tolerance": 0.0005,
+      "pass": true
+    },
+    {
+      "name": "volume_drop_hi",
+      "computed": 0.19781231847833464,
+      "expected": 0.197816,
+      "tolerance": 5e-05,
+      "pass": true
+    },
+    {
+      "name": "visual_area_ceiling",
+      "computed": 0.9802541545436062,
+      "expected": 0.980254,
+      "tolerance": 1e-05,
+      "pass": true
+    },
+    {
+      "name": "visual_area_hi_at_threshold",
+      "computed": 0.9802266067331702,
+      "expected": 0.9802541545436062,
+      "tolerance": 0.0001,
+      "pass": true
+    },
+    {
+      "name": "core_length_hi",
+      "computed": 0.15600790981177937,
+      "expected": 0.156012,
+      "tolerance": 1e-05,
+      "pass": true
+    },
+    {
+      "name": "inverse_S",
+      "computed": 0.9802581434685472,
+      "expected": 0.980257,
+      "tolerance": 5e-06,
+      "pass": true
+    },
+    {
+      "name": "h_coefficient",
+      "computed": 3.3957133210517045,
+      "expected": 3.3957,
+      "tolerance": 0.0005,
+      "pass": true
+    }
+  ]
+}
+"""
+
+
+class TestReportBytes:
+    """The exact stdout of the reports whose payloads and checks cli builds."""
+
+    def test_constants(self, capsys):
+        assert run(["constants"]) == 0
+        assert capsys.readouterr() == (CONSTANTS_STDOUT, "")
+
+    @pytest.mark.parametrize("k1, eps", [(0.9, 0.7), (0.5, 0.0)])
+    def test_weitz(self, capsys, k1, eps):
+        argv = ["weitz", "--k1", str(k1), "--eps", str(eps), "--trials", "200", "--seed", "5"]
+        assert run(argv) == 0
+        curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+        b_min = scan_min_b(curv, np.random.default_rng(5), 200)
+        b_exact, mode = exact_min_b(curv)
+        inside = curv.in_positivity_window()
+        checks = [
+            {"name": name, "computed": min(b, 0.0), "expected": 0.0, "tolerance": 1e-9,
+             "pass": abs(min(b, 0.0)) <= 1e-9}
+            for name, b in (("min_b_nonnegative", b_min), ("min_b_exact_nonnegative", b_exact))
+        ] if inside else []
+        doc = {
+            "command": "weitz",
+            "status": "ok" if all(c["pass"] for c in checks) else "error",
+            "payload": {
+                "k1": k1, "k2": 1.0 / k1, "eps": eps, "trials": 200, "seed": 5,
+                "min_b": b_min, "min_b_exact": b_exact, "min_mode": list(mode),
+                "in_certified_range": inside,
+            },
+            "checks": checks,
+        }
+        assert capsys.readouterr() == (json.dumps(doc, indent=2, allow_nan=False) + "\n", "")
 
 
 class TestSlopeKind:

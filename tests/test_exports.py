@@ -47,7 +47,7 @@ def test_every_error_class_is_raised():
 
 
 @pytest.mark.parametrize("name", [
-    "certificates", "envelope", "errors", "packing", "slope_lattice", "torus_geometry",
+    "certificates", "cli", "envelope", "errors", "packing", "slope_lattice", "torus_geometry",
 ])
 def test_scalar_modules_do_not_import_numpy(name):
     path = Path(dehnfill.__file__).with_name(f"{name}.py")

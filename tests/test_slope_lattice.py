@@ -85,6 +85,15 @@ class TestNormalizedLength:
         with pytest.raises(DomainError):
             slope_normalized_length(CuspShape(0.0, 1.0), (0, 0))
 
+    @pytest.mark.parametrize("slope", [(1.0, math.nan), (math.nan, 0.0), (math.nan, math.inf)])
+    def test_nan_slope_rejected(self, slope):
+        with pytest.raises(DomainError, match="NaN"):
+            slope_normalized_length(CuspShape(0.3, 1.2), slope)
+
+    @pytest.mark.parametrize("slope", [(math.inf, 1.0), (1.0, -math.inf), (1.7e308, 1.7e308)])
+    def test_infinite_or_overflowing_slope_is_inf(self, slope):
+        assert slope_normalized_length(CuspShape(0.3, 1.2), slope) == math.inf
+
     def test_nonpositive_im_rejected(self):
         with pytest.raises(DomainError):
             CuspShape(0.0, -1.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import mpmath
@@ -144,6 +145,20 @@ class TestSymbolMatrix:
             assert det > 0.0
             norm4 = (zeta[0] ** 2 + zeta[1] ** 2) ** 2
             assert det >= min(k**2, k**-2) * norm4 - 1e-9 * norm4
+
+    @pytest.mark.parametrize("k, zeta", [
+        (1e-200, (0.0, 1.0)),  # k*k underflows: was ZeroDivisionError
+        (1.0, (0.3, math.nan)),  # was a NaN matrix and determinant
+        (1.0, (1e200, 1.0)),  # an entry overflows: was inf
+        (math.inf, (1.0, 0.0)),
+        (math.nan, (1.0, 1.0)),
+        (1.0, (1e-200, 0.0)),  # entries underflow: was determinant 0.0
+        (1.0, (0.0, 0.0)),  # zeta = 0: was determinant 0.0
+        (1e100, (1e100, 1e-100)),  # the determinant overflows
+    ])
+    def test_refuses_outside_positive_float_range(self, k, zeta):
+        with pytest.raises(DomainError, match=re.escape(f"k={k}, zeta=")):
+            symbol_matrix_LS(k, zeta)
 
 
 class TestEpsilonZeroKernel:
@@ -386,6 +401,10 @@ class TestWeitzCommand:
         blocks = [scan_min_b(curv, rng, n) for n in (1024, 1024, 1024, 1024, 904)]
         assert doc["min_b"] == min(blocks)
         assert doc["min_b_exact"] <= doc["min_b"]
+
+    def test_seed_starts_the_generator(self):
+        curv = BoundaryCurvature(0.8, 1.0 / 0.8, 0.5)
+        assert scan_min_b(curv, 7, 300) == scan_min_b(curv, np.random.default_rng(7), 300)
 
     def test_exact_fields(self, capsys):
         code, doc = self.payload(capsys, ["weitz", "--k1", "0.9", "--eps", "0.7", "--trials", "5"])
