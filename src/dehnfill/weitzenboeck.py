@@ -60,9 +60,9 @@ MAX_FREQ = 3
 #: Random forms have this many distinct pair classes of modes.
 N_MODES = 8
 
-#: Largest k1, k2 or epsilon accepted.  Each per-mode term of b is cubic in
-#: them, and the 2x2 eigenvalue problem multiplies two terms, so at this cap
-#: every intermediate stays below 1e250 for frequencies |m|, |n| <= MAX_FREQ.
+#: Largest k1, k2 or epsilon accepted.  At this cap the per-mode coefficients
+#: a1, a2 and w*kappa^2 of b stay below 9e121 for |m|, |n| <= MAX_FREQ, so the
+#: products q11*q22 and q12^2 of the 2x2 eigenvalue problem stay below 1e244.
 MAX_CURVATURE = 1e40
 
 
@@ -133,6 +133,13 @@ _PAIR_CLASSES = np.array([
     (m, n) for m in range(-MAX_FREQ, MAX_FREQ + 1) for n in range(-MAX_FREQ, MAX_FREQ + 1)
     if m > 0 or (m == 0 and n > 0)
 ])
+_KAPPA = 2.0 * math.pi * _PAIR_CLASSES  # their wave vectors 2*pi*(m, n)
+
+
+def _draw(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-class picks and Gaussians (Re c1, Im c1, Re c2, Im c2) of ``count`` forms."""
+    pick = np.argsort(rng.random((count, len(_PAIR_CLASSES))), axis=1)[:, :N_MODES]
+    return pick, rng.standard_normal((count, N_MODES, 4))
 
 
 def random_modes(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,8 +152,7 @@ def random_modes(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.n
     conjugate mode is implied, and the row has unit coefficient norm
     counting conjugates: 2 * sum(|c1|^2 + |c2|^2) = 1.
     """
-    pick = np.argsort(rng.random((count, len(_PAIR_CLASSES))), axis=1)[:, :N_MODES]
-    g = rng.standard_normal((count, N_MODES, 4))
+    pick, g = _draw(rng, count)
     g /= np.sqrt(2.0 * np.sum(g * g, axis=(1, 2)))[:, None, None]
     return _PAIR_CLASSES[pick], g[..., 0] + 1j * g[..., 1], g[..., 2] + 1j * g[..., 3]
 
@@ -205,6 +211,16 @@ def standard_form_coeffs(R: float) -> StandardFormCoefficients:
     )
 
 
+def _mode_coefficients(curv: BoundaryCurvature, kap1, kap2):
+    """(a1, a2, w) with mode_b = a1 |c1|^2 + a2 |c2|^2 + w |kap2 c1 - kap1 c2|^2: the one
+    formula for b, in plain arithmetic, so arrays and symbols pass through alike."""
+    k1, k2, eps = curv.k1, curv.k2, curv.epsilon
+    sq1, sq2 = kap1 * kap1, kap2 * kap2
+    area = (3.0 - k1 * k1) * sq1 + (3.0 - k2 * k2) * sq2
+    w = (eps / 2.0) * ((k2 - eps / 2.0) * sq2 + (k1 - eps / 2.0) * sq1)
+    return area * (k1 / 4.0), area * (k2 / 4.0), w
+
+
 def _abs2(c):
     return np.real(c) ** 2 + np.imag(c) ** 2
 
@@ -224,14 +240,9 @@ def mode_b(curv: BoundaryCurvature, kappa, c1, c2) -> np.ndarray:
     components (kappa2, -kappa1) * (kappa2 c1 - kappa1 c2).  The form is
     even in kappa, so a mode and its conjugate contribute equally.
     """
-    k1, k2, eps = curv.k1, curv.k2, curv.epsilon
     kappa = np.asarray(kappa, dtype=float)
-    kap1_sq, kap2_sq = kappa[..., 0] ** 2, kappa[..., 1] ** 2
-    area = (3.0 - k1 * k1) * kap1_sq + (3.0 - k2 * k2) * kap2_sq
-    curl = kappa[..., 1] * c1 - kappa[..., 0] * c2
-    return 0.25 * area * (k1 * _abs2(c1) + k2 * _abs2(c2)) + (eps / 2.0) * _abs2(curl) * (
-        (k2 - eps / 2.0) * kap2_sq + (k1 - eps / 2.0) * kap1_sq
-    )
+    a1, a2, w = _mode_coefficients(curv, kappa[..., 0], kappa[..., 1])
+    return a1 * _abs2(c1) + a2 * _abs2(c2) + w * _abs2(kappa[..., 1] * c1 - kappa[..., 0] * c2)
 
 
 def boundary_form_b(curv: BoundaryCurvature, sigma: FourierMode1Form) -> float:
@@ -244,14 +255,25 @@ def boundary_form_b(curv: BoundaryCurvature, sigma: FourierMode1Form) -> float:
 
 _SCAN_BLOCK = 1024  # trials per batch: bounds the scan's memory for any trial count
 
-#: Largest trial count accepted by scan_min_b: about 0.9 s of scanning at
-#: 0.6 us per trial (measured on a 2-vCPU x86-64 host).
+#: Largest trial count accepted by scan_min_b: about 3 s of scanning at 1.9-2.3 us
+#: per trial, half of it drawing (scans at this cap on a 2-vCPU x86-64 host).
 MAX_TRIALS = 1_500_000
 
 
+def _row_b(table, pick, g) -> np.ndarray:
+    """b of each unit form g / sqrt(2 sum g^2) from raw draws (pick, g), with the
+    table's columns (a1, a2, w, kap1, kap2) per class: a mode and its conjugate
+    count twice.  The modes are flattened so each numpy call is one long loop."""
+    a1, a2, w, kap1, kap2 = np.take(table, pick.ravel(), axis=1)
+    g1, h1, g2, h2 = g.reshape(-1, 4).T
+    re, im = kap2 * g1 - kap1 * g2, kap2 * h1 - kap1 * h2  # kap2 c1 - kap1 c2
+    b = a1 * (g1 * g1 + h1 * h1) + a2 * (g2 * g2 + h2 * h2) + w * (re * re + im * im)
+    return b.reshape(pick.shape).sum(axis=-1) / (g * g).sum(axis=(-2, -1))
+
+
 def scan_min_b(curv: BoundaryCurvature, rng: int | np.random.Generator, trials: int) -> float:
-    """Minimum of b over ``trials`` random unit forms from
-    :func:`random_modes`, drawn in blocks of 1024 from
+    """Minimum of b over ``trials`` random unit forms, drawn as
+    :func:`random_modes` draws them, in blocks of 1024 from
     ``np.random.default_rng(rng)``: a Generator is used as it is, a seed
     starts a fresh one.  Refuses counts below 1 or above MAX_TRIALS before
     seeding or drawing anything."""
@@ -260,25 +282,32 @@ def scan_min_b(curv: BoundaryCurvature, rng: int | np.random.Generator, trials: 
     if trials > MAX_TRIALS:
         raise DomainError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     rng = np.random.default_rng(rng)
+    kap1, kap2 = _KAPPA.T
+    table = np.array([*_mode_coefficients(curv, kap1, kap2), kap1, kap2])  # 5 x 24
     b_min = math.inf
     for start in range(0, trials, _SCAN_BLOCK):
-        freqs, c1, c2 = random_modes(rng, min(_SCAN_BLOCK, trials - start))
-        b = 2.0 * mode_b(curv, 2.0 * math.pi * freqs, c1, c2).sum(axis=-1)
+        b = _row_b(table, *_draw(rng, min(_SCAN_BLOCK, trials - start)))
         b_min = min(b_min, float(b.min()))
     return b_min
+
+
+def _mode_matrix(curv: BoundaryCurvature, kap1, kap2):
+    """(q11, q22, q12): the real symmetric matrix Q of each mode's form (c1, c2) -> mode_b."""
+    a1, a2, w = _mode_coefficients(curv, kap1, kap2)
+    return a1 + w * kap2 ** 2, a2 + w * kap1 ** 2, -w * kap1 * kap2
 
 
 def mode_min_eigenvalue(curv: BoundaryCurvature, kappa) -> np.ndarray:
     """Smallest eigenvalue of each mode's form (c1, c2) -> mode_b.
 
-    That form is a real symmetric 2x2 matrix Q, read off :func:`mode_b` by
-    polarization.  The eigenvalue of larger magnitude is tr/2 +- r with
-    r = hypot((q11 - q22)/2, q12) and the sign of tr; the other is det over
-    it, which avoids the cancellation in tr/2 -+ r when it is near 0.
+    That form is a real symmetric 2x2 matrix Q, read directly off the
+    coefficients of b (no polarization).  The eigenvalue of larger magnitude
+    is tr/2 +- r with r = hypot((q11 - q22)/2, q12) and the sign of tr; the
+    other is det over it, which avoids the cancellation in tr/2 -+ r when it
+    is near 0.
     """
-    q11 = mode_b(curv, kappa, 1.0, 0.0)
-    q22 = mode_b(curv, kappa, 0.0, 1.0)
-    q12 = (mode_b(curv, kappa, 1.0, 1.0) - q11 - q22) / 2.0
+    kappa = np.asarray(kappa, dtype=float)
+    q11, q22, q12 = _mode_matrix(curv, kappa[..., 0], kappa[..., 1])
     half_tr = (q11 + q22) / 2.0
     big = half_tr + np.copysign(np.hypot((q11 - q22) / 2.0, q12), half_tr)
     det = q11 * q22 - q12 * q12
@@ -292,7 +321,7 @@ def exact_min_b(curv: BoundaryCurvature) -> tuple[float, tuple[int, int]]:
     b is a sum of per-mode forms and the norm a sum of per-mode norms, so
     the minimum is the smallest eigenvalue over the pair classes.
     """
-    lam = mode_min_eigenvalue(curv, 2.0 * math.pi * _PAIR_CLASSES)
+    lam = mode_min_eigenvalue(curv, _KAPPA)
     i = int(np.argmin(lam))
     return float(lam[i]), (int(_PAIR_CLASSES[i, 0]), int(_PAIR_CLASSES[i, 1]))
 

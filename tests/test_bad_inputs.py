@@ -221,6 +221,17 @@ class TestScanTrialCap:
         assert run(argv) == 2
         assert "trials must be at most" in capsys.readouterr().err
 
+    def test_weitz_huge_trials_exit_2_before_the_scan_draws(self, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the scan drew random forms")
+
+        monkeypatch.setattr(weitzenboeck, "_draw", no_draws)
+        with pytest.raises(AssertionError, match="drew random forms"):  # the patch is on its path
+            scan_min_b(BoundaryCurvature(0.8, 1.25, 1.0), 0, 1)
+        argv = ["weitz", "--k1", "0.8", "--eps", "1", "--trials", "100000000000000000000"]
+        assert run(argv) == 2
+        assert "trials must be at most" in capsys.readouterr().err
+
 
 class TestCurvatureOverflow:
     """Curvatures whose per-mode terms overflow gave numpy RuntimeWarnings

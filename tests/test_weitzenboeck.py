@@ -6,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from dehnfill.errors import DomainError
 from dehnfill.packing import R0
@@ -276,6 +278,29 @@ class TestModeFactorisation:
             assert scan_min_b(curv, np.random.default_rng(seed), 50) == pytest.approx(
                 ref, rel=1e-12
             )
+
+
+class TestScanMatchesDirectFormula:
+    """The scan contracts raw draws with the coefficient table; on the same
+    seed it must find the minimum of the direct formula over the forms that
+    random_modes gives, across curvatures in and out of the window."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k1=st.floats(math.log(1 / 50), math.log(50)).map(math.exp),
+        eps=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(k1=0.5, eps=0.0, seed=0)  # k2 = 2 > sqrt(3)
+    @example(k1=0.9, eps=2.5, seed=1)  # eps > 2 k1
+    @example(k1=50.0, eps=3.0, seed=2)
+    @example(k1=1 / 50, eps=0.0, seed=3)
+    def test_scan_is_min_of_direct_b(self, k1, eps, seed):
+        curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+        event("inside the window" if curv.in_positivity_window() else "outside the window")
+        freqs, c1, c2 = random_modes(np.random.default_rng(seed), 64)
+        ref = min(direct_b(curv, row_form(*row)) for row in zip(freqs, c1, c2))
+        assert abs(scan_min_b(curv, seed, 64) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestRandomModes:
