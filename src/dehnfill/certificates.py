@@ -28,6 +28,7 @@ Results are immutable ``typing.NamedTuple`` records read by field name:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -228,9 +229,9 @@ def certificate_to_json(cert: FillingCertificate) -> str:
     return "".join(parts) + "\n}"
 
 
-#: Largest sample count accepted by figure_data: about 0.6 s of `dehnfill
-#: figure` work at 4.1 us per row, 3.3 to tabulate and 0.8 to write as CSV
-#: (figure 2 at 150 000 rows, measured on a 2-vCPU x86-64 host).
+#: Largest sample count accepted by figure_data: about 2 s of `dehnfill
+#: figure` work, 11 to 14 us per row: 8 to 10.5 to tabulate and 2.7 to 3.7
+#: to write as CSV (150 000 rows, each figure, a shared 2-vCPU x86-64 host).
 MAX_SAMPLES = 150_000
 
 FIGURE_HEADERS = {
@@ -248,22 +249,23 @@ def figure_data(which: int, samples: int) -> tuple[tuple[str, ...], list[tuple[f
     x_hat = (2*pi)^2/Lhat^2, with the asymptote pi^2/Lhat^2 = x_hat/4.
     Figure 3: visual-area bounds versus x_hat, asymptote (2*pi)^2/Lhat^2
     = x_hat.  Returns (header, rows of floats) on np.linspace's grid, bit
-    for bit; refuses fewer than 2 or more than MAX_SAMPLES samples first.
+    for bit; refuses a count that is not an integer in [2, MAX_SAMPLES] first.
     """
     if which not in FIGURE_HEADERS:
         raise DomainError(f"figure id must be 1, 2 or 3, got {which}")
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise DomainError(f"sample count must be an integer, got {samples!r}") from None
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     x_max = f(Z0)
     step = x_max / (samples - 1)
-    width = len(FIGURE_HEADERS[which])
-    rows = []
-    for x in [k * step for k in range(samples - 1)] + [x_max]:
-        z_hat, z_tilde = invert_f(x), invert_ftilde(x)
-        if which == 2:
-            rows.append((x, _dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat), x / 4.0))
-        else:  # figure 3 adds the asymptote x to figure 1's columns
-            rows.append((x, _area_from_z(z_tilde), _area_from_z(z_hat), x)[:width])
-    return FIGURE_HEADERS[which], rows
+    xs = [k * step for k in range(samples - 1)] + [x_max]
+    z_hats, z_tildes = list(map(invert_f, xs)), list(map(invert_ftilde, xs))
+    lower, upper = (_dv_lower_from_z, _dv_upper_from_z) if which == 2 else (_area_from_z,) * 2
+    asymptote = [x / 4.0 for x in xs] if which == 2 else xs
+    columns = (xs, map(lower, z_tildes), map(upper, z_hats), asymptote)
+    return FIGURE_HEADERS[which], list(zip(*columns[:len(FIGURE_HEADERS[which])]))

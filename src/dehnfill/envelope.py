@@ -16,22 +16,22 @@ inversions, and the closed forms that read the volume-drop and area bounds
 off a z (``_dv_upper_from_z``, ``_dv_lower_from_z``, ``_area_from_z``),
 which ``certificates`` applies at z-hat and z-tilde.
 
-F and Ftilde are rational, so both exponents are elementary (a rational
-term and logarithms; see f and ftilde).  Inversion of f and ftilde
-(producing z-hat and z-tilde from a target x) is Newton's method with
-g' = -g (1/(1-z) + F) for g = f (Ftilde for ftilde), kept inside a
-bisection bracket: the slope at z = 1 is -3.3957, and both functions turn
-over just above Z_MIN, at the root z = 0.48587 of 1/(1-z) + F (Ftilde has
-the same root), where a step that leaves the bracket is replaced by a
-bisection step.  Newton starts from a cubic Hermite interpolant of the
-inverse on the decreasing branch, built at import from 32 z-nodes on
-[0.49, 1]; from that start one step usually meets the tolerance.
+F and Ftilde are rational, so both exponents are elementary (a rational term
+and logarithms; see f and ftilde).  Inverting g = f or ftilde is Newton's
+method with g' = -g (1/(1-z) + F) (Ftilde for ftilde) inside a bisection
+bracket: the slope at z = 1 is -3.3957, and both turn over just above Z_MIN,
+at the root z = 0.48587 of 1/(1-z) + F (Ftilde has the same root), where a
+step that leaves the bracket is replaced by bisection.  A target x outside
+(0, g(Z_MIN)] gives z = 1 at 0, else raises (UncertifiableError above,
+DomainError if NaN or negative).  Newton starts, clamped into [Z_MIN, 1),
+from a cubic Hermite interpolant of the inverse built at import from 32
+z-nodes on [0.49, 1]; one step then usually meets the tolerance.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 
 from .errors import ConvergenceError, DomainError, UncertifiableError
 from .packing import PACKING
@@ -107,7 +107,8 @@ def _dv_lower_from_z(z: float) -> float:
 
 
 def _area_from_z(z: float) -> float:
-    return 0.0 if z >= 1.0 else 1.0 / H(z)
+    """1/H(z), bit for bit, without H's domain check; 0 at z >= 1."""
+    return 0.0 if z >= 1.0 else 1.0 / ((1.0 + z * z) / (_COEFF * z * (1.0 - z * z)))
 
 
 def _F(z: float) -> float:
@@ -189,45 +190,42 @@ class _InverseSeed:
             -1.0 / (x * (1.0 / (1.0 - z) + integrand(z))) for z, x in zip(zs[1:], xs[1:])
         ]
         self.x_nodes = xs
-        self._cubics = []  # (z, dz/dx, c2, c3) at the left end of each interval
+        self._cubics = []  # (x, z, dz/dx, c2, c3) at the left end of each interval
         for i in range(SEED_NODES - 1):
             h = xs[i + 1] - xs[i]
             secant = (zs[i + 1] - zs[i]) / h
             self._cubics.append((
-                zs[i], dz[i],
+                xs[i], zs[i], dz[i],
                 (3.0 * secant - 2.0 * dz[i] - dz[i + 1]) / h,
                 (dz[i] + dz[i + 1] - 2.0 * secant) / (h * h),
             ))
 
     def __call__(self, x: float) -> float:
-        i = bisect.bisect_right(self.x_nodes, x, 1, SEED_NODES - 1) - 1
-        z, d, c2, c3 = self._cubics[i]
-        dx = x - self.x_nodes[i]
+        x0, z, d, c2, c3 = self._cubics[bisect_right(self.x_nodes, x, 1, SEED_NODES - 1) - 1]
+        dx = x - x0
         return z + dx * (d + dx * (c2 + dx * c3))
 
 
 def _invert_decreasing(func, integrand, x_hat: float, name: str, top: float, seed) -> float:
     """z in [Z_MIN, 1] with |func(z) - x_hat| <= INV_TOL * max(1, x_hat), by
     Newton's method from seed(x_hat) inside the bracket [Z_MIN, 1].  ``top``
-    is func(Z_MIN), the largest target accepted.
-    """
-    if not x_hat >= 0.0:
+    is func(Z_MIN), the largest target accepted."""
+    if not 0.0 < x_hat <= top:
+        if x_hat == 0.0:
+            return 1.0
+        if x_hat > top:
+            raise UncertifiableError(f"uncertifiable: normalized length too small "
+                                     f"(target {x_hat} exceeds {name}({Z_MIN}) = {top})")
         raise DomainError(f"target value must be nonnegative, got {x_hat}")
-    if x_hat == 0.0:
-        return 1.0
-    if x_hat > top:
-        raise UncertifiableError(
-            f"uncertifiable: normalized length too small "
-            f"(target {x_hat} exceeds {name}({Z_MIN}) = {top})"
-        )
-    tol = INV_TOL * max(1.0, x_hat)
+    tol = INV_TOL * x_hat if x_hat > 1.0 else INV_TOL
     lo, hi = Z_MIN, 1.0  # func(lo) >= x_hat >= func(hi)
     # kept below 1, where the slope would divide by 1 - z; func there is
-    # below 4e-16, so a target that small is met at once
-    z = min(max(Z_MIN, seed(x_hat)), _BELOW_ONE)
+    # below 4e-16, so a target that small is met at once.  NaN goes to Z_MIN.
+    z = seed(x_hat)
+    z = (z if z <= _BELOW_ONE else _BELOW_ONE) if z > Z_MIN else Z_MIN
     for _ in range(200):
         val = func(z)
-        if abs(val - x_hat) <= tol:
+        if -tol <= val - x_hat <= tol:
             return z
         if val > x_hat:
             lo = z

@@ -1,11 +1,15 @@
 """Test-only oracles: the derivative of H and the coefficient functions G
 and Gtilde of the differential inequalities, against which the closed forms
-in dehnfill.envelope are checked, and the json serialization against which
-certificate_to_json is checked.  No package code calls them."""
+in dehnfill.envelope are checked, the json serialization against which
+certificate_to_json is checked, and an earlier seeded Newton inversion
+(``ParentSeed``, ``parent_invert_decreasing``) against which invert_f and
+invert_ftilde are checked bit for bit.  No package code calls them."""
 
+import bisect
 import json
 
-from dehnfill.errors import DomainError
+from dehnfill.envelope import _BELOW_ONE, INV_TOL, SEED_NODES, SEED_Z_FIRST, Z_MIN
+from dehnfill.errors import ConvergenceError, DomainError, UncertifiableError
 from dehnfill.packing import PACKING
 
 _COEFF = PACKING.h_coefficient  # 3.3957
@@ -40,3 +44,70 @@ def Gtilde(z: float) -> float:
 def certificate_json(cert) -> str:
     """A certificate as json's indent-2 strict encoder writes it."""
     return json.dumps(cert.as_dict(), indent=2, allow_nan=False)
+
+
+class ParentSeed:
+    """The inversion seed as first written: the (z, dz/dx, c2, c3) table and
+    its lookup, kept verbatim.  ``ParentSeed(g, integrand)`` for g = f or
+    ftilde (their unchecked forms) and its integrand F or Ftilde."""
+
+    def __init__(self, g, integrand):
+        step = (1.0 - SEED_Z_FIRST) / (SEED_NODES - 1)
+        zs = [1.0 - k * step for k in range(SEED_NODES)]
+        xs = [g(z) for z in zs]
+        # g' = -g (1/(1-z) + integrand) tends to -3.3957 at z = 1
+        dz = [-1.0 / _COEFF] + [
+            -1.0 / (x * (1.0 / (1.0 - z) + integrand(z))) for z, x in zip(zs[1:], xs[1:])
+        ]
+        self.x_nodes = xs
+        self._cubics = []  # (z, dz/dx, c2, c3) at the left end of each interval
+        for i in range(SEED_NODES - 1):
+            h = xs[i + 1] - xs[i]
+            secant = (zs[i + 1] - zs[i]) / h
+            self._cubics.append((
+                zs[i], dz[i],
+                (3.0 * secant - 2.0 * dz[i] - dz[i + 1]) / h,
+                (dz[i] + dz[i + 1] - 2.0 * secant) / (h * h),
+            ))
+
+    def __call__(self, x: float) -> float:
+        i = bisect.bisect_right(self.x_nodes, x, 1, SEED_NODES - 1) - 1
+        z, d, c2, c3 = self._cubics[i]
+        dx = x - self.x_nodes[i]
+        return z + dx * (d + dx * (c2 + dx * c3))
+
+
+def parent_invert_decreasing(func, integrand, x_hat: float, name: str, top: float, seed) -> float:
+    """The bracketed Newton inversion as first written, kept verbatim: the
+    three refusals tested one by one, then Newton from the clamped seed."""
+    if not x_hat >= 0.0:
+        raise DomainError(f"target value must be nonnegative, got {x_hat}")
+    if x_hat == 0.0:
+        return 1.0
+    if x_hat > top:
+        raise UncertifiableError(
+            f"uncertifiable: normalized length too small "
+            f"(target {x_hat} exceeds {name}({Z_MIN}) = {top})"
+        )
+    tol = INV_TOL * max(1.0, x_hat)
+    lo, hi = Z_MIN, 1.0  # func(lo) >= x_hat >= func(hi)
+    # kept below 1, where the slope would divide by 1 - z; func there is
+    # below 4e-16, so a target that small is met at once
+    z = min(max(Z_MIN, seed(x_hat)), _BELOW_ONE)
+    for _ in range(200):
+        val = func(z)
+        if abs(val - x_hat) <= tol:
+            return z
+        if val > x_hat:
+            lo = z
+        else:
+            hi = z
+        slope = -val * (1.0 / (1.0 - z) + integrand(z))
+        step = z - (val - x_hat) / slope if slope < 0.0 else lo
+        z = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < z < hi:
+            break
+    raise ConvergenceError(
+        f"{name} inversion at {x_hat} stopped in [{lo}, {hi}] "
+        f"without meeting |{name}(z) - x| <= {tol}"
+    )

@@ -309,6 +309,17 @@ class TestFigureSampleCap:
         with pytest.raises(DomainError, match=f"samples must be at most {cap}, got {cap + 1}"):
             figure_data(2, cap + 1)
 
+    @pytest.mark.parametrize("samples", [5.0, 2.5, math.nan, "5", None])
+    def test_non_integer_refused_before_any_work(self, no_work, samples):
+        with pytest.raises(DomainError, match="sample count must be an integer"):
+            figure_data(1, samples)
+
+    @pytest.mark.parametrize("samples", [np.int64(5), np.uint8(5)])
+    def test_numpy_integers_accepted(self, samples):
+        rows = figure_data(1, samples)[1]
+        assert rows == figure_data(1, 5)[1]
+        assert all(type(v) is float for row in rows for v in row)
+
     def test_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(certificates, "MAX_SAMPLES", 5)
         assert np.array(figure_data(2, 5)[1]).shape == (5, 4)

@@ -318,6 +318,101 @@ CONSTANTS_STDOUT = """{
 """
 
 
+#: figure --which w --samples 9: the CSV and the stdout, where @OUT@ stands for
+#: the JSON string of the --out path.
+FIGURE_CSV = {
+    1: """\
+x,area_lower,area_upper
+0.000000000000e+00,0.000000000000e+00,0.000000000000e+00
+8.581650671609e-02,8.370011766576e-02,8.810263097508e-02
+1.716330134322e-01,1.633590138107e-01,1.813201115856e-01
+2.574495201483e-01,2.392281077898e-01,2.806818007019e-01
+3.432660268644e-01,3.115174748346e-01,3.876430836703e-01
+4.290825335805e-01,3.804022738670e-01,5.044012751937e-01
+5.148990402965e-01,4.460275135099e-01,6.346222527395e-01
+6.007155470126e-01,5.085115128377e-01,7.855954230260e-01
+6.865320537287e-01,5.679482786357e-01,9.802541545436e-01
+""",
+    2: """\
+x_hat,volume_drop_lower,volume_drop_upper,nz_asymptote
+0.000000000000e+00,0.000000000000e+00,0.000000000000e+00,0.000000000000e+00
+8.581650671609e-02,2.118744518235e-02,2.173483319128e-02,2.145412667902e-02
+1.716330134322e-01,4.185803459841e-02,4.407386789112e-02,4.290825335805e-02
+2.574495201483e-01,6.203417799587e-02,6.709336224734e-02,6.436238003707e-02
+3.432660268644e-01,8.173550488434e-02,9.089147211944e-02,8.581650671609e-02
+4.290825335805e-01,1.009792278945e-01,1.156000255667e-01,1.072706333951e-01
+5.148990402965e-01,1.197804282817e-01,1.414075153283e-01,1.287247600741e-01
+6.007155470126e-01,1.381522789506e-01,1.686130793405e-01,1.501788867532e-01
+6.865320537287e-01,1.561062155442e-01,1.978157620998e-01,1.716330134322e-01
+""",
+    3: """\
+x_hat,area_lower,area_upper,nz_asymptote
+0.000000000000e+00,0.000000000000e+00,0.000000000000e+00,0.000000000000e+00
+8.581650671609e-02,8.370011766576e-02,8.810263097508e-02,8.581650671609e-02
+1.716330134322e-01,1.633590138107e-01,1.813201115856e-01,1.716330134322e-01
+2.574495201483e-01,2.392281077898e-01,2.806818007019e-01,2.574495201483e-01
+3.432660268644e-01,3.115174748346e-01,3.876430836703e-01,3.432660268644e-01
+4.290825335805e-01,3.804022738670e-01,5.044012751937e-01,4.290825335805e-01
+5.148990402965e-01,4.460275135099e-01,6.346222527395e-01,5.148990402965e-01
+6.007155470126e-01,5.085115128377e-01,7.855954230260e-01,6.007155470126e-01
+6.865320537287e-01,5.679482786357e-01,9.802541545436e-01,6.865320537287e-01
+""",
+}
+
+FIGURE_STDOUT = {
+    1: """{
+  "command": "figure",
+  "status": "ok",
+  "payload": {
+    "which": 1,
+    "samples": 9,
+    "out": @OUT@,
+    "columns": [
+      "x",
+      "area_lower",
+      "area_upper"
+    ]
+  },
+  "checks": []
+}
+""",
+    2: """{
+  "command": "figure",
+  "status": "ok",
+  "payload": {
+    "which": 2,
+    "samples": 9,
+    "out": @OUT@,
+    "columns": [
+      "x_hat",
+      "volume_drop_lower",
+      "volume_drop_upper",
+      "nz_asymptote"
+    ]
+  },
+  "checks": []
+}
+""",
+    3: """{
+  "command": "figure",
+  "status": "ok",
+  "payload": {
+    "which": 3,
+    "samples": 9,
+    "out": @OUT@,
+    "columns": [
+      "x_hat",
+      "area_lower",
+      "area_upper",
+      "nz_asymptote"
+    ]
+  },
+  "checks": []
+}
+""",
+}
+
+
 class TestReportBytes:
     """The exact stdout of the reports whose payloads and checks cli builds."""
 
@@ -349,6 +444,15 @@ class TestReportBytes:
             "checks": checks,
         }
         assert capsys.readouterr() == (json.dumps(doc, indent=2, allow_nan=False) + "\n", "")
+
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_figure(self, capsys, tmp_path, which):
+        out = tmp_path / "fig.csv"
+        assert run(["figure", "--which", str(which), "--samples", "9", "--out", str(out)]) == 0
+        stdout = FIGURE_STDOUT[which].replace("@OUT@", json.dumps(str(out)))
+        assert capsys.readouterr() == (stdout, "")
+        with open(out, encoding="utf-8", newline="") as fh:
+            assert fh.read() == FIGURE_CSV[which]
 
 
 class TestSlopeKind:
