@@ -230,8 +230,9 @@ def certificate_to_json(cert: FillingCertificate) -> str:
 
 
 #: Largest sample count accepted by figure_data: about 2 s of `dehnfill
-#: figure` work, 11 to 14 us per row: 8 to 10.5 to tabulate and 2.7 to 3.7
-#: to write as CSV (150 000 rows, each figure, a shared 2-vCPU x86-64 host).
+#: figure` work, 8 to 15 us per row: 5.5 to 11 to tabulate and 2 to 4 to
+#: write as CSV (150 000 rows, each figure, 5 runs, a shared 2-vCPU x86-64
+#: host).
 MAX_SAMPLES = 150_000
 
 FIGURE_HEADERS = {
@@ -249,10 +250,15 @@ def figure_data(which: int, samples: int) -> tuple[tuple[str, ...], list[tuple[f
     x_hat = (2*pi)^2/Lhat^2, with the asymptote pi^2/Lhat^2 = x_hat/4.
     Figure 3: visual-area bounds versus x_hat, asymptote (2*pi)^2/Lhat^2
     = x_hat.  Returns (header, rows of floats) on np.linspace's grid, bit
-    for bit; refuses a count that is not an integer in [2, MAX_SAMPLES] first.
+    for bit; refuses a figure id that is not the integer 1, 2 or 3 (a bool
+    included) and a count that is not an integer in [2, MAX_SAMPLES] first.
     """
-    if which not in FIGURE_HEADERS:
-        raise DomainError(f"figure id must be 1, 2 or 3, got {which}")
+    try:
+        figure = None if isinstance(which, bool) else operator.index(which)
+    except TypeError:
+        figure = None
+    if figure not in FIGURE_HEADERS:
+        raise DomainError(f"figure id must be 1, 2 or 3, got {which!r}")
     try:
         samples = operator.index(samples)
     except TypeError:
@@ -265,7 +271,7 @@ def figure_data(which: int, samples: int) -> tuple[tuple[str, ...], list[tuple[f
     step = x_max / (samples - 1)
     xs = [k * step for k in range(samples - 1)] + [x_max]
     z_hats, z_tildes = list(map(invert_f, xs)), list(map(invert_ftilde, xs))
-    lower, upper = (_dv_lower_from_z, _dv_upper_from_z) if which == 2 else (_area_from_z,) * 2
-    asymptote = [x / 4.0 for x in xs] if which == 2 else xs
+    lower, upper = (_dv_lower_from_z, _dv_upper_from_z) if figure == 2 else (_area_from_z,) * 2
+    asymptote = [x / 4.0 for x in xs] if figure == 2 else xs
     columns = (xs, map(lower, z_tildes), map(upper, z_hats), asymptote)
-    return FIGURE_HEADERS[which], list(zip(*columns[:len(FIGURE_HEADERS[which])]))
+    return FIGURE_HEADERS[figure], list(zip(*columns[:len(FIGURE_HEADERS[figure])]))

@@ -25,7 +25,12 @@ step that leaves the bracket is replaced by bisection.  A target x outside
 (0, g(Z_MIN)] gives z = 1 at 0, else raises (UncertifiableError above,
 DomainError if NaN or negative).  Newton starts, clamped into [Z_MIN, 1),
 from a cubic Hermite interpolant of the inverse built at import from 32
-z-nodes on [0.49, 1]; one step then usually meets the tolerance.
+z-nodes on [0.49, 1].  A Newton step d with bend * d^2 <= tol, where bend
+bounds |g''| on [Z_MIN, 1] (10.2 for f, 182 for ftilde), is returned without
+evaluating g there: Taylor's theorem proves that g at it meets the tolerance,
+so it is the float one more evaluation would accept.  Over the figure grids
+of 2 to 488 rows, 89 % of f and 99.6 % of ftilde inversions end after the
+seed's one evaluation; the rest take two.
 """
 
 from __future__ import annotations
@@ -206,10 +211,23 @@ class _InverseSeed:
         return z + dx * (d + dx * (c2 + dx * c3))
 
 
-def _invert_decreasing(func, integrand, x_hat: float, name: str, top: float, seed) -> float:
+def _invert_decreasing(func, integrand, x_hat: float, name: str, top: float, seed,
+                       bend: float = math.inf) -> float:
     """z in [Z_MIN, 1] with |func(z) - x_hat| <= INV_TOL * max(1, x_hat), by
     Newton's method from seed(x_hat) inside the bracket [Z_MIN, 1].  ``top``
-    is func(Z_MIN), the largest target accepted."""
+    is func(Z_MIN), the largest target accepted.
+
+    ``bend`` bounds |func''| on [Z_MIN, 1].  A Newton step d that stays in
+    the bracket with bend * d^2 <= tol is returned without evaluating func
+    there: Taylor's theorem puts its residual within max|func''| d^2/2 <=
+    tol/2, and rounding adds at most 1.1e-14 * max(1, x_hat) < tol/2 (the
+    step's own rounding, at most max|func'| 2^-54 with |func'| <= 3.8; the
+    slope and quotient; both evaluations, with glibc's documented exp and
+    log errors).  So func at the step meets the tolerance, and the loop
+    would return the same float after one more evaluation.  The bounds and
+    the allowance are checked in tests/test_proofs.py.  The default, inf,
+    never exits early.
+    """
     if not 0.0 < x_hat <= top:
         if x_hat == 0.0:
             return 1.0
@@ -233,7 +251,13 @@ def _invert_decreasing(func, integrand, x_hat: float, name: str, top: float, see
             hi = z
         slope = -val * (1.0 / (1.0 - z) + integrand(z))
         step = z - (val - x_hat) / slope if slope < 0.0 else lo
-        z = step if lo < step < hi else 0.5 * (lo + hi)
+        if lo < step < hi:
+            d = step - z
+            if bend * d * d <= tol:
+                return step
+            z = step
+        else:
+            z = 0.5 * (lo + hi)
         if not lo < z < hi:
             break
     raise ConvergenceError(
@@ -245,12 +269,17 @@ def _invert_decreasing(func, integrand, x_hat: float, name: str, top: float, see
 _F_TOP, _FTILDE_TOP = _f(Z_MIN), _ftilde(Z_MIN)
 _F_SEED, _FTILDE_SEED = _InverseSeed(_f, _F), _InverseSeed(_ftilde, _Ftilde)
 
+#: Bounds on |f''| and |ftilde''| over [Z_MIN, 1] for the early exit of
+#: _invert_decreasing: the maxima are 10.187 at z = 1 and 181.85 at Z_MIN.
+F_BEND, FTILDE_BEND = 10.2, 182.0
+
 
 def invert_f(x_hat: float) -> float:
     """z-hat with f(z-hat) = x_hat; bracketed Newton on the decreasing branch."""
-    return _invert_decreasing(_f, _F, x_hat, "f", _F_TOP, _F_SEED)
+    return _invert_decreasing(_f, _F, x_hat, "f", _F_TOP, _F_SEED, F_BEND)
 
 
 def invert_ftilde(x_hat: float) -> float:
     """z-tilde with ftilde(z-tilde) = x_hat."""
-    return _invert_decreasing(_ftilde, _Ftilde, x_hat, "ftilde", _FTILDE_TOP, _FTILDE_SEED)
+    return _invert_decreasing(_ftilde, _Ftilde, x_hat, "ftilde", _FTILDE_TOP, _FTILDE_SEED,
+                              FTILDE_BEND)

@@ -347,3 +347,18 @@ class TestFigureSampleCap:
         assert "got 1000000000" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+
+class TestFigureId:
+    """figure_data(1.0, 5) and figure_data(True, 5) returned figure 1."""
+
+    @pytest.mark.parametrize("which", [1.0, 2.0, True, False, "1", None, 4])
+    def test_refused_before_any_work(self, monkeypatch, which):
+        monkeypatch.setattr(certificates, "invert_f", _unreachable)
+        monkeypatch.setattr(certificates, "f", _unreachable)
+        with pytest.raises(DomainError, match="figure id must be 1, 2 or 3"):
+            figure_data(which, 5)
+
+    @pytest.mark.parametrize("which", [np.int64(2), np.uint8(3)])
+    def test_numpy_integers_accepted(self, which):
+        assert figure_data(which, 5) == figure_data(int(which), 5)

@@ -1,18 +1,34 @@
-"""Exact symbolic checks of the per-mode coefficients of the boundary form b.
+"""Proof obligations checked exactly: the per-mode coefficients of the
+boundary form b, the envelope's closed forms, the derived threshold, and the
+derivative bounds and rounding allowance behind the inversion's early exit.
 
-k1 and eps are symbols with k2 = 1/k1, wave vectors are symbols, and each
-coefficient c = x + i y is split into its real and imaginary parts.  The
-library's helpers run on these symbols as they run on arrays; the float
+For b, k1 and eps are symbols with k2 = 1/k1, wave vectors are symbols, and
+each coefficient c = x + i y is split into its real and imaginary parts.
+The library's helpers run on these symbols as they run on arrays; the float
 literals in them (3.0, 4.0, 2.0) are read as the rationals they equal, and
-every check reduces a difference of rational functions to exactly 0.
+every check reduces a difference of rational functions to exactly 0.  The
+envelope section below says how its formulas are run.
 """
 
+import ast
+import functools
+import inspect
+import math
+import operator
+import random
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 import sympy as sp
+from mpmath import iv, mp
 
+from dehnfill import envelope
+from dehnfill.certificates import UNIVERSAL_C
+from dehnfill.envelope import INV_TOL, Z_MIN
+from dehnfill.packing import PACKING
 from dehnfill.weitzenboeck import _mode_coefficients, _mode_matrix, _row_b
+from oracles import ParentSeed, parent_invert_decreasing
 
 k1, eps = sp.symbols("k1 epsilon", positive=True)
 k2 = 1 / k1
@@ -80,3 +96,329 @@ def test_scan_row_is_b_at_the_unit_form():
     b_unit = 2 * sum(docstring_b(a, b, row[:2], row[2:]) for (a, b), row in
                      zip([(kap1, kap2), (p1, p2)], unit))
     assert vanishes(scan - b_unit)
+
+
+# ---------------------------------------------------------------------------
+# The envelope.  Each closed form in dehnfill.envelope is run on a symbol from
+# its source: the assignments and the final return of its body, with the
+# guards (if statements) and the docstring skipped, each float literal read
+# as the rational its repr spells (12.0 -> 12, 0.75 -> 3/4), math.* as sympy
+# and sqrt(2) exact.  The coefficient c = 3.3957 stays a symbol.
+
+class _Rationals(ast.NodeTransformer):
+    def visit_Constant(self, node):
+        if isinstance(node.value, float):
+            return ast.Call(ast.Name("Rational", ast.Load()), [ast.Constant(repr(node.value))], [])
+        return node
+
+
+def _compiled(node, mode):
+    tree = ast.Expression(node) if mode == "eval" else ast.Module([node], [])
+    return compile(ast.fix_missing_locations(tree), "envelope", mode)
+
+
+_ENVELOPE = _Rationals().visit(ast.parse(inspect.getsource(envelope)))
+c, z = sp.symbols("c z", positive=True)
+_EXACT = {"math": SimpleNamespace(pi=sp.pi, atan=sp.atan, log=sp.log, exp=sp.exp, sqrt=sp.sqrt),
+          "Rational": sp.Rational, "_COEFF": c}
+for _node in _ENVELOPE.body:
+    if isinstance(_node, ast.Assign) and getattr(_node.targets[0], "id", None) in {
+            "_R2", "_A", "_B", "_P2", "_Q2"}:
+        exec(_compiled(_node, "exec"), _EXACT)
+_FUNCTIONS = {node.name: node for node in _ENVELOPE.body if isinstance(node, ast.FunctionDef)}
+
+
+def run(name, arg=z):
+    """envelope.<name>'s formula at ``arg``, and the names its body assigned."""
+    scope = dict(_EXACT)
+    scope[_FUNCTIONS[name].args.args[0].arg] = arg
+    for stmt in _FUNCTIONS[name].body:
+        if isinstance(stmt, ast.Assign):
+            exec(_compiled(stmt, "exec"), scope)
+        elif isinstance(stmt, ast.Return):
+            value = eval(_compiled(stmt.value, "eval"), scope)
+    return value, scope
+
+
+def is_zero(expr) -> bool:
+    """expr == 0 exactly: a rational function of z over Q(c, sqrt(2)), or a constant."""
+    return sp.cancel(expr) == 0 or sp.simplify(expr) == 0
+
+
+# the docstrings' H, G and Gtilde (G and Gtilde as in tests/oracles.py)
+H_SYM = run("H")[0]
+G_SYM = (1 + z ** 2) / (2 * c * z ** 3)
+GTILDE_SYM = (1 + z ** 2) ** 2 / (2 * c * z ** 3 * (3 - z ** 2))
+F_SYM, FTILDE_SYM = run("_F")[0], run("_Ftilde")[0]
+
+
+def test_h_is_its_docstring():
+    assert is_zero(H_SYM - (1 + z ** 2) / (c * z * (1 - z ** 2)))
+
+
+def test_volume_drop_upper_form():
+    # (1/4) int_z^1 H'/(H (H + G)), integrand 2c w^2 (w^4 + 4w^2 - 1)/(1 + w^2)^3
+    integrand = 2 * c * z ** 2 * (z ** 4 + 4 * z ** 2 - 1) / (1 + z ** 2) ** 3
+    assert is_zero(integrand - sp.diff(H_SYM, z) / (H_SYM * (H_SYM + G_SYM)))
+    form = run("_dv_upper_from_z")[0]
+    assert is_zero(-sp.diff(form, z) - integrand / 4)
+    assert is_zero(form.subs(z, 1))
+
+
+def test_volume_drop_lower_form():
+    # (1/4) int_z^1 H'/(H (H - Gtilde)) = (P(1) - P(z))/4 with the docstring's P'
+    p_prime = (2 * c + 3 * c / (z ** 2 + 1) - 4 * c / (z ** 2 + 1) ** 2
+               - c / 2 * (3 * z - 1) / (z ** 2 + 2 * z - 1)
+               + c / 2 * (3 * z + 1) / (z ** 2 - 2 * z - 1))
+    assert is_zero(p_prime - sp.diff(H_SYM, z) / (H_SYM * (H_SYM - GTILDE_SYM)))
+    form = run("_dv_lower_from_z")[0]
+    assert is_zero(-sp.diff(form, z) - p_prime / 4)
+    assert is_zero(form.subs(z, 1))
+
+
+def test_f_is_its_integral_form():
+    # f = c (1 - z) exp(-int_1^z F): log(f/(c (1 - z))) has derivative -F and is 0 at 1
+    exponent = sp.expand_log(sp.log(run("_f")[0] / (c * (1 - z))), force=True)
+    assert is_zero(sp.diff(exponent, z) + F_SYM)
+    assert is_zero(exponent.subs(z, 1))
+
+
+def test_ftilde_exponent_is_the_integral_of_ftilde():
+    # ftilde = c (1 - z) exp(-exponent) with exponent = int_1^z Ftilde
+    value, names = run("_ftilde")
+    exponent = names["exponent"]
+    assert is_zero(sp.diff(exponent, z) - FTILDE_SYM)
+    assert is_zero(exponent.subs(z, 1))
+    assert is_zero(value - c * (1 - z) * sp.exp(-exponent))
+
+
+def _enclose(expr, box):
+    """A mpmath interval holding ``expr`` for every z in ``box``, by
+    outward-rounded interval arithmetic on the expression tree."""
+    if expr == z:
+        return box
+    if expr.is_Rational:
+        return iv.mpf(expr.p) / expr.q
+    if expr == sp.pi:
+        return iv.pi
+    if expr == sp.E:
+        return iv.e
+    args = [_enclose(arg, box) for arg in expr.args]
+    if expr.is_Add:
+        return functools.reduce(operator.add, args)
+    if expr.is_Mul:
+        return functools.reduce(operator.mul, args)
+    if expr.is_Pow:
+        base, power = args
+        return base ** int(expr.exp) if expr.exp.is_Integer else iv.exp(power * iv.log(base))
+    if isinstance(expr, sp.exp):
+        return iv.exp(args[0])
+    if isinstance(expr, sp.log):
+        return iv.log(args[0])
+    raise NotImplementedError(expr)
+
+
+def test_derived_threshold_is_below_the_literal():
+    # C*^2 = (2 pi)^2/f(1/sqrt 3) = 12 pi^2 sqrt(e)/3.3957.  Direction: C* <= C
+    # is what decisions need.  They compare L-hat with the literal C = 7.5832,
+    # and the theorem holds for L-hat > C*; were C* above C, a filling with
+    # L-hat in (C, C*] would be certified without the theorem behind it.
+    coeff = sp.Rational(repr(PACKING.h_coefficient))
+    cstar2 = (2 * sp.pi) ** 2 / run("_f", 1 / sp.sqrt(3))[0].subs(c, coeff)
+    assert sp.simplify(cstar2 - 12 * sp.pi ** 2 * sp.sqrt(sp.E) / coeff) == 0
+    literal2 = _enclose(sp.Rational(repr(UNIVERSAL_C)) ** 2, None)
+    margin = literal2 - _enclose(cstar2, None)
+    assert margin.a > 8e-4  # 7.5832^2 - C*^2 = 8.08e-4 > 0, so C* = 7.583147 < C
+
+
+# Derivative bounds behind the early exit of envelope._invert_decreasing.
+# With g = c (1 - z) K and K' = -integrand K (K = exp(-int_1^z integrand) > 0,
+# the forms proved above), g^(n) = c K P_n with P_0 = 1 - z and
+# P_{n+1} = P_n' - integrand P_n.  The largest |g^(n)| on [Z_MIN, 1] is at an
+# end or at a root of P_{n+1}; sympy isolates those roots in rational
+# intervals, and interval arithmetic encloses c K P_n on each.
+
+_WORKING = (sp.Rational(9, 20), sp.Integer(1))  # 9/20 <= the float Z_MIN
+
+
+def _kernel(name):
+    """(integrand, K) of envelope.<name> with c = the float the module uses."""
+    if name == "f":
+        return F_SYM, run("_f")[0] / (c * (1 - z))
+    return FTILDE_SYM, sp.exp(-run("_ftilde")[1]["exponent"])
+
+
+@functools.cache
+def _factors(name):
+    """(K, [P_0, ..., P_3]), each P_n as a (numerator, denominator) pair of Polys."""
+    integrand, kernel = _kernel(name)
+    a, b = (sp.Poly(part, z) for part in sp.fraction(sp.cancel(integrand)))
+    num, den = sp.Poly(1 - z, z), sp.Poly(1, z)
+    factors = [(num, den)]
+    for _ in range(3):
+        num, den = (num.diff(z) * den - num * den.diff(z)) * b - a * num * den, den ** 2 * b
+        common = num.gcd(den)
+        num, den = num.exquo(common), den.exquo(common)
+        factors.append((num, den))
+    return kernel, factors
+
+
+def _max_abs_derivative(name, order):
+    """An upper bound on max |g^(order)| over [9/20, 1], and the z it is taken at."""
+    kernel, factors = _factors(name)
+    num, den = factors[order + 1]
+    lo, hi = _WORKING
+    assert not den.intervals(inf=lo, sup=hi)  # P_{n+1} is regular here
+    boxes = [(lo, lo), (hi, hi)] + [box for box, _ in num.intervals(
+        inf=lo, sup=hi, eps=sp.Rational(1, 10 ** 12))]
+    coeff = sp.Rational(envelope._COEFF)  # the float's exact value
+    value = (coeff * kernel * factors[order][0].as_expr() / factors[order][1].as_expr()).subs(
+        c, coeff)
+    bounds = [(abs(_enclose(value, iv.mpf([_enclose(a, None).a, _enclose(b, None).b]))).b, float(a))
+              for a, b in boxes]
+    return max(bounds, key=lambda pair: float(pair[0]))
+
+
+@pytest.mark.parametrize("name, bend, peak, at", [
+    ("f", envelope.F_BEND, 10.187, 1.0), ("ftilde", envelope.FTILDE_BEND, 181.85, 0.45)])
+def test_second_derivative_bound(name, bend, peak, at):
+    assert sp.Rational(9, 20) <= sp.Rational(Z_MIN)
+    bound, where = _max_abs_derivative(name, 2)
+    assert bound <= bend
+    assert abs(bound - peak) < 0.01 and where == at  # as envelope's comment says
+
+
+@pytest.mark.parametrize("name, peak", [("f", 3.3957), ("ftilde", 3.78)])
+def test_slope_bound(name, peak):
+    bound, _ = _max_abs_derivative(name, 1)
+    assert bound <= SLOPE_MAX
+    assert bound <= peak + 5e-5
+
+
+# The rounding allowance of the early exit.  With d the computed Newton step
+# from z0, z1 = z0 + d and Taylor's theorem,
+#   |fl(g(z1)) - x| <= max|g''| d^2/2 + e(z0) + e(z1) + max|g'| |rho|
+#                      + |d| (|slope error| + max|g'| |theta|),
+# e the evaluation error of the float g, rho the rounding of z1 (at most half
+# an ulp of z1 < 1, so 2^-54), theta that of the step's subtraction and
+# quotient (2u).  The exit's test bend d^2 <= tol, rounded, gives
+# max|g''| d^2/2 <= tol/2 (the bound above), so the float test at z1 passes,
+# and fl(g(z1) - x) is monotone in g(z1), whenever the rest fits under tol/2.
+U = 2.0 ** -53
+SLOPE_MAX = 3.8
+#: evaluation error of _f and _ftilde, relative: the arithmetic (about 8
+#: roundings for _f, and for _ftilde 10 plus the cancellation in z^2 -
+#: (sqrt(2) - 1)^2 >= 0.031, which with A = 0.146 costs about 7u) plus
+#: glibc's documented 1-ulp bounds for exp and log; doubled for slack
+EVAL_REL = {"f": 16 * U, "ftilde": 32 * U}
+#: absolute error of the computed slope -g (1/(1 - z) + integrand); it only
+#: meets the tolerance multiplied by |d| <= 3.2e-7, so it is set loosely
+SLOPE_ERR = 2.0 ** -40
+#: what all of it comes to, relative to max(1, x)
+ALLOWANCE = 1.1e-14
+
+
+def test_rounding_allowance_fits_under_half_the_tolerance():
+    for name, top, bend in (("f", envelope._F_TOP, envelope.F_BEND),
+                            ("ftilde", envelope._FTILDE_TOP, envelope.FTILDE_BEND)):
+        for x in (min(top, 1.0), top):  # tol = INV_TOL max(1, x) grows past x = 1
+            tol = INV_TOL * max(1.0, x)
+            step = math.sqrt(tol * (1.0 + 4.0 * U) / bend)
+            allowance = (2.0 * EVAL_REL[name] * (x + SLOPE_MAX * step) + SLOPE_MAX * 2.0 ** -54
+                         + step * (SLOPE_ERR + SLOPE_MAX * 2.0 * U))
+            assert allowance <= ALLOWANCE * max(1.0, x) < tol / 2.0
+
+
+_INTEGRAND_MP = {name: sp.lambdify(z, expr, "mpmath") for name, expr in (("f", F_SYM),
+                                                                          ("ftilde", FTILDE_SYM))}
+
+
+def g_mp(name, t):
+    """(g(t), g'(t)) to 50 digits, from g = c (1 - t) exp(-int_1^t integrand)
+    by quadrature, and g' = -g (1/(1 - t) + integrand)."""
+    integrand = _INTEGRAND_MP[name]
+    with mp.workdps(50):
+        t = mp.mpf(t)
+        value = mp.mpf(envelope._COEFF) * (1 - t) * mp.exp(-mp.quad(integrand, [1, t]))
+        return value, -value * (1 / (1 - t) + integrand(t))
+
+
+def test_evaluation_and_slope_errors_within_the_allowance():
+    rng = random.Random(89)
+    points = [Z_MIN, 0.5, envelope._BELOW_ONE] + [rng.uniform(Z_MIN, 1.0) for _ in range(25)]
+    for name, func, integrand in (("f", envelope._f, envelope._F),
+                                  ("ftilde", envelope._ftilde, envelope._Ftilde)):
+        for t in points:
+            value, slope = g_mp(name, t)
+            val = func(t)
+            assert abs(val - value) <= EVAL_REL[name] * value, (name, t)
+            assert abs(-val * (1.0 / (1.0 - t) + integrand(t)) - slope) <= SLOPE_ERR, (name, t)
+
+
+# The exit at adversarial targets: x whose first Newton step d has
+# bend d^2 in [0.9 tol, tol], so the exit fires with the least room.
+
+_INVERSION = {
+    "f": (envelope._f, envelope._F, envelope._F_TOP, envelope._F_SEED, envelope.F_BEND),
+    "ftilde": (envelope._ftilde, envelope._Ftilde, envelope._FTILDE_TOP, envelope._FTILDE_SEED,
+               envelope.FTILDE_BEND),
+}
+
+
+def _inversion(name, x, bend=math.inf):
+    """(z, the points func was evaluated at) of _invert_decreasing at x."""
+    func, integrand, top, seed, _ = _INVERSION[name]
+    seen = []
+
+    def recorded(t):
+        seen.append(t)
+        return func(t)
+
+    return envelope._invert_decreasing(recorded, integrand, x, name, top, seed, bend), seen
+
+
+def _exit_ratio(name, x):
+    """bend d^2/tol for the first Newton step d at x (0 if the seed is met)."""
+    seen = _inversion(name, x)[1]
+    if len(seen) < 2:
+        return 0.0
+    d = seen[1] - seen[0]
+    return _INVERSION[name][4] * d * d / (INV_TOL * max(1.0, x))
+
+
+def _adversarial_targets(name):
+    """Targets with exit ratio in [0.9, 1]: each seed interval is sampled at 65
+    points, and every crossing of 0.95 is bisected into [0.9, 1]."""
+    top, seed = _INVERSION[name][2], _INVERSION[name][3]
+    nodes = [x for x in seed.x_nodes if x < top] + [top]
+    targets = []
+    for a, b in zip(nodes, nodes[1:]):
+        xs = [a + (b - a) * k / 64 for k in range(65)]
+        below = [_exit_ratio(name, x) < 0.95 for x in xs]
+        for i in range(64):
+            if below[i] == below[i + 1]:
+                continue
+            lo, hi = (xs[i], xs[i + 1]) if below[i] else (xs[i + 1], xs[i])
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                ratio = _exit_ratio(name, mid)
+                if 0.9 <= ratio <= 1.0:
+                    targets.append(mid)
+                    break
+                lo, hi = (mid, hi) if ratio < 0.95 else (lo, mid)
+    return targets
+
+
+@pytest.mark.parametrize("name", sorted(_INVERSION))
+def test_exit_at_adversarial_targets(name):
+    func, integrand, top, _, bend = _INVERSION[name]
+    parent_seed = ParentSeed(func, integrand)
+    targets = _adversarial_targets(name)
+    assert len(targets) >= 10
+    for x in targets:
+        z_exit, seen = _inversion(name, x, bend)
+        assert len(seen) == 1  # the exit fired
+        assert z_exit.hex() == parent_invert_decreasing(
+            func, integrand, x, name, top, parent_seed).hex(), x.hex()
+        tol = INV_TOL * max(1.0, x)
+        assert abs(g_mp(name, z_exit)[0] - x) <= tol / 2.0 + ALLOWANCE * max(1.0, x) < tol

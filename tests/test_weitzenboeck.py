@@ -477,3 +477,36 @@ class TestPositivityWindow:
         assert not BoundaryCurvature(
             SQRT3, 1.0 / SQRT3, math.nextafter(2.0 / SQRT3, 3.0)).in_positivity_window()
         assert not BoundaryCurvature(SQRT3 + 2e-12, 1.0 / (SQRT3 + 2e-12)).in_positivity_window()
+
+
+class TestMirrorClassTies:
+    """(m, n) and (m, -n) have the same 2x2 form up to the sign of q12, so
+    the same eigenvalues bit for bit, and exact_min_b names the class of
+    such a pair that comes first in the class order: the one with n < 0."""
+
+    KAPPA = 2.0 * math.pi * np.array(PAIR_CLASSES, dtype=float)
+    MIRRORS = [(PAIR_CLASSES.index((m, n)), PAIR_CLASSES.index((m, -n)))
+               for m, n in PAIR_CLASSES if m > 0 and n > 0]
+
+    def curvatures(self):
+        rng = np.random.default_rng(83)
+        for _ in range(3000):
+            yield random_curvature(rng, k_lo=0.05, k_hi=1.0, eps_hi=3.0)
+
+    def test_mirror_classes_have_bit_equal_eigenvalues(self):
+        assert len(self.MIRRORS) == 9
+        for curv in self.curvatures():
+            lam = mode_min_eigenvalue(curv, self.KAPPA)
+            for i, j in self.MIRRORS:
+                assert float(lam[i]).hex() == float(lam[j]).hex(), (curv, PAIR_CLASSES[i])
+
+    def test_minimum_names_the_first_class_that_attains_it(self):
+        named_mirror = 0
+        for curv in self.curvatures():
+            lam = mode_min_eigenvalue(curv, self.KAPPA)
+            value, mode = exact_min_b(curv)
+            assert mode == PAIR_CLASSES[[float(v) for v in lam].index(value)]
+            m, n = mode
+            assert m == 0 or n <= 0, (curv, mode)
+            named_mirror += n < 0
+        assert named_mirror > 0  # the tie is met, not just allowed
