@@ -6,46 +6,29 @@ from .certificates import (
     UNIVERSAL_C,
     EnvelopeBounds,
     FillingCertificate,
-    SchlafliStep,
     certificate_to_json,
     certify,
     envelope_bounds,
     figure_data,
     full_certificate,
-    schlafli_dV,
 )
 from .envelope import f, ftilde, invert_f, invert_ftilde
-from .packing import PACKING, R0, boundary_injectivity_bound, ellipse_axes, h
+from .packing import PACKING, R0, h
 from .slope_lattice import (
     CuspShape,
     enumerate_short_slopes,
     lattice_reduce,
     slope_normalized_length,
 )
-from .torus_geometry import (
-    ComplexLength,
-    SlopeClass,
-    TubularTorus,
-    complex_length,
-    euclidean_length,
-    normalized_length,
-    principal_curvatures,
-    surgery_coefficient,
-    visual_area,
-)
 from .weitzenboeck import (
     BoundaryCurvature,
     FourierMode1Form,
-    StandardFormCoefficients,
     boundary_form_b,
-    epsilon_zero_kernel,
     exact_min_b,
     mode_b,
     random_form,
     random_modes,
     scan_min_b,
-    standard_form_coeffs,
-    symbol_matrix_LS,
 )
 
 __version__ = "0.1.0"

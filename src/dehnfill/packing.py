@@ -9,7 +9,8 @@ most pi/(2*sqrt(3)).
 The decimal constants 3.3957 and 0.980258 are kept as the literal truncated
 values the certified statements use; recomputing them more precisely would
 change certified outputs.  Their provenance is checked by the consistency
-properties below (axis_coefficient ~ 1/S, h_coefficient ~ 2*sqrt(3) * axis).
+tests in tests/test_packing.py (axis_coefficient ~ 1/S, h_coefficient ~
+2*sqrt(3) * axis, and h rebuilt from the bumping-ellipse axes).
 Note 0.980258 (the axis coefficient, ~1/S) and 0.980254 (the value h(R0))
 are different numbers and are never conflated.
 """
@@ -27,8 +28,6 @@ __all__ = [
     "R0",
     "Z0",
     "h",
-    "ellipse_axes",
-    "boundary_injectivity_bound",
 ]
 
 #: tanh(R0) = 1/sqrt(3), the lower end z0 of the certified envelope range.
@@ -71,23 +70,3 @@ def h(r: float) -> float:
     if not r > 0.0:
         raise DomainError(f"h needs r > 0, got {r}")
     return _over(PACKING.h_coefficient * math.tanh(r), math.cosh, 2.0 * r)
-
-
-def ellipse_axes(R_i: float, R: float) -> tuple[float, float]:
-    """Semi-axes of the disjoint shadow ellipse on a torus of radius R_i, 0 < R <= R_i <= inf.
-
-    a = 0.980258 t/(1 + t t_i), b = t t_i/(t + t_i) (t = tanh R, t_i = tanh R_i) are
-    0.980258 sinh R cosh R_i/cosh(R_i + R) and sinh R sinh R_i/sinh(R_i + R) over cosh R cosh R_i.
-    At R_i = R these are the bumping-ellipse axes, with b = tanh(R)/2.
-    """
-    if not 0.0 < R <= R_i:
-        raise DomainError(f"ellipse_axes needs 0 < R <= R_i, got R={R}, R_i={R_i}")
-    t, t_i = math.tanh(R), math.tanh(R_i)
-    return PACKING.axis_coefficient * t / (1.0 + t * t_i), t * t_i / (t + t_i)
-
-
-def boundary_injectivity_bound(R: float) -> float:
-    """Euclidean injectivity radius bound c(R) = 0.980258/(coth R + 1)."""
-    if not R > 0.0:
-        raise DomainError(f"boundary_injectivity_bound needs R > 0, got {R}")
-    return PACKING.axis_coefficient / (1.0 / math.tanh(R) + 1.0)

@@ -49,9 +49,9 @@ def slope_normalized_length(shape: CuspShape, slope: tuple[float, float]) -> flo
     """Normalized length |p + q*tau| / sqrt(im tau) of the class p + q*tau, or
     inf where |p + q*tau| leaves the float range.
 
-    Unlike torus_geometry, which raises DomainError on overflow, this returns
-    inf by design: certify reads an infinite normalized length as a cusp too
-    long to count (1/Lhat^2 = 0).  A NaN entry raises DomainError."""
+    It returns inf rather than raising by design: certify reads an infinite
+    normalized length as a cusp too long to count (1/Lhat^2 = 0).  A NaN
+    entry raises DomainError."""
     p, q = slope
     if p == 0.0 and q == 0.0:
         raise DomainError("slope (0, 0) has no normalized length")

@@ -292,6 +292,18 @@ class TestTinyLhat:
         assert not cert.certified
 
 
+class TestStringLhats:
+    """certify("99") read the characters as lengths and reported
+    per_cusp_lhat (9.0, 9.0); certify(b"99") reported (57.0, 57.0)."""
+
+    @pytest.mark.parametrize("lhats", ["99", "8", "", b"99", bytearray(b"99")],
+                             ids=["str", "certifiable_str", "empty_str", "bytes", "bytearray"])
+    def test_library_rejects(self, lhats):
+        for fn in (certify, full_certificate):
+            with pytest.raises(DomainError, match="not a string"):
+                fn(lhats)
+
+
 def _unreachable(*args, **kwargs):
     raise AssertionError("figure_data started work on a refused sample count")
 

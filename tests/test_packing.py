@@ -1,11 +1,10 @@
 import math
-import random
 
 import mpmath
 import pytest
 
 from dehnfill.errors import DomainError
-from dehnfill.packing import PACKING, R0, boundary_injectivity_bound, ellipse_axes, h
+from dehnfill.packing import PACKING, R0, h
 
 SQRT3 = math.sqrt(3.0)
 
@@ -49,67 +48,6 @@ class TestH:
             h(-0.5)
 
 
-class TestEllipseAxes:
-    def test_bumping_minor_axis(self):
-        for R in (0.5, R0, 1.0, 2.0):
-            _, b = ellipse_axes(R, R)
-            assert b == pytest.approx(math.tanh(R) / 2.0, rel=1e-14)
-
-    def test_bumping_area(self):
-        R = 1.2
-        a, b = ellipse_axes(R, R)
-        expected = 0.980258 * math.pi * math.sinh(R) ** 2 / (2.0 * math.cosh(2 * R))
-        assert math.pi * a * b == pytest.approx(expected, rel=1e-13)
-
-    def test_reproduces_h(self):
-        # packing density pi/(2 sqrt 3) turns the ellipse area into h(R)
-        for R in (R0, 0.8, 1.5):
-            a, b = ellipse_axes(R, R)
-            bound = (4 * SQRT3 / math.pi) * math.pi * a * b / (
-                math.sinh(R) * math.cosh(R)
-            )
-            assert bound == pytest.approx(h(R), abs=5e-4 * h(R))
-
-    @pytest.mark.parametrize("R_i", [800.0, math.inf])
-    def test_horospherical_limit(self, R_i):
-        # tanh R_i = 1.0: sinh and cosh of R_i overflow at 800 and give nan at inf
-        for R in (0.3, 1.0, 5.0, 30.0, 800.0):
-            t = math.tanh(R)
-            assert ellipse_axes(R_i, R) == (0.980258 * t / (1.0 + t), t / (1.0 + t))
-
-    def test_against_arbitrary_precision(self):
-        rng = random.Random(41)
-        for _ in range(500):
-            R, R_i = sorted(rng.uniform(1e-3, 30.0) for _ in range(2))
-            with mpmath.workdps(50):
-                r, ri = mpmath.mpf(R), mpmath.mpf(R_i)
-                a = mpmath.mpf("0.980258") * mpmath.sinh(r) * mpmath.cosh(ri) / mpmath.cosh(ri + r)
-                b = mpmath.sinh(r) * mpmath.sinh(ri) / mpmath.sinh(ri + r)
-            got = ellipse_axes(R_i, R)
-            assert got[0] == pytest.approx(float(a), rel=1e-14)
-            assert got[1] == pytest.approx(float(b), rel=1e-14)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(DomainError):
-            ellipse_axes(1.0, 2.0)  # R > R_i
-
-
-class TestInjectivityBound:
-    def test_value_at_critical_radius(self):
-        assert boundary_injectivity_bound(R0) == pytest.approx(
-            0.980258 / (SQRT3 + 1.0), rel=1e-12
-        )
-        assert boundary_injectivity_bound(R0) == pytest.approx(0.358799, abs=5e-6)
-
-    def test_limit(self):
-        assert boundary_injectivity_bound(50.0) == pytest.approx(0.980258 / 2.0, rel=1e-12)
-
-    def test_increasing(self):
-        rs = [0.1 + i * 9.9 / 999 for i in range(1000)]
-        vals = [boundary_injectivity_bound(r) for r in rs]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
 class TestConstantConsistency:
     def test_axis_coefficient_vs_s(self):
         assert PACKING.axis_coefficient * PACKING.s_constant == pytest.approx(
@@ -121,6 +59,17 @@ class TestConstantConsistency:
         assert 2.0 * SQRT3 * PACKING.axis_coefficient == pytest.approx(
             PACKING.h_coefficient, abs=5e-4
         )
+
+    def test_reproduces_h(self):
+        # bumping-ellipse semi-axes a = 0.980258 t/(1 + t^2), b = t/2 (t = tanh R);
+        # packing density pi/(2 sqrt 3) turns the ellipse area into h(R)
+        for R in (R0, 0.8, 1.5):
+            t = math.tanh(R)
+            a, b = PACKING.axis_coefficient * t / (1.0 + t * t), t / 2.0
+            bound = (4 * SQRT3 / math.pi) * math.pi * a * b / (
+                math.sinh(R) * math.cosh(R)
+            )
+            assert bound == pytest.approx(h(R), abs=5e-4 * h(R))
 
     def test_density_ratio(self):
         assert PACKING.density_ratio == pytest.approx(math.pi / (2 * SQRT3), rel=1e-15)
