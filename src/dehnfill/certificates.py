@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .envelope import _area_from_z, _dv_lower_from_z, _dv_upper_from_z, f, invert_f, invert_ftilde
@@ -39,9 +40,11 @@ __all__ = [
     "UNIVERSAL_C",
     "EnvelopeBounds",
     "FillingCertificate",
+    "SchlafliStep",
     "certify",
     "full_certificate",
     "envelope_bounds",
+    "schlafli_dV",
     "figure_data",
     "certificate_to_json",
 ]
@@ -75,6 +78,24 @@ class FillingCertificate(NamedTuple):
         cusp (Lhat = inf) is written as None."""
         lhats = [None if v == math.inf else v for v in self.per_cusp_lhat]
         return {**self._asdict(), "per_cusp_lhat": lhats}
+
+
+@dataclass(frozen=True)
+class SchlafliStep:
+    """An infinitesimal radial deformation step: visual area, angle, d(angle),
+    all finite."""
+
+    visual_area: float
+    alpha: float
+    d_alpha: float
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.visual_area < math.inf:
+            raise DomainError(f"visual area must be positive and finite, got {self.visual_area}")
+        if not math.isfinite(self.d_alpha):
+            raise DomainError(f"d_alpha must be finite, got {self.d_alpha}")
 
 
 def _sq(v: float) -> float:
@@ -158,6 +179,15 @@ def full_certificate(lhats) -> FillingCertificate:
         cert.per_cusp_lhat, cert.combined_lhat, True, cert.margin, R0, env.volume_drop,
         env.visual_area, env.core_length_hi, env.z_hat, env.z_tilde,
     )
+
+
+def schlafli_dV(step: SchlafliStep) -> float:
+    """Variation in volume dV = -(A/(2*alpha)) d(alpha); raises DomainError
+    where A/(2*alpha) or the product overflows."""
+    dv = -step.visual_area / (2.0 * step.alpha) * step.d_alpha
+    if not math.isfinite(dv):  # inf, or inf * 0 = nan for a zero step
+        raise DomainError(f"dV of {step} overflows")
+    return dv
 
 
 #: '{' or ',' then the indented key of each field, in field order.

@@ -1,4 +1,4 @@
-"""Spectral evaluation of the boundary quadratic form.
+"""Spectral evaluation of the boundary quadratic form and ellipticity data.
 
 The boundary term whose sign controls infinitesimal rigidity is, for a
 tubular boundary with principal curvatures k1, k2 (k1*k2 = 1) and the
@@ -19,7 +19,11 @@ a sum of per-mode 2x2 forms (``mode_b``).  Their smallest eigenvalue is the
 exact minimum of b on unit forms (``exact_min_b``).  The quadratic form
 depends on the flat metric only through L2 norms, and another flat torus
 only moves the modes to other wave vectors, so the square torus stands for
-every flat torus in the sign of the minimum, not in its value.
+every flat torus in the sign of the minimum, not in its value.  The same
+module carries the coefficient record (a, b, c, xi, w) of the boundary-torus
+contribution in standard form, and the principal symbol computations behind
+ellipticity of the perturbed boundary value problem (including the explicit
+epsilon = 0 kernel showing the unperturbed problem is not elliptic).
 """
 
 from __future__ import annotations
@@ -35,11 +39,15 @@ from .packing import Z0
 __all__ = [
     "BoundaryCurvature",
     "FourierMode1Form",
+    "StandardFormCoefficients",
+    "standard_form_coeffs",
     "boundary_form_b",
     "mode_b",
     "mode_min_eigenvalue",
     "exact_min_b",
     "scan_min_b",
+    "symbol_matrix_LS",
+    "epsilon_zero_kernel",
     "random_form",
     "random_modes",
 ]
@@ -158,6 +166,51 @@ def random_form(rng: np.random.Generator) -> FourierMode1Form:
     )
 
 
+@dataclass(frozen=True)
+class StandardFormCoefficients:
+    """Coefficient record of the boundary-torus contribution in standard form.
+
+    The quadratic a*(X^2 + Y^2) + b*X + c completes to
+    a*((X + xi)^2 + Y^2) + const with xi = b/(2a) and
+    w^2 = (b^2 - 4ac)/(4a^2), yielding the bounds
+    -w - xi <= weighted mean of X <= w - xi.
+    """
+
+    a: float
+    b: float
+    c: float
+    xi: float
+    w: float
+    x_ratio_bounds: tuple[float, float]
+
+
+def standard_form_coeffs(R: float) -> StandardFormCoefficients:
+    """Coefficients (a, b, c, xi, w) at tube radius R.
+
+    a = -(sinh^2 R / cosh^2 R)(2 cosh^2 R + 1), b = -2/cosh^2 R,
+    c = (2 cosh^2 R - 1)/(sinh^2 R cosh^2 R),
+    xi = 1/(sinh^2 R (2 cosh^2 R + 1)),
+    w = 2 cosh^2 R / (sinh^2 R (2 cosh^2 R + 1)).
+    """
+    if not (R > 0.0 and math.isfinite(R)):
+        raise DomainError(f"tube radius must be positive and finite, got {R}")
+    try:
+        sh2 = math.sinh(R) ** 2
+        ch2 = math.cosh(R) ** 2
+        a = -(sh2 / ch2) * (2.0 * ch2 + 1.0)
+        b = -2.0 / ch2
+        c = (2.0 * ch2 - 1.0) / (sh2 * ch2)
+        xi = 1.0 / (sh2 * (2.0 * ch2 + 1.0))
+        w = 2.0 * ch2 / (sh2 * (2.0 * ch2 + 1.0))
+    except (OverflowError, ZeroDivisionError):  # sh2 or ch2 overflows, or sh2 underflows to 0
+        a = c = xi = w = math.inf
+    if not all(map(math.isfinite, (a, c, w + xi))):  # b is in [-2, 0); w, xi > 0
+        raise DomainError(f"standard form coefficients at tube radius {R} leave the float range")
+    return StandardFormCoefficients(
+        a=a, b=b, c=c, xi=xi, w=w, x_ratio_bounds=(-w - xi, w - xi)
+    )
+
+
 def _mode_coefficients(curv: BoundaryCurvature, kap1, kap2):
     """(a1, a2, w) with mode_b = a1 |c1|^2 + a2 |c2|^2 + w |kap2 c1 - kap1 c2|^2: the one
     formula for b, in plain arithmetic, so arrays and symbols pass through alike."""
@@ -271,3 +324,39 @@ def exact_min_b(curv: BoundaryCurvature) -> tuple[float, tuple[int, int]]:
     lam = mode_min_eigenvalue(curv, _KAPPA)
     i = int(np.argmin(lam))
     return float(lam[i]), (int(_PAIR_CLASSES[i, 0]), int(_PAIR_CLASSES[i, 1]))
+
+
+def symbol_matrix_LS(k: float, zeta: tuple[float, float]) -> tuple[np.ndarray, float]:
+    """Principal symbol diag(k^2 a^2 + b^2, a^2 + k^-2 b^2) and its determinant.
+
+    Positive determinant for every zeta != 0, so the perturbed second
+    boundary operator is invertible on each nonzero frequency.  Raises
+    DomainError for k not positive and finite, for zeta not finite or zero,
+    and where an entry or the determinant overflows or underflows to 0.
+    """
+    a, b = zeta
+    if not (0.0 < k < math.inf and math.isfinite(a) and math.isfinite(b) and (a or b)):
+        raise DomainError(
+            f"need k positive and finite and zeta finite and nonzero, got k={k}, zeta={zeta}"
+        )
+    try:
+        d1, d2 = k * k * a * a + b * b, a * a + b * b / (k * k)
+    except ZeroDivisionError:  # k*k underflows to 0
+        d1 = d2 = math.inf
+    det = float(d1 * d2)
+    if not 0.0 < det < math.inf:  # else both entries, being >= 0, are positive and finite
+        raise DomainError(f"symbol at k={k}, zeta={zeta} leaves the positive float range")
+    return np.diag([d1, d2]), det
+
+
+def epsilon_zero_kernel(zeta: tuple[float, float]) -> tuple[float, np.ndarray]:
+    """Nontrivial kernel of the unperturbed (epsilon = 0) symbol system.
+
+    Returns (h0, sigma0) with h0 = 1 and i*sigma0 = h0 * zeta/|zeta|,
+    solving h0*|zeta| - i zeta.sigma0 = 0 and sigma0*|zeta| + i h0 zeta = 0.
+    """
+    z = np.asarray(zeta, dtype=float)
+    if not (np.isfinite(z).all() and z.any()):
+        raise DomainError(f"zeta must be finite and nonzero, got {zeta}")
+    z = z / np.abs(z).max()  # so the norm can neither overflow nor underflow
+    return 1.0, -1j * z / math.hypot(*z)

@@ -7,11 +7,13 @@ import pytest
 
 from dehnfill.certificates import (
     UNIVERSAL_C,
+    SchlafliStep,
     certificate_to_json,
     certify,
     envelope_bounds,
     figure_data,
     full_certificate,
+    schlafli_dV,
 )
 from dehnfill.errors import DomainError, UncertifiableError
 from dehnfill.packing import R0, h
@@ -155,6 +157,39 @@ class TestCoreLength:
     def test_monotone_decreasing(self):
         vals = [envelope_bounds(l).core_length_hi for l in (7.6, 8.0, 10.0, 20.0, 100.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestSchlafli:
+    def test_zero_step(self):
+        assert schlafli_dV(SchlafliStep(0.7, 1.0, 0.0)) == 0.0
+
+    def test_cone_case(self):
+        # A = alpha*ell gives dV = -(ell/2) d(alpha)
+        alpha, ell, d_alpha = 1.3, 0.6, 0.01
+        step = SchlafliStep(alpha * ell, alpha, d_alpha)
+        assert schlafli_dV(step) == pytest.approx(-(ell / 2.0) * d_alpha, rel=1e-14)
+
+    def test_numeric(self):
+        assert schlafli_dV(SchlafliStep(0.5, math.pi, 0.1)) == pytest.approx(
+            -0.0079577, abs=1e-6
+        )
+
+    def test_invalid(self):
+        with pytest.raises(DomainError):
+            SchlafliStep(0.5, 0.0, 0.1)
+
+    @pytest.mark.parametrize("fields", [
+        (math.inf, 1.0, 1.0), (0.5, math.inf, 1.0), (0.5, 1.0, math.inf),
+        (0.5, 1.0, -math.inf), (0.5, 1.0, math.nan), (math.nan, 1.0, 1.0),
+    ])
+    def test_non_finite_field_refused(self, fields):
+        with pytest.raises(DomainError, match="finite"):
+            SchlafliStep(*fields)
+
+    @pytest.mark.parametrize("fields", [(1e308, 1e-308, 1.0), (1e308, 1e-308, 0.0)])
+    def test_overflowing_dv_refused(self, fields):
+        with pytest.raises(DomainError, match="overflows"):
+            schlafli_dV(SchlafliStep(*fields))
 
 
 class TestCertificateReport:

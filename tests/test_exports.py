@@ -27,6 +27,13 @@ UNCALLED = {
     "PackingConstants": "the type of PACKING",
     "EnvelopeBounds": "the return type of envelope_bounds",
     "FillingCertificate": "the return type of certify and full_certificate",
+    # Unreached; kept with their tests until ROADMAP item 11's second deletion.
+    "SchlafliStep": "the argument of schlafli_dV",
+    "schlafli_dV": "the Schlafli volume differential, not yet on a certified path",
+    "StandardFormCoefficients": "the return type of standard_form_coeffs",
+    "standard_form_coeffs": "the standard-form record, not yet on a certified path",
+    "symbol_matrix_LS": "the ellipticity symbol, not yet on a certified path",
+    "epsilon_zero_kernel": "the epsilon = 0 kernel, not yet on a certified path",
 }
 
 

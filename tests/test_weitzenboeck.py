@@ -1,25 +1,84 @@
 import json
 import math
+import re
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dehnfill.errors import DomainError
+from dehnfill.packing import R0
 from dehnfill.cli import run
 from dehnfill.weitzenboeck import (
     BoundaryCurvature,
     FourierMode1Form,
     boundary_form_b,
+    epsilon_zero_kernel,
     exact_min_b,
     mode_min_eigenvalue,
     random_form,
     random_modes,
     scan_min_b,
+    standard_form_coeffs,
+    symbol_matrix_LS,
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+class TestStandardFormCoefficients:
+    def test_critical_radius_values(self):
+        # sinh^2 R0 = 1/2, cosh^2 R0 = 3/2
+        rec = standard_form_coeffs(R0)
+        assert rec.a == pytest.approx(-4.0 / 3.0, abs=1e-13)
+        assert rec.b == pytest.approx(-4.0 / 3.0, abs=1e-13)
+        assert rec.c == pytest.approx(8.0 / 3.0, abs=1e-13)
+        assert rec.xi == pytest.approx(0.5, abs=1e-13)
+        assert rec.w == pytest.approx(1.5, abs=1e-13)
+
+    def test_critical_radius_ratio_bound(self):
+        rec = standard_form_coeffs(R0)
+        assert rec.w + rec.xi == pytest.approx(2.0, abs=1e-13)
+        assert rec.x_ratio_bounds[0] == pytest.approx(-1.0 / math.sinh(R0) ** 2, abs=1e-12)
+
+    def test_large_radius_limits(self):
+        rec = standard_form_coeffs(20.0)
+        assert abs(rec.xi) < 1e-15
+        assert abs(rec.w) < 1e-15
+
+    def test_identities_random(self):
+        rng = np.random.default_rng(29)
+        for R in rng.uniform(0.1, 5.0, size=200):
+            rec = standard_form_coeffs(float(R))
+            sh2 = math.sinh(R) ** 2
+            ch2 = math.cosh(R) ** 2
+            assert rec.xi == pytest.approx(rec.b / (2 * rec.a), rel=1e-12)
+            assert rec.w**2 == pytest.approx(
+                (rec.b**2 - 4 * rec.a * rec.c) / (4 * rec.a**2), rel=1e-12
+            )
+            lo, hi = rec.x_ratio_bounds
+            assert lo == pytest.approx(-1.0 / sh2, rel=1e-12)
+            assert hi == pytest.approx((2 * ch2 - 1) / (sh2 * (2 * ch2 + 1)), rel=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            standard_form_coeffs(0.0)
+        with pytest.raises(DomainError):
+            standard_form_coeffs(math.inf)
+        # a ~ -e^(2R)/2 leaves the float range above R ~ 355.2, and c, xi, w ~ 1/R^2
+        # below R ~ 1e-154
+        for R in (356.0, 1e-160, 1e-200):
+            with pytest.raises(DomainError, match="float range"):
+                standard_form_coeffs(R)
+
+    def test_finite_near_the_float_range(self):
+        for R in (350.0, 1e-150):
+            rec = standard_form_coeffs(R)
+            values = (rec.a, rec.b, rec.c, rec.xi, rec.w, *rec.x_ratio_bounds)
+            assert all(math.isfinite(v) for v in values)
 
 
 class TestBoundaryForm:
@@ -63,6 +122,97 @@ class TestBoundaryForm:
         form = random_form(rng)
         assert form.coefficient_norm_sq() == pytest.approx(1.0, rel=1e-12)
         assert len(form.modes) == 16  # 8 modes plus conjugates
+
+
+class TestSymbolMatrix:
+    def test_identity_case(self):
+        mat, det = symbol_matrix_LS(1.0, (1.0, 0.0))
+        assert np.allclose(mat, np.eye(2))
+        assert det == pytest.approx(1.0)
+
+    def test_sqrt3_case(self):
+        mat, det = symbol_matrix_LS(SQRT3, (1.0, 1.0))
+        assert mat[0, 0] == pytest.approx(4.0, rel=1e-14)
+        assert mat[1, 1] == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert det == pytest.approx(16.0 / 3.0, rel=1e-14)
+
+    def test_determinant_positive(self):
+        rng = np.random.default_rng(59)
+        for _ in range(1000):
+            k = float(rng.uniform(1.0 / SQRT3, SQRT3))
+            zeta = rng.standard_normal(2)
+            if np.hypot(*zeta) < 1e-6:
+                continue
+            _, det = symbol_matrix_LS(k, tuple(zeta))
+            assert det > 0.0
+            norm4 = (zeta[0] ** 2 + zeta[1] ** 2) ** 2
+            assert det >= min(k**2, k**-2) * norm4 - 1e-9 * norm4
+
+    @pytest.mark.parametrize("k, zeta", [
+        (1e-200, (0.0, 1.0)),  # k*k underflows: was ZeroDivisionError
+        (1.0, (0.3, math.nan)),  # was a NaN matrix and determinant
+        (1.0, (1e200, 1.0)),  # an entry overflows: was inf
+        (math.inf, (1.0, 0.0)),
+        (math.nan, (1.0, 1.0)),
+        (1.0, (1e-200, 0.0)),  # entries underflow: was determinant 0.0
+        (1.0, (0.0, 0.0)),  # zeta = 0: was determinant 0.0
+        (1e100, (1e100, 1e-100)),  # the determinant overflows
+    ])
+    def test_refuses_outside_positive_float_range(self, k, zeta):
+        with pytest.raises(DomainError, match=re.escape(f"k={k}, zeta=")):
+            symbol_matrix_LS(k, zeta)
+
+
+class TestEpsilonZeroKernel:
+    @staticmethod
+    def residuals(zeta, h0, sigma0):
+        z = np.asarray(zeta, dtype=float)
+        norm = np.hypot(*z)
+        r1 = h0 * norm - 1j * np.dot(z, sigma0)
+        r2 = sigma0 * norm + 1j * h0 * z
+        return abs(r1), float(np.max(np.abs(r2)))
+
+    def test_axis_vector(self):
+        h0, sigma0 = epsilon_zero_kernel((1.0, 0.0))
+        r1, r2 = self.residuals((1.0, 0.0), h0, sigma0)
+        assert r1 < 1e-14 and r2 < 1e-14
+
+    def test_three_four(self):
+        h0, sigma0 = epsilon_zero_kernel((3.0, 4.0))
+        r1, r2 = self.residuals((3.0, 4.0), h0, sigma0)
+        assert r1 < 1e-14 and r2 < 1e-14
+
+    def test_nontrivial(self):
+        h0, sigma0 = epsilon_zero_kernel((0.2, -0.9))
+        assert abs(h0) + float(np.linalg.norm(sigma0)) > 0.5
+
+    def test_zero_rejected(self):
+        with pytest.raises(DomainError):
+            epsilon_zero_kernel((0.0, 0.0))
+
+    @pytest.mark.parametrize("zeta", [
+        (math.inf, 1.0), (1.0, -math.inf), (math.nan, 0.0), (math.inf, math.inf),
+    ])
+    def test_non_finite_rejected(self, zeta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="zeta"):
+                epsilon_zero_kernel(zeta)
+
+    @pytest.mark.parametrize("zeta", [
+        (1.7e308, 1.7e308), (-1e308, 3e307), (5e-324, 5e-324), (1e-320, -3e-321),
+    ])
+    def test_extreme_scales(self, zeta):
+        # |zeta| overflows or is subnormal here; sigma0 is still -i zeta/|zeta|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h0, sigma0 = epsilon_zero_kernel(zeta)
+        with mpmath.workdps(50):
+            norm = mpmath.hypot(*map(mpmath.mpf, zeta))
+            expected = [float(mpmath.mpf(z) / norm) for z in zeta]
+        assert h0 == 1.0
+        assert sigma0.real.tolist() == [0.0, 0.0]
+        assert (-sigma0.imag).tolist() == pytest.approx(expected, rel=1e-15)
 
 
 def direct_b(curv, sigma):
