@@ -6,13 +6,11 @@ from .certificates import (
     UNIVERSAL_C,
     EnvelopeBounds,
     FillingCertificate,
-    SchlafliStep,
     certificate_to_json,
     certify,
     envelope_bounds,
     figure_data,
     full_certificate,
-    schlafli_dV,
 )
 from .envelope import f, ftilde, invert_f, invert_ftilde
 from .packing import PACKING, R0, h
@@ -25,16 +23,12 @@ from .slope_lattice import (
 from .weitzenboeck import (
     BoundaryCurvature,
     FourierMode1Form,
-    StandardFormCoefficients,
     boundary_form_b,
-    epsilon_zero_kernel,
     exact_min_b,
     mode_b,
     random_form,
     random_modes,
     scan_min_b,
-    standard_form_coeffs,
-    symbol_matrix_LS,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .envelope import _area_from_z, _dv_lower_from_z, _dv_upper_from_z, f, invert_f, invert_ftilde
@@ -40,11 +39,9 @@ __all__ = [
     "UNIVERSAL_C",
     "EnvelopeBounds",
     "FillingCertificate",
-    "SchlafliStep",
     "certify",
     "full_certificate",
     "envelope_bounds",
-    "schlafli_dV",
     "figure_data",
     "certificate_to_json",
 ]
@@ -80,24 +77,6 @@ class FillingCertificate(NamedTuple):
         return {**self._asdict(), "per_cusp_lhat": lhats}
 
 
-@dataclass(frozen=True)
-class SchlafliStep:
-    """An infinitesimal radial deformation step: visual area, angle, d(angle),
-    all finite."""
-
-    visual_area: float
-    alpha: float
-    d_alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0.0 < self.visual_area < math.inf:
-            raise DomainError(f"visual area must be positive and finite, got {self.visual_area}")
-        if not math.isfinite(self.d_alpha):
-            raise DomainError(f"d_alpha must be finite, got {self.d_alpha}")
-
-
 def _sq(v: float) -> float:
     """v ** 2, or inf where the float power overflows (it raises there).
 
@@ -112,11 +91,16 @@ def _sq(v: float) -> float:
 
 def certify(lhats) -> FillingCertificate:
     """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2.
-    Raises DomainError for a str or bytes argument (its characters are not
-    lengths), for no or non-positive lengths, or when the sum is 0 or not
-    finite (Lhat_i^2 underflows, or a term or the sum overflows)."""
+    Raises DomainError for a str or bytes argument, or a byte or char view
+    of bytes (its characters are not lengths), for no or non-positive
+    lengths, or when the sum is 0 or not finite (Lhat_i^2 underflows, or a
+    term or the sum overflows)."""
     # a list or tuple, the usual argument, passes at the first and cheaper test
-    if not isinstance(lhats, (list, tuple)) and isinstance(lhats, (str, bytes, bytearray)):
+    if not isinstance(lhats, (list, tuple)) and (
+        isinstance(lhats, (str, bytes, bytearray))
+        or isinstance(lhats, memoryview) and lhats.format in ("B", "b", "c")
+        and isinstance(lhats.obj, (bytes, bytearray))
+    ):
         raise DomainError(f"normalized lengths must be numbers, not a string: {lhats!r}")
     lhats = tuple(map(float, lhats))
     if not lhats:
@@ -179,15 +163,6 @@ def full_certificate(lhats) -> FillingCertificate:
         cert.per_cusp_lhat, cert.combined_lhat, True, cert.margin, R0, env.volume_drop,
         env.visual_area, env.core_length_hi, env.z_hat, env.z_tilde,
     )
-
-
-def schlafli_dV(step: SchlafliStep) -> float:
-    """Variation in volume dV = -(A/(2*alpha)) d(alpha); raises DomainError
-    where A/(2*alpha) or the product overflows."""
-    dv = -step.visual_area / (2.0 * step.alpha) * step.d_alpha
-    if not math.isfinite(dv):  # inf, or inf * 0 = nan for a zero step
-        raise DomainError(f"dV of {step} overflows")
-    return dv
 
 
 #: '{' or ',' then the indented key of each field, in field order.

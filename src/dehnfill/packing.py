@@ -42,14 +42,12 @@ R0 = math.atanh(Z0)
 class PackingConstants:
     """The literal decimal constants entering the packing bound."""
 
-    density_ratio: float  # max packing density of congruent ellipses
     s_constant: float  # S = (1/(2 sqrt 2)) / arcsinh(1/(2 sqrt 2))
     h_coefficient: float  # 3.3957, the coefficient of h(r)
     axis_coefficient: float  # 0.980258, semi-axis shrink factor ~ 1/S
 
 
 PACKING = PackingConstants(
-    density_ratio=math.pi / (2.0 * math.sqrt(3.0)),
     s_constant=(1.0 / (2.0 * math.sqrt(2.0))) / math.asinh(1.0 / (2.0 * math.sqrt(2.0))),
     h_coefficient=3.3957,
     axis_coefficient=0.980258,

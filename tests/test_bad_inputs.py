@@ -1,10 +1,12 @@
 """Inputs that once crashed or reported ok, and strict JSON output."""
 
+import array
 import json
 import math
 import os
 import re
 import subprocess
+import struct
 import sys
 from pathlib import Path
 
@@ -294,14 +296,27 @@ class TestTinyLhat:
 
 class TestStringLhats:
     """certify("99") read the characters as lengths and reported
-    per_cusp_lhat (9.0, 9.0); certify(b"99") reported (57.0, 57.0)."""
+    per_cusp_lhat (9.0, 9.0); certify(b"99") reported (57.0, 57.0), and so
+    did a memoryview of b"99" or of a bytearray."""
 
-    @pytest.mark.parametrize("lhats", ["99", "8", "", b"99", bytearray(b"99")],
-                             ids=["str", "certifiable_str", "empty_str", "bytes", "bytearray"])
+    @pytest.mark.parametrize(
+        "lhats",
+        ["99", "8", "", b"99", bytearray(b"99"), memoryview(b"99"),
+         memoryview(bytearray(b"99")), memoryview(b"99").cast("c")],
+        ids=["str", "certifiable_str", "empty_str", "bytes", "bytearray", "bytes_view",
+             "bytearray_view", "char_view"],
+    )
     def test_library_rejects(self, lhats):
         for fn in (certify, full_certificate):
             with pytest.raises(DomainError, match="not a string"):
                 fn(lhats)
+
+    @pytest.mark.parametrize("lhats, expected", [
+        (array.array("B", [9, 9]), (9.0, 9.0)),
+        (memoryview(struct.pack("2d", 9.3, 9.4)).cast("d"), (9.3, 9.4)),
+    ], ids=["byte_array", "double_view"])
+    def test_numeric_buffers_still_certify(self, lhats, expected):
+        assert certify(lhats).per_cusp_lhat == expected
 
 
 def _unreachable(*args, **kwargs):

@@ -1,7 +1,7 @@
 """Every exported name exists and has a caller outside its module, the
 package re-exports only exported names, every exception class is raised
-somewhere, and the modules that need no array arithmetic do not import
-numpy."""
+somewhere, the modules that need no array arithmetic do not import
+numpy, and certificates and cli do not import dataclasses."""
 
 import ast
 import importlib
@@ -27,13 +27,6 @@ UNCALLED = {
     "PackingConstants": "the type of PACKING",
     "EnvelopeBounds": "the return type of envelope_bounds",
     "FillingCertificate": "the return type of certify and full_certificate",
-    # Unreached; kept with their tests until ROADMAP item 11's second deletion.
-    "SchlafliStep": "the argument of schlafli_dV",
-    "schlafli_dV": "the Schlafli volume differential, not yet on a certified path",
-    "StandardFormCoefficients": "the return type of standard_form_coeffs",
-    "standard_form_coeffs": "the standard-form record, not yet on a certified path",
-    "symbol_matrix_LS": "the ellipticity symbol, not yet on a certified path",
-    "epsilon_zero_kernel": "the epsilon = 0 kernel, not yet on a certified path",
 }
 
 
@@ -97,8 +90,8 @@ def test_every_error_class_is_raised():
     assert [name for name in defined if name not in raised] == []
 
 
-@pytest.mark.parametrize("name", [name for name in MODULES if name != "weitzenboeck"])
-def test_scalar_modules_do_not_import_numpy(name):
+def _imported_modules(name):
+    """The top-level packages that module dehnfill.<name> imports."""
     path = Path(dehnfill.__file__).with_name(f"{name}.py")
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -106,7 +99,18 @@ def test_scalar_modules_do_not_import_numpy(name):
             imported.update(a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
-    assert "numpy" not in imported
+    return imported
+
+
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "weitzenboeck"])
+def test_scalar_modules_do_not_import_numpy(name):
+    assert "numpy" not in _imported_modules(name)
+
+
+@pytest.mark.parametrize("name", ["certificates", "cli"])
+def test_results_are_not_dataclasses(name):
+    """Every record that certificates returns, and cli reads, is a NamedTuple."""
+    assert "dataclasses" not in _imported_modules(name)
 
 
 def test_envelope_formulas_are_defined_once():

@@ -70,6 +70,3 @@ class TestConstantConsistency:
                 math.sinh(R) * math.cosh(R)
             )
             assert bound == pytest.approx(h(R), abs=5e-4 * h(R))
-
-    def test_density_ratio(self):
-        assert PACKING.density_ratio == pytest.approx(math.pi / (2 * SQRT3), rel=1e-15)

@@ -1,6 +1,7 @@
 """Proof obligations checked exactly: the per-mode coefficients of the
-boundary form b, the envelope's closed forms, the derived threshold, and the
-derivative bounds and rounding allowance behind the inversion's early exit.
+boundary form b, the envelope's closed forms, the derived threshold, the
+derivative bounds and rounding allowance behind the inversion's early exit,
+and the envelopes' least slopes on the certified range.
 
 For b, k1 and eps are symbols with k2 = 1/k1, wave vectors are symbols, and
 each coefficient c = x + i y is split into its real and imaginary parts.
@@ -263,19 +264,25 @@ def _factors(name):
     return kernel, factors
 
 
-def _max_abs_derivative(name, order):
-    """An upper bound on max |g^(order)| over [9/20, 1], and the z it is taken at."""
+def _abs_derivative_enclosures(name, order, lo, hi):
+    """(an interval holding |g^(order)|, the z it is taken at) at lo, at hi and
+    on each isolated root of P_{order+1} in [lo, hi], where the extremes of
+    |g^(order)| over [lo, hi] are (its least only if g^(order) has no root there)."""
     kernel, factors = _factors(name)
     num, den = factors[order + 1]
-    lo, hi = _WORKING
     assert not den.intervals(inf=lo, sup=hi)  # P_{n+1} is regular here
     boxes = [(lo, lo), (hi, hi)] + [box for box, _ in num.intervals(
         inf=lo, sup=hi, eps=sp.Rational(1, 10 ** 12))]
     coeff = sp.Rational(envelope._COEFF)  # the float's exact value
     value = (coeff * kernel * factors[order][0].as_expr() / factors[order][1].as_expr()).subs(
         c, coeff)
-    bounds = [(abs(_enclose(value, iv.mpf([_enclose(a, None).a, _enclose(b, None).b]))).b, float(a))
-              for a, b in boxes]
+    return [(abs(_enclose(value, iv.mpf([_enclose(a, None).a, _enclose(b, None).b]))), float(a))
+            for a, b in boxes]
+
+
+def _max_abs_derivative(name, order):
+    """An upper bound on max |g^(order)| over [9/20, 1], and the z it is taken at."""
+    bounds = [(box.b, at) for box, at in _abs_derivative_enclosures(name, order, *_WORKING)]
     return max(bounds, key=lambda pair: float(pair[0]))
 
 
@@ -293,6 +300,26 @@ def test_slope_bound(name, peak):
     bound, _ = _max_abs_derivative(name, 1)
     assert bound <= SLOPE_MAX
     assert bound <= peak + 5e-5
+
+
+# Slopes bounded away from 0 on the certified range [1/sqrt 3, 1], whose
+# left end is rounded down to a rational within 1e-12: at 0.57 the slope of f
+# is already only 0.268.
+_CERTIFIED = (sp.floor(10 ** 12 / sp.sqrt(3)) / 10 ** 12, sp.Integer(1))
+
+
+@pytest.mark.parametrize("name, floor, least", [
+    ("f", 0.2972, 0.297277), ("ftilde", 2.585, 2.585336)])
+def test_slope_bounded_away_from_zero(name, floor, least):
+    lo, hi = _CERTIFIED
+    assert 0 <= 1 / sp.sqrt(3) - lo < sp.Rational(1, 10 ** 12)
+    num = _factors(name)[1][1][0]
+    # g' = c K P_1 vanishes at sqrt(sqrt 5 - 2) = 0.485868, left of the range, and not in it
+    assert sp.expand(num.as_expr().subs(z, sp.sqrt(sp.sqrt(5) - 2))) == 0
+    assert not num.intervals(inf=lo, sup=hi)
+    box, where = min(_abs_derivative_enclosures(name, 1, lo, hi), key=lambda pair: float(pair[0].a))
+    assert box.a >= floor
+    assert where == float(lo) and abs(box.a - least) < 5e-5  # the least slope is at 1/sqrt 3
 
 
 # The rounding allowance of the early exit.  With d the computed Newton step
