@@ -73,8 +73,12 @@ class FillingCertificate(NamedTuple):
     def as_dict(self) -> dict:
         """The fields by name, in order, ready for strict JSON: an unfilled
         cusp (Lhat = inf) is written as None."""
-        lhats = [None if v == math.inf else v for v in self.per_cusp_lhat]
-        return {**self._asdict(), "per_cusp_lhat": lhats}
+        return dict(zip(self._fields, (_unfilled_as_none(self.per_cusp_lhat), *self[1:])))
+
+
+def _unfilled_as_none(lhats) -> list:
+    """The lengths as JSON reads them: an unfilled cusp (Lhat = inf) is None."""
+    return [None if v == math.inf else v for v in lhats]
 
 
 def _sq(v: float) -> float:
@@ -89,12 +93,9 @@ def _sq(v: float) -> float:
         return math.inf
 
 
-def certify(lhats) -> FillingCertificate:
-    """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2.
-    Raises DomainError for a str or bytes argument, or a byte or char view
-    of bytes (its characters are not lengths), for no or non-positive
-    lengths, or when the sum is 0 or not finite (Lhat_i^2 underflows, or a
-    term or the sum overflows)."""
+def _decide(lhats) -> tuple:
+    """Fields per_cusp_lhat (as floats) to tube_radius_floor, after certify's
+    checks; records are built on them with tuple.__new__, not NamedTuple's."""
     # a list or tuple, the usual argument, passes at the first and cheaper test
     if not isinstance(lhats, (list, tuple)) and (
         isinstance(lhats, (str, bytes, bytearray))
@@ -102,14 +103,21 @@ def certify(lhats) -> FillingCertificate:
         and isinstance(lhats.obj, (bytes, bytearray))
     ):
         raise DomainError(f"normalized lengths must be numbers, not a string: {lhats!r}")
-    lhats = tuple(map(float, lhats))
-    if not lhats:
-        raise DomainError("need at least one normalized length")
+    values = []
+    positive = True
     for v in lhats:
-        if not v > 0.0:
-            raise DomainError(f"normalized lengths must be positive, got {list(lhats)}")
+        if type(v) is not float:  # a float is taken as it is, a string refused
+            if isinstance(v, (str, bytes, bytearray)):
+                raise DomainError(f"normalized lengths must be numbers, not a string: {v!r}")
+            v = float(v)
+        values.append(v)
+        positive = positive and v > 0.0
+    if not values:
+        raise DomainError("need at least one normalized length")
+    if not positive:
+        raise DomainError(f"normalized lengths must be positive, got {values}")
     try:
-        inv_sq = sum([1.0 / _sq(v) for v in lhats])
+        inv_sq = sum([1.0 / _sq(v) for v in values])
     except ZeroDivisionError:  # Lhat_i^2 underflows to 0
         inv_sq = math.inf
     if not 0.0 < inv_sq < math.inf:
@@ -117,12 +125,19 @@ def certify(lhats) -> FillingCertificate:
             "0: every cusp is unfilled or too long" if inv_sq == 0.0
             else "not finite: a cusp is too short"
         )
-        raise DomainError(f"sum of 1/Lhat^2 is {reason} (normalized lengths {list(lhats)})")
+        raise DomainError(f"sum of 1/Lhat^2 is {reason} (normalized lengths {values})")
     margin = _INV_C_SQ - inv_sq
     certified = margin > 0.0
-    return FillingCertificate(
-        lhats, 1.0 / math.sqrt(inv_sq), certified, margin, R0 if certified else None
-    )
+    return tuple(values), 1.0 / math.sqrt(inv_sq), certified, margin, R0 if certified else None
+
+
+def certify(lhats) -> FillingCertificate:
+    """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2.
+    Raises DomainError for a str, bytes or bytearray, as the argument or as
+    one of its elements, or a byte or char view of bytes (their characters
+    are not lengths); for no or non-positive lengths; or when the sum is 0
+    or not finite (Lhat_i^2 underflows, or a term or the sum overflows)."""
+    return tuple.__new__(FillingCertificate, _decide(lhats) + (None,) * 5)
 
 
 class EnvelopeBounds(NamedTuple):
@@ -155,14 +170,12 @@ def envelope_bounds(lhat: float) -> EnvelopeBounds:
 
 def full_certificate(lhats) -> FillingCertificate:
     """Certificate with geometric bounds filled in when certified."""
-    cert = certify(lhats)
-    if not cert.certified:
-        return cert
-    env = envelope_bounds(cert.combined_lhat)
-    return FillingCertificate(
-        cert.per_cusp_lhat, cert.combined_lhat, True, cert.margin, R0, env.volume_drop,
-        env.visual_area, env.core_length_hi, env.z_hat, env.z_tilde,
-    )
+    decision = _decide(lhats)
+    if not decision[2]:
+        return tuple.__new__(FillingCertificate, decision + (None,) * 5)
+    env = envelope_bounds(decision[1])
+    bounds = env.volume_drop, env.visual_area, env.core_length_hi, env.z_hat, env.z_tilde
+    return tuple.__new__(FillingCertificate, decision + bounds)
 
 
 #: '{' or ',' then the indented key of each field, in field order.
@@ -189,23 +202,54 @@ def _json_token(v) -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not a certificate field value")
 
 
+def _json_value(v) -> str:
+    """One field as json writes it at indent 2: a scalar or a flat list of scalars."""
+    if isinstance(v, (list, tuple)):
+        return "[\n    " + ",\n    ".join(map(_json_token, v)) + "\n  ]" if v else "[]"
+    return _json_token(v)
+
+
+def _layout(*tokens: str) -> str:
+    return "".join(map(str.__add__, _JSON_HEADS, tokens)) + "\n}"
+
+
+_LIST, _PAIR = "[\n    %s\n  ]", "[\n    %r,\n    %r\n  ]"
+#: The % layout of each record shape that certify and full_certificate
+#: return, by certified and the type of each field; a float goes in as %r.
+_LAYOUTS = {
+    (False, tuple, float, bool, float, *(type(None),) * 6):
+        _layout(_LIST, "%r", "false", "%r", *("null",) * 6),
+    (True, tuple, float, bool, float, float, *(type(None),) * 5):
+        _layout(_LIST, "%r", "true", "%r", "%r", *("null",) * 5),
+    (True, tuple, float, bool, float, float, tuple, tuple, float, float, float):
+        _layout(_LIST, "%r", "true", "%r", "%r", _PAIR, _PAIR, "%r", "%r", "%r"),
+}
+
+
 def certificate_to_json(cert: FillingCertificate) -> str:
     """Serialize a certificate with exactly its field names, as strict JSON;
     an unfilled cusp (Lhat = inf) is written as null.
 
     The bytes are those of json.dumps(cert.as_dict(), indent=2,
-    allow_nan=False), written for the record's fixed shape: each field is a
-    scalar or a flat list of scalars.  A non-finite float raises ValueError;
-    a value of any other type (a nested list included) raises TypeError.
+    allow_nan=False), and %r is float.__repr__, json's float token.  A
+    record shaped as certify or full_certificate returns it, with lengths
+    and finite floats, is one % format of its layout.  Any other record
+    (hand-built, int fields, no lengths, other types) is written token by
+    token, its only path.  A non-finite float raises ValueError; a value of
+    any other type (a nested list included) raises TypeError.
     """
-    parts = []
-    for head, v in zip(_JSON_HEADS, cert.as_dict().values()):
-        if isinstance(v, (list, tuple)):
-            v = "[\n    " + ",\n    ".join(map(_json_token, v)) + "\n  ]" if v else "[]"
-        else:
-            v = _json_token(v)
-        parts += head, v
-    return "".join(parts) + "\n}"
+    lhats, combined, certified, margin, radius, dv, area, *tail = cert
+    layout = _LAYOUTS.get((certified is True, *map(type, cert)))  # a field may be unhashable
+    if dv is None:
+        floats = (combined, margin) if radius is None else (combined, margin, radius)
+    elif layout and tuple(map(type, dv)) == tuple(map(type, area)) == (float, float):
+        floats = (combined, margin, radius, *dv, *area, *tail)
+    else:
+        layout = None
+    # a finite sum proves each float finite; one that overflows takes the token path
+    if layout is None or not lhats or not math.isfinite(sum(floats)):
+        return _layout(*map(_json_value, cert.as_dict().values()))
+    return layout % (",\n    ".join(map(_json_token, _unfilled_as_none(lhats))), *floats)
 
 
 #: Largest sample count accepted by figure_data: about 2 s of `dehnfill

@@ -297,14 +297,18 @@ class TestTinyLhat:
 class TestStringLhats:
     """certify("99") read the characters as lengths and reported
     per_cusp_lhat (9.0, 9.0); certify(b"99") reported (57.0, 57.0), and so
-    did a memoryview of b"99" or of a bytearray."""
+    did a memoryview of b"99" or of a bytearray.  A string element was read
+    the same way: a char array, an iterator over a str and a list of digit
+    strings gave (9.0, 9.0), [b"9"] gave (9.0,) and ("12", 11) (12.0, 11.0)."""
 
     @pytest.mark.parametrize(
         "lhats",
         ["99", "8", "", b"99", bytearray(b"99"), memoryview(b"99"),
-         memoryview(bytearray(b"99")), memoryview(b"99").cast("c")],
+         memoryview(bytearray(b"99")), memoryview(b"99").cast("c"),
+         array.array("u", "99"), iter("99"), ["9", "9"], [b"9"], ("12", 11)],
         ids=["str", "certifiable_str", "empty_str", "bytes", "bytearray", "bytes_view",
-             "bytearray_view", "char_view"],
+             "bytearray_view", "char_view", "char_array", "str_iterator", "str_list",
+             "bytes_list", "str_and_int"],
     )
     def test_library_rejects(self, lhats):
         for fn in (certify, full_certificate):

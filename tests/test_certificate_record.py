@@ -155,6 +155,14 @@ CERTIFICATES = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(CERTIFICATES)
 @example(full_certificate([UNIVERSAL_C]))
+@example(certify([12.0, 11.0]))  # certified, no bounds
+@example(full_certificate([math.inf, 12.0]))
+@example(full_certificate([7.5]))
+@example(FillingCertificate((1e308,), 1e308, True, 1e308, 1e308))  # finite, sum overflows
+@example(FillingCertificate((), 9.0, False, -0.1, None))  # no lengths
+@example(full_certificate([12.0])._replace(volume_drop=(0.1, 0.2, 0.3), visual_area=(0.4,)))
+@example(full_certificate([12.0])._replace(visual_area=(1, True)))
+@example(FillingCertificate((9.0,), 9.0, [True], 0.1, 0.5))  # an unhashable field
 def test_certificate_to_json_matches_json_dumps(cert):
     assert certificate_to_json(cert) == certificate_json(cert)
 
@@ -164,6 +172,12 @@ def test_non_finite_margin_raises_value_error(margin):
     cert = FillingCertificate((9.0,), 9.0, True, margin, 0.5)
     with pytest.raises(ValueError):
         certificate_json(cert)
+    with pytest.raises(ValueError):
+        certificate_to_json(cert)
+
+
+def test_nan_in_volume_drop_raises_value_error():
+    cert = full_certificate([12.0, 11.0])._replace(volume_drop=(0.1, math.nan))
     with pytest.raises(ValueError):
         certificate_to_json(cert)
 
