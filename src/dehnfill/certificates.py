@@ -117,9 +117,10 @@ def _decide(lhats) -> tuple:
     if not positive:
         raise DomainError(f"normalized lengths must be positive, got {values}")
     try:
-        inv_sq = sum([1.0 / _sq(v) for v in values])
-    except ZeroDivisionError:  # Lhat_i^2 underflows to 0
-        inv_sq = math.inf
+        inv_sq = sum([1.0 / v ** 2 for v in values])
+    except (OverflowError, ZeroDivisionError):  # some Lhat_i^2 overflows or underflows
+        squares = [_sq(v) for v in values]
+        inv_sq = math.inf if 0.0 in squares else sum([1.0 / sq for sq in squares])
     if not 0.0 < inv_sq < math.inf:
         reason = (
             "0: every cusp is unfilled or too long" if inv_sq == 0.0
@@ -127,8 +128,9 @@ def _decide(lhats) -> tuple:
         )
         raise DomainError(f"sum of 1/Lhat^2 is {reason} (normalized lengths {values})")
     margin = _INV_C_SQ - inv_sq
-    certified = margin > 0.0
-    return tuple(values), 1.0 / math.sqrt(inv_sq), certified, margin, R0 if certified else None
+    if margin > 0.0:
+        return tuple(values), 1.0 / math.sqrt(inv_sq), True, margin, R0
+    return tuple(values), 1.0 / math.sqrt(inv_sq), False, margin, None
 
 
 def certify(lhats) -> FillingCertificate:

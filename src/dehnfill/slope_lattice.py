@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -107,7 +108,8 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
     The scan walks the reduced basis over q > 0 plus (1, 0), which
     meets each class once: row q holds the p within one of the chord of
     (p + q*re)^2 + (q*im)^2 <= cutoff^2 * im, for q <= cutoff/sqrt(im).
-    Slopes found are mapped back to the given basis with exact integers.
+    Slopes found are mapped back to the given basis with exact integers; a
+    shape that is already reduced reports the length the scan decided with.
 
     Raises DomainError for a cutoff that is not positive and finite, or one
     whose scan would test more than MAX_CANDIDATES slopes, and for a shape
@@ -127,9 +129,11 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
             f"than {MAX_CANDIDATES} candidate slopes"
         )
     tau0, root0 = shape.tau, math.sqrt(shape.im)
+    unmoved = (m11, m12, m21, m22) == (1, 0, 0, 1) and tau == tau0  # no reduction step taken
     reach = cutoff * cutoff * im
     out = []
     for q in range(math.floor(span) + 1):
+        qtau = q * tau
         if q == 0:
             ps = (1,)
         else:
@@ -137,7 +141,10 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
             centre = -q * re
             ps = range(math.floor(centre - half) - 1, math.ceil(centre + half) + 2)
         for p in ps:
-            if math.gcd(p, q) != 1 or abs(p + q * tau) / root > cutoff:
+            if math.gcd(p, q) != 1 or (length := abs(p + qtau) / root) > cutoff:
+                continue
+            if unmoved:  # the decided length is the reported one; negating (p, q) keeps it exact
+                out.append((p, q, length) if p >= 0 else (-p, -q, length))
                 continue
             # back to original-basis coordinates: M has det 1, so its inverse is its adjugate
             p0, q0 = m22 * p - m12 * q, m11 * q - m21 * p
@@ -148,5 +155,5 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
             except OverflowError:
                 raise DomainError(f"cusp shape re={shape.re}, im={shape.im} has a slope beyond "
                                   f"the float range at cutoff {cutoff}") from None
-    out.sort(key=lambda s: (s[2], s[0], s[1]))
+    out.sort(key=operator.itemgetter(2, 0, 1))
     return out

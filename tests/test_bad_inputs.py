@@ -8,6 +8,7 @@ import re
 import subprocess
 import struct
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,49 @@ class TestTinyLhat:
         cert = certify([1e-154])
         assert cert.combined_lhat == 1 / math.sqrt(1 / 1e-154 ** 2)
         assert not cert.certified
+
+
+def _hex(cert):
+    """Each field with its floats in hex, so that equality is bit equality."""
+    def bits(v):
+        if isinstance(v, tuple):
+            return tuple(map(bits, v))
+        return v.hex() if type(v) is float else v
+    return tuple(map(bits, cert))
+
+
+class TestSquaresOutOfRange:
+    """A length whose square overflows counts 0; one whose square
+    underflows makes the sum not finite, in either order beside the other.
+    An int, numpy or Fraction length gives the record of the float it
+    equals."""
+
+    @pytest.mark.parametrize("lhats", [[1e200, 1e-200], [1e-200, 1e200]])
+    def test_overflow_beside_underflow(self, lhats):
+        message = re.escape(f"sum of 1/Lhat^2 is not finite: a cusp is too short "
+                            f"(normalized lengths {lhats})")
+        for fn in (certify, full_certificate):
+            with pytest.raises(DomainError, match=message):
+                fn(lhats)
+
+    def test_overflowing_square_counts_zero(self):
+        cert, alone = certify([1e200, 10.0]), certify([10.0])
+        assert cert.per_cusp_lhat == (1e200, 10.0)
+        assert _hex(cert)[1:] == _hex(alone)[1:]
+
+    @pytest.mark.parametrize("lhats, floats", [
+        ([12, 9], [12.0, 9.0]),
+        ([np.float64(7.6), 40], [7.6, 40.0]),
+        ([np.float64(7.5832)], [7.5832]),
+        ([Fraction(23, 3), np.float64(1e200)], [float(Fraction(23, 3)), 1e200]),
+        ([Fraction(758321, 100000), 2 ** 600], [7.58321, 2.0 ** 600]),
+    ], ids=["ints", "float64_and_int", "float64_at_C", "fraction_and_huge_float64",
+            "fraction_and_huge_int"])
+    def test_numbers_give_the_float_record(self, lhats, floats):
+        for fn in (certify, full_certificate):
+            got = fn(lhats)
+            assert [type(v) for v in got.per_cusp_lhat] == [float] * len(floats)
+            assert _hex(got) == _hex(fn(floats))
 
 
 class TestStringLhats:

@@ -242,6 +242,48 @@ class TestScanlineOracle:
         assert got <= brute_force_slopes(shape, cutoff * (1.0 + 1e-9))
 
 
+#: Moduli on the edges of the reduced domain: re = +-0.5 and -0.0, tau = i
+#: and tau = e^(i pi/3) as the floats (0.5, sqrt(3)/2).
+EDGE_MODULI = [(0.5, 1.0), (-0.5, 1.0), (-0.0, 1.0), (0.0, 1.0), (-0.0, 2.5),
+               (0.5, math.sqrt(3.0) / 2.0), (-0.5, math.sqrt(3.0) / 2.0), (0.5, 40.0)]
+
+
+def _unmoved(shape):
+    reduced, m = lattice_reduce(shape)
+    return m == ((1, 0), (0, 1)) and reduced.tau == shape.tau
+
+
+class TestUnmovedShapes:
+    """For a shape that lattice_reduce leaves as it is, each listed length is
+    slope_normalized_length's, bit for bit, and a cutoff at or next to a
+    slope's length lists exactly the slopes within it."""
+
+    @pytest.mark.parametrize("re, im", EDGE_MODULI)
+    def test_edge_moduli_are_unmoved(self, re, im):
+        assert _unmoved(CuspShape(re, im))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.sampled_from(EDGE_MODULI),
+            st.tuples(st.floats(-0.5, 0.5), st.floats(math.log(0.8), math.log(1e3)).map(math.exp)),
+        ).map(lambda t: CuspShape(*t)).filter(_unmoved),
+        cutoff=st.floats(0.5, 12.0),
+        pick=st.integers(0, 2 ** 16),
+    )
+    def test_lengths_and_near_ties(self, shape, cutoff, pick):
+        got = enumerate_short_slopes(shape, cutoff)
+        for p, q, length in got:
+            assert length <= cutoff
+            assert length.hex() == slope_normalized_length(shape, (p, q)).hex()
+        if not got:
+            return
+        tie = got[pick % len(got)][2]
+        for near in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
+            listed = {(p, q) for p, q, _ in enumerate_short_slopes(shape, near)}
+            assert listed == brute_force_slopes(shape, near)
+
+
 class TestCandidateCap:
     def test_cap_is_checked_before_scanning(self, monkeypatch):
         monkeypatch.setattr(slope_lattice, "MAX_CANDIDATES", 100)

@@ -1,11 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from dehnfill import weitzenboeck
 from dehnfill.errors import DomainError
 from dehnfill.cli import run
 from dehnfill.weitzenboeck import (
@@ -151,6 +153,28 @@ class TestScanMatchesDirectFormula:
         freqs, c1, c2 = random_modes(np.random.default_rng(seed), 64)
         ref = min(direct_b(curv, row_form(*row)) for row in zip(freqs, c1, c2))
         assert abs(scan_min_b(curv, seed, 64) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+class TestRowContraction:
+    """_row_b squares the curl kap2 c1 - kap1 c2 after forming it.  Here it
+    is exactly 0 next to w of about -2e13, so the expanded form
+    w (kap2^2 |c1|^2 - 2 kap1 kap2 Re(c1 conj(c2)) + kap1^2 |c2|^2) is off
+    by about 1e-3 relative, while the curl form is exact to rounding."""
+
+    def test_cancelling_curl_matches_fraction(self):
+        curv = BoundaryCurvature(1.5, 1 / 1.5, 1e6)
+        kap1, kap2 = weitzenboeck._KAPPA.T
+        table = np.array([*weitzenboeck._mode_coefficients(curv, kap1, kap2), kap1, kap2])
+        cls = PAIR_CLASSES.index((1, 1))
+        g = np.array([[[0.75, -0.5, 0.75, -0.5]]])
+        got = float(weitzenboeck._row_b(table, np.array([[cls]]), g)[0])
+        a1, a2, w, k1, k2 = map(Fraction, table[:, cls].tolist())
+        g1, h1, g2, h2 = map(Fraction, g.ravel().tolist())
+        re, im = k2 * g1 - k1 * g2, k2 * h1 - k1 * h2
+        assert re == im == 0 and w < -1e13
+        norm = g1 * g1 + h1 * h1 + g2 * g2 + h2 * h2
+        exact = (a1 * (g1 * g1 + h1 * h1) + a2 * (g2 * g2 + h2 * h2) + w * (re * re + im * im)) / norm
+        assert abs(Fraction(got) - exact) <= Fraction(1e-15) * abs(exact)
 
 
 class TestRandomModes:
