@@ -81,21 +81,8 @@ def _unfilled_as_none(lhats) -> list:
     return [None if v == math.inf else v for v in lhats]
 
 
-def _sq(v: float) -> float:
-    """v ** 2, or inf where the float power overflows (it raises there).
-
-    ``v ** 2`` is kept rather than ``v * v``: the two differ in the last bit
-    for some inputs, and decisions at the threshold depend on those bits.
-    """
-    try:
-        return v ** 2
-    except OverflowError:
-        return math.inf
-
-
 def _decide(lhats) -> tuple:
-    """Fields per_cusp_lhat (as floats) to tube_radius_floor, after certify's
-    checks; records are built on them with tuple.__new__, not NamedTuple's."""
+    """The fields of certify's record, with every bound None."""
     # a list or tuple, the usual argument, passes at the first and cheaper test
     if not isinstance(lhats, (list, tuple)) and (
         isinstance(lhats, (str, bytes, bytearray))
@@ -103,7 +90,7 @@ def _decide(lhats) -> tuple:
         and isinstance(lhats.obj, (bytes, bytearray))
     ):
         raise DomainError(f"normalized lengths must be numbers, not a string: {lhats!r}")
-    values = []
+    values, terms = [], []
     positive = True
     for v in lhats:
         if type(v) is not float:  # a float is taken as it is, a string refused
@@ -112,15 +99,17 @@ def _decide(lhats) -> tuple:
             v = float(v)
         values.append(v)
         positive = positive and v > 0.0
+        try:  # v ** 2, not v * v: the two can differ in the last bit, and decisions use it
+            terms.append(1.0 / v ** 2)
+        except OverflowError:  # Lhat_i^2 overflows, so 1/Lhat_i^2 is 0
+            terms.append(0.0)
+        except ZeroDivisionError:  # Lhat_i^2 underflows to 0 (or Lhat_i is 0)
+            terms.append(math.inf)
     if not values:
         raise DomainError("need at least one normalized length")
     if not positive:
         raise DomainError(f"normalized lengths must be positive, got {values}")
-    try:
-        inv_sq = sum([1.0 / v ** 2 for v in values])
-    except (OverflowError, ZeroDivisionError):  # some Lhat_i^2 overflows or underflows
-        squares = [_sq(v) for v in values]
-        inv_sq = math.inf if 0.0 in squares else sum([1.0 / sq for sq in squares])
+    inv_sq = sum(terms)  # not +=: sum() of floats is compensated from Python 3.12
     if not 0.0 < inv_sq < math.inf:
         reason = (
             "0: every cusp is unfilled or too long" if inv_sq == 0.0
@@ -128,18 +117,21 @@ def _decide(lhats) -> tuple:
         )
         raise DomainError(f"sum of 1/Lhat^2 is {reason} (normalized lengths {values})")
     margin = _INV_C_SQ - inv_sq
-    if margin > 0.0:
-        return tuple(values), 1.0 / math.sqrt(inv_sq), True, margin, R0
-    return tuple(values), 1.0 / math.sqrt(inv_sq), False, margin, None
+    certified = margin > 0.0
+    return (tuple(values), 1.0 / math.sqrt(inv_sq), certified, margin,
+            R0 if certified else None, None, None, None, None, None)
 
 
 def certify(lhats) -> FillingCertificate:
     """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2.
-    Raises DomainError for a str, bytes or bytearray, as the argument or as
-    one of its elements, or a byte or char view of bytes (their characters
-    are not lengths); for no or non-positive lengths; or when the sum is 0
-    or not finite (Lhat_i^2 underflows, or a term or the sum overflows)."""
-    return tuple.__new__(FillingCertificate, _decide(lhats) + (None,) * 5)
+
+    One pass converts each length and takes its term 1/Lhat_i^2 (0 where
+    Lhat_i^2 overflows, inf where it underflows); sum() adds the terms.
+    DomainError refuses, in this order: a str, bytes or bytearray argument,
+    or a byte or char view of bytes; each element in turn, a string before
+    float reads it; no lengths; a length not positive (NaN included); a sum
+    that is 0 or not finite."""
+    return tuple.__new__(FillingCertificate, _decide(lhats))
 
 
 class EnvelopeBounds(NamedTuple):
@@ -163,7 +155,10 @@ def envelope_bounds(lhat: float) -> EnvelopeBounds:
         raise UncertifiableError(
             f"uncertifiable: normalized length {lhat} below threshold {UNIVERSAL_C}"
         )
-    x_hat = (2.0 * math.pi) ** 2 / _sq(lhat)
+    try:
+        x_hat = (2.0 * math.pi) ** 2 / lhat ** 2
+    except OverflowError:  # lhat ** 2 overflows
+        x_hat = 0.0
     z_hat, z_tilde = invert_f(x_hat), invert_ftilde(x_hat)
     dv = (_dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat))
     area = (_area_from_z(z_tilde), _area_from_z(z_hat))
@@ -174,10 +169,10 @@ def full_certificate(lhats) -> FillingCertificate:
     """Certificate with geometric bounds filled in when certified."""
     decision = _decide(lhats)
     if not decision[2]:
-        return tuple.__new__(FillingCertificate, decision + (None,) * 5)
+        return tuple.__new__(FillingCertificate, decision)
     env = envelope_bounds(decision[1])
     bounds = env.volume_drop, env.visual_area, env.core_length_hi, env.z_hat, env.z_tilde
-    return tuple.__new__(FillingCertificate, decision + bounds)
+    return tuple.__new__(FillingCertificate, decision[:5] + bounds)
 
 
 #: '{' or ',' then the indented key of each field, in field order.

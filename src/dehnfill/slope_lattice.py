@@ -155,5 +155,7 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
             except OverflowError:
                 raise DomainError(f"cusp shape re={shape.re}, im={shape.im} has a slope beyond "
                                   f"the float range at cutoff {cutoff}") from None
-    out.sort(key=operator.itemgetter(2, 0, 1))
+    # a float key takes CPython's fast float compare; tied lengths also need p, then q
+    tied = len(set(map(operator.itemgetter(2), out))) < len(out)
+    out.sort(key=operator.itemgetter(2, 0, 1) if tied else operator.itemgetter(2))
     return out

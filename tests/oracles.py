@@ -1,16 +1,20 @@
 """Test-only oracles: the derivative of H and the coefficient functions G
 and Gtilde of the differential inequalities, against which the closed forms
 in dehnfill.envelope are checked, the json serialization against which
-certificate_to_json is checked, and an earlier seeded Newton inversion
+certificate_to_json is checked, an earlier seeded Newton inversion
 (``ParentSeed``, ``parent_invert_decreasing``) against which invert_f and
-invert_ftilde are checked bit for bit.  No package code calls them."""
+invert_ftilde are checked bit for bit, and an earlier two-pass decision
+(``parent_certify``, ``parent_full_certificate``) against which certify and
+full_certificate are checked bit for bit.  No package code calls them."""
 
 import bisect
 import json
+import math
 
+from dehnfill.certificates import _INV_C_SQ, FillingCertificate, envelope_bounds
 from dehnfill.envelope import _BELOW_ONE, INV_TOL, SEED_NODES, SEED_Z_FIRST, Z_MIN
 from dehnfill.errors import ConvergenceError, DomainError, UncertifiableError
-from dehnfill.packing import PACKING
+from dehnfill.packing import PACKING, R0
 
 _COEFF = PACKING.h_coefficient  # 3.3957
 
@@ -111,3 +115,76 @@ def parent_invert_decreasing(func, integrand, x_hat: float, name: str, top: floa
         f"{name} inversion at {x_hat} stopped in [{lo}, {hi}] "
         f"without meeting |{name}(z) - x| <= {tol}"
     )
+
+
+# certify and full_certificate as written with a two-pass decision (a
+# conversion pass, then a sum pass), kept verbatim with their helper _sq
+def _sq(v: float) -> float:
+    """v ** 2, or inf where the float power overflows (it raises there).
+
+    ``v ** 2`` is kept rather than ``v * v``: the two differ in the last bit
+    for some inputs, and decisions at the threshold depend on those bits.
+    """
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
+def parent_decide(lhats) -> tuple:
+    """Fields per_cusp_lhat (as floats) to tube_radius_floor, after certify's
+    checks; records are built on them with tuple.__new__, not NamedTuple's."""
+    # a list or tuple, the usual argument, passes at the first and cheaper test
+    if not isinstance(lhats, (list, tuple)) and (
+        isinstance(lhats, (str, bytes, bytearray))
+        or isinstance(lhats, memoryview) and lhats.format in ("B", "b", "c")
+        and isinstance(lhats.obj, (bytes, bytearray))
+    ):
+        raise DomainError(f"normalized lengths must be numbers, not a string: {lhats!r}")
+    values = []
+    positive = True
+    for v in lhats:
+        if type(v) is not float:  # a float is taken as it is, a string refused
+            if isinstance(v, (str, bytes, bytearray)):
+                raise DomainError(f"normalized lengths must be numbers, not a string: {v!r}")
+            v = float(v)
+        values.append(v)
+        positive = positive and v > 0.0
+    if not values:
+        raise DomainError("need at least one normalized length")
+    if not positive:
+        raise DomainError(f"normalized lengths must be positive, got {values}")
+    try:
+        inv_sq = sum([1.0 / v ** 2 for v in values])
+    except (OverflowError, ZeroDivisionError):  # some Lhat_i^2 overflows or underflows
+        squares = [_sq(v) for v in values]
+        inv_sq = math.inf if 0.0 in squares else sum([1.0 / sq for sq in squares])
+    if not 0.0 < inv_sq < math.inf:
+        reason = (
+            "0: every cusp is unfilled or too long" if inv_sq == 0.0
+            else "not finite: a cusp is too short"
+        )
+        raise DomainError(f"sum of 1/Lhat^2 is {reason} (normalized lengths {values})")
+    margin = _INV_C_SQ - inv_sq
+    if margin > 0.0:
+        return tuple(values), 1.0 / math.sqrt(inv_sq), True, margin, R0
+    return tuple(values), 1.0 / math.sqrt(inv_sq), False, margin, None
+
+
+def parent_certify(lhats) -> FillingCertificate:
+    """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2.
+    Raises DomainError for a str, bytes or bytearray, as the argument or as
+    one of its elements, or a byte or char view of bytes (their characters
+    are not lengths); for no or non-positive lengths; or when the sum is 0
+    or not finite (Lhat_i^2 underflows, or a term or the sum overflows)."""
+    return tuple.__new__(FillingCertificate, parent_decide(lhats) + (None,) * 5)
+
+
+def parent_full_certificate(lhats) -> FillingCertificate:
+    """Certificate with geometric bounds filled in when certified."""
+    decision = parent_decide(lhats)
+    if not decision[2]:
+        return tuple.__new__(FillingCertificate, decision + (None,) * 5)
+    env = envelope_bounds(decision[1])
+    bounds = env.volume_drop, env.visual_area, env.core_length_hi, env.z_hat, env.z_tilde
+    return tuple.__new__(FillingCertificate, decision + bounds)

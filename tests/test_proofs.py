@@ -232,6 +232,23 @@ def test_derived_threshold_is_below_the_literal():
     assert margin.a > 8e-4  # 7.5832^2 - C*^2 = 8.08e-4 > 0, so C* = 7.583147 < C
 
 
+def test_axis_coefficient_is_inverse_s_truncated():
+    # 1/S = 2 sqrt 2 asinh(1/(2 sqrt 2)) = 0.98025814...  The packing bound needs
+    # the literal 0.980258 at or below 1/S, within the 1e-6 of a truncation.
+    t = 1 / (2 * iv.sqrt(2))
+    inverse_s = iv.log(t + iv.sqrt(1 + t ** 2)) / t
+    gap = inverse_s - _enclose(sp.Rational(repr(PACKING.axis_coefficient)), None)
+    assert 0 <= gap.a and gap.b < 1e-6
+
+
+def test_h_coefficient_is_below_its_packing_value():
+    # 2 sqrt 3 * 0.980258 = 3.3957133... <= 2 sqrt 3 / S.  The literal 3.3957 must
+    # lie at or below it, within the 1e-4 of a truncation.
+    axis, coeff = (sp.Rational(repr(v)) for v in (PACKING.axis_coefficient, PACKING.h_coefficient))
+    gap = _enclose(2 * sp.sqrt(3) * axis - coeff, None)
+    assert 0 <= gap.a and gap.b < 1e-4
+
+
 # Derivative bounds behind the early exit of envelope._invert_decreasing.
 # With g = c (1 - z) K and K' = -integrand K (K = exp(-int_1^z integrand) > 0,
 # the forms proved above), g^(n) = c K P_n with P_0 = 1 - z and

@@ -226,6 +226,14 @@ class TestScanlineMatchesReference:
         for _, _, length in reference_enumerate(shape, 3 * C)[:40]:
             assert enumerate_short_slopes(shape, length) == reference_enumerate(shape, length)
 
+    @pytest.mark.parametrize("im", [1.0, 2.0])
+    def test_tied_lengths(self, im):
+        # re = 0 gives (p, q) and (p, -q) one length, so ties are ordered by p, then q
+        shape = CuspShape(0.0, im)
+        got = enumerate_short_slopes(shape, 3 * C)
+        assert len({length for _, _, length in got}) < len(got)
+        assert got == reference_enumerate(shape, 3 * C)
+
 
 class TestScanlineOracle:
     @settings(max_examples=60, deadline=None)
