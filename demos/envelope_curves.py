@@ -20,10 +20,10 @@ print("z        f(z)        ftilde(z)")
 for z in np.linspace(Z0, 1.0, 12):
     print(f"{z:.4f}   {f(z):.8f}  {ftilde(z):.8f}")
 
-zs = np.linspace(0.5, 1.0, 500)
+zs = np.linspace(Z0, 1.0, 500)
 gap = np.array([ftilde(z) - f(z) for z in zs])
 print()
-print("min(ftilde - f) on [0.5, 1]:", gap.min())
+print("min(ftilde - f) on [1/sqrt(3), 1]:", gap.min())
 assert gap.min() >= -1e-14
 
 print()

@@ -96,7 +96,10 @@ def _decide(lhats) -> tuple:
         if type(v) is not float:  # a float is taken as it is, a string refused
             if isinstance(v, (str, bytes, bytearray)):
                 raise DomainError(f"normalized lengths must be numbers, not a string: {v!r}")
-            v = float(v)
+            try:
+                v = float(v)
+            except (OverflowError, TypeError) as exc:  # too large, or not a real number
+                raise DomainError(f"normalized length not read as a float: {exc}") from None
         values.append(v)
         positive = positive and v > 0.0
         try:  # v ** 2, not v * v: the two can differ in the last bit, and decisions use it
@@ -129,8 +132,9 @@ def certify(lhats) -> FillingCertificate:
     Lhat_i^2 overflows, inf where it underflows); sum() adds the terms.
     DomainError refuses, in this order: a str, bytes or bytearray argument,
     or a byte or char view of bytes; each element in turn, a string before
-    float reads it; no lengths; a length not positive (NaN included); a sum
-    that is 0 or not finite."""
+    float reads it, then one float() cannot read (an int or Fraction beyond
+    the float range, None, a complex number, any other object); no lengths;
+    a length not positive (NaN included); a sum that is 0 or not finite."""
     return tuple.__new__(FillingCertificate, _decide(lhats))
 
 
@@ -149,9 +153,12 @@ class EnvelopeBounds(NamedTuple):
 def envelope_bounds(lhat: float) -> EnvelopeBounds:
     """The envelope bounds at one normalized length Lhat >= C: both
     envelopes inverted once at x-hat = (2*pi)^2/Lhat^2, and every bound
-    read off z-hat and z-tilde.  Raises UncertifiableError below C.
+    read off z-hat and z-tilde.  Raises UncertifiableError below C, and
+    DomainError for NaN.
     """
     if not lhat >= UNIVERSAL_C:
+        if math.isnan(lhat):
+            raise DomainError(f"normalized length must be a number, got {lhat}")
         raise UncertifiableError(
             f"uncertifiable: normalized length {lhat} below threshold {UNIVERSAL_C}"
         )

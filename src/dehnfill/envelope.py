@@ -8,8 +8,8 @@ integrated extremals of the differential inequalities for v = A/alpha^2 are
 
 and the deformation parameter x = alpha^2 / Lhat^2 is pinched between them:
 ftilde(z) >= x >= f(z).  H(z) = 1/A is the reciprocal visual area.  Ftilde
-has a pole at z = sqrt(2) - 1; we work on [Z_MIN, 1] with Z_MIN = 0.45,
-strictly above it (the certified range only needs [1/sqrt(3), 1]).
+has a pole at z = sqrt(2) - 1; f and ftilde are checked on the certified
+range [Z0, 1], Z0 = 1/sqrt(3) = tanh(R0), where both decrease.
 
 This module owns every envelope formula: H, F, Ftilde, f, ftilde, their
 inversions, and the closed forms that read the volume-drop and area bounds
@@ -17,20 +17,17 @@ off a z (``_dv_upper_from_z``, ``_dv_lower_from_z``, ``_area_from_z``),
 which ``certificates`` applies at z-hat and z-tilde.
 
 F and Ftilde are rational, so both exponents are elementary (a rational term
-and logarithms; see f and ftilde).  Inverting g = f or ftilde is Newton's
-method with g' = -g (1/(1-z) + F) (Ftilde for ftilde) inside a bisection
-bracket: the slope at z = 1 is -3.3957, and both turn over just above Z_MIN,
-at the root z = 0.48587 of 1/(1-z) + F (Ftilde has the same root), where a
-step that leaves the bracket is replaced by bisection.  A target x outside
-(0, g(Z_MIN)] gives z = 1 at 0, else raises (UncertifiableError above,
-DomainError if NaN or negative).  Newton starts, clamped into [Z_MIN, 1),
-from a cubic Hermite interpolant of the inverse built at import from 32
-z-nodes on [0.49, 1].  A Newton step d with bend * d^2 <= tol, where bend
-bounds |g''| on [Z_MIN, 1] (10.2 for f, 182 for ftilde), is returned without
-evaluating g there: Taylor's theorem proves that g at it meets the tolerance,
-so it is the float one more evaluation would accept.  Over the figure grids
-of 2 to 488 rows, 89 % of f and 99.6 % of ftilde inversions end after the
-seed's one evaluation; the rest take two.
+and logarithms; see f and ftilde).  Inverting g = f or ftilde takes at most
+two Newton steps, with g' = -g (1/(1-z) + F) (Ftilde for ftilde), from a
+cubic Hermite interpolant of the inverse built at import from 32 z-nodes on
+[0.49, 1].  A target x outside (0, g(Z0)] gives z = 1 at 0, else raises
+(UncertifiableError above, DomainError if NaN or negative).  A Newton step d
+with bend * d^2 <= tol, where bend bounds |g''| on [Z0 - 1e-6, 1] (10.2 for
+f, 14.6 for ftilde), is returned without evaluating g there: Taylor's
+theorem proves that g at it meets the tolerance, so it is the float one more
+evaluation would accept.  The seed's proven error makes every second step
+such a step.  Over the figure grids of 2 to 488 rows, 89 % of f and 99.6 %
+of ftilde inversions end after the seed's one evaluation; the rest take two.
 """
 
 from __future__ import annotations
@@ -38,11 +35,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .errors import ConvergenceError, DomainError, UncertifiableError
-from .packing import PACKING
+from .errors import DomainError, UncertifiableError
+from .packing import PACKING, Z0
 
 __all__ = [
-    "Z_MIN",
     "POLE",
     "H",
     "F",
@@ -55,9 +51,6 @@ __all__ = [
 
 #: Excluded singularity of Ftilde.
 POLE = math.sqrt(2.0) - 1.0
-
-#: Lower end of the working domain; the certified range is [1/sqrt(3), 1].
-Z_MIN = 0.45
 
 #: Inversion tolerance: |f(z) - x| <= INV_TOL * max(1, x).
 INV_TOL = 1e-12
@@ -141,8 +134,8 @@ def Ftilde(z: float) -> float:
 
 
 def _check_working(z: float):
-    if not Z_MIN <= z <= 1.0:
-        raise DomainError(f"argument must lie in [{Z_MIN}, 1], got {z}")
+    if not Z0 <= z <= 1.0:
+        raise DomainError(f"argument must lie in [1/sqrt(3), 1], got {z}")
 
 
 def _f(z: float) -> float:
@@ -177,13 +170,14 @@ def ftilde(z: float) -> float:
 
 
 class _InverseSeed:
-    """Start values for inverting g (f or ftilde) on its decreasing branch:
-    the cubic Hermite interpolant of the inverse through x = g(z) with
-    dz/dx = 1/g'(z) at SEED_NODES z-nodes evenly spaced on [SEED_Z_FIRST, 1].
+    """Start values for inverting g (f or ftilde) on [Z0, 1]: the cubic
+    Hermite interpolant of the inverse through x = g(z) with dz/dx =
+    1/g'(z) at SEED_NODES z-nodes evenly spaced on [SEED_Z_FIRST, 1].
 
     ``x_nodes`` ascend (z descends); above the last node the last cubic is
-    extended.  The nodes stop short of the turnover at z = 0.48587, where
-    1/g' is infinite; every target x <= g(Z_MIN) has its root above z = 0.5.
+    extended.  The nodes run past Z0, so every accepted target x <= g(Z0)
+    lies between two of them; each cubic decreases there, and the seed of
+    g(Z0) lies above Z0.
     """
 
     def __init__(self, g, integrand):
@@ -212,74 +206,63 @@ class _InverseSeed:
 
 
 def _invert_decreasing(func, integrand, x_hat: float, name: str, top: float, seed,
-                       bend: float = math.inf) -> float:
-    """z in [Z_MIN, 1] with |func(z) - x_hat| <= INV_TOL * max(1, x_hat), by
-    Newton's method from seed(x_hat) inside the bracket [Z_MIN, 1].  ``top``
-    is func(Z_MIN), the largest target accepted.
+                       bend: float) -> float:
+    """z in [Z0, 1] with |func(z) - x_hat| <= INV_TOL * max(1, x_hat), by at
+    most two Newton steps from seed(x_hat).  ``top`` is func(Z0), the
+    largest target accepted.
 
-    ``bend`` bounds |func''| on [Z_MIN, 1].  A Newton step d that stays in
-    the bracket with bend * d^2 <= tol is returned without evaluating func
-    there: Taylor's theorem puts its residual within max|func''| d^2/2 <=
-    tol/2, and rounding adds at most 1.1e-14 * max(1, x_hat) < tol/2 (the
-    step's own rounding, at most max|func'| 2^-54 with |func'| <= 3.8; the
-    slope and quotient; both evaluations, with glibc's documented exp and
-    log errors).  So func at the step meets the tolerance, and the loop
-    would return the same float after one more evaluation.  The bounds and
-    the allowance are checked in tests/test_proofs.py.  The default, inf,
-    never exits early.
+    Each pass evaluates func at z and returns z if it meets the tolerance;
+    else it takes the Newton step d and returns it, unevaluated, if bend *
+    d^2 <= tol, where ``bend`` bounds |func''| on [Z0 - 1e-6, 1].  Taylor's
+    theorem puts the step's residual within max|func''| d^2/2 <= tol/2, and
+    rounding adds at most 1.1e-14 * max(1, x_hat) < tol/2 (the step's own
+    rounding, at most max|func'| 2^-54 with |func'| <= 3.8; the slope and
+    quotient; both evaluations, with glibc's documented exp and log
+    errors), so one more evaluation would accept it.  The second pass
+    returns its step: from the seed's error bound, the first step lies in
+    [Z0 - 1e-6, 1) and the second meets bend * d^2 <= tol.  The seed lies in
+    [Z0, 1], and every returned z in [Z0, 1].  tests/test_proofs.py checks
+    the bounds, the allowance and both passes.
     """
     if not 0.0 < x_hat <= top:
         if x_hat == 0.0:
             return 1.0
         if x_hat > top:
             raise UncertifiableError(f"uncertifiable: normalized length too small "
-                                     f"(target {x_hat} exceeds {name}({Z_MIN}) = {top})")
+                                     f"(target {x_hat} exceeds {name}(1/sqrt(3)) = {top})")
         raise DomainError(f"target value must be nonnegative, got {x_hat}")
     tol = INV_TOL * x_hat if x_hat > 1.0 else INV_TOL
-    lo, hi = Z_MIN, 1.0  # func(lo) >= x_hat >= func(hi)
     # kept below 1, where the slope would divide by 1 - z; func there is
-    # below 4e-16, so a target that small is met at once.  NaN goes to Z_MIN.
+    # below 4e-16, so a target that small is met at once
     z = seed(x_hat)
-    z = (z if z <= _BELOW_ONE else _BELOW_ONE) if z > Z_MIN else Z_MIN
-    for _ in range(200):
+    z = z if z <= _BELOW_ONE else _BELOW_ONE
+    for _ in range(2):
         val = func(z)
         if -tol <= val - x_hat <= tol:
             return z
-        if val > x_hat:
-            lo = z
-        else:
-            hi = z
         slope = -val * (1.0 / (1.0 - z) + integrand(z))
-        step = z - (val - x_hat) / slope if slope < 0.0 else lo
-        if lo < step < hi:
-            d = step - z
-            if bend * d * d <= tol:
-                return step
-            z = step
-        else:
-            z = 0.5 * (lo + hi)
-        if not lo < z < hi:
-            break
-    raise ConvergenceError(
-        f"{name} inversion at {x_hat} stopped in [{lo}, {hi}] "
-        f"without meeting |{name}(z) - x| <= {tol}"
-    )
+        step = z - (val - x_hat) / slope
+        d = step - z
+        if bend * d * d <= tol:
+            return step
+        z = step
+    return z
 
 
-_F_TOP, _FTILDE_TOP = _f(Z_MIN), _ftilde(Z_MIN)
+_F_TOP, _FTILDE_TOP = _f(Z0), _ftilde(Z0)
 _F_SEED, _FTILDE_SEED = _InverseSeed(_f, _F), _InverseSeed(_ftilde, _Ftilde)
 
-#: Bounds on |f''| and |ftilde''| over [Z_MIN, 1] for the early exit of
-#: _invert_decreasing: the maxima are 10.187 at z = 1 and 181.85 at Z_MIN.
-F_BEND, FTILDE_BEND = 10.2, 182.0
+#: Bounds on |f''| and |ftilde''| over [Z0 - 1e-6, 1] for the early exit of
+#: _invert_decreasing: the maxima are 10.187 at z = 1 and 14.554 at Z0.
+F_BEND, FTILDE_BEND = 10.2, 14.6
 
 
 def invert_f(x_hat: float) -> float:
-    """z-hat with f(z-hat) = x_hat; bracketed Newton on the decreasing branch."""
+    """z-hat in [Z0, 1] with f(z-hat) = x_hat."""
     return _invert_decreasing(_f, _F, x_hat, "f", _F_TOP, _F_SEED, F_BEND)
 
 
 def invert_ftilde(x_hat: float) -> float:
-    """z-tilde with ftilde(z-tilde) = x_hat."""
+    """z-tilde in [Z0, 1] with ftilde(z-tilde) = x_hat."""
     return _invert_decreasing(_ftilde, _Ftilde, x_hat, "ftilde", _FTILDE_TOP, _FTILDE_SEED,
                               FTILDE_BEND)

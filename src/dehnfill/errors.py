@@ -8,6 +8,3 @@ class DomainError(ValueError):
 class UncertifiableError(ValueError):
     """The normalized length is too small for the certified envelope to apply."""
 
-
-class ConvergenceError(ArithmeticError):
-    """An iteration stopped before meeting its tolerance."""

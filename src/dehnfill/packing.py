@@ -8,11 +8,13 @@ most pi/(2*sqrt(3)).
 
 The decimal constants 3.3957 and 0.980258 are kept as the literal truncated
 values the certified statements use; recomputing them more precisely would
-change certified outputs.  Their provenance is checked by the consistency
-tests in tests/test_packing.py (axis_coefficient ~ 1/S, h_coefficient ~
-2*sqrt(3) * axis, and h rebuilt from the bumping-ellipse axes).
-Note 0.980258 (the axis coefficient, ~1/S) and 0.980254 (the value h(R0))
-are different numbers and are never conflated.
+change certified outputs.  tests/test_proofs.py proves in exact and
+interval arithmetic that each sits on its safe side, within its truncation:
+0.980258 <= 1/S < 0.980258 + 1e-6, and 3.3957 <= 2*sqrt(3) * 0.980258 <
+3.3957 + 1e-4; and that h(R0) = 1/H(1/sqrt(3)) = 3.3957/(2*sqrt(3)) lies in
+[0.980254, 0.980255).  tests/test_packing.py rebuilds h from the
+bumping-ellipse axes.  Note 0.980258 (the axis coefficient, ~1/S) and
+0.980254 (the value h(R0)) are different numbers and are never conflated.
 """
 
 from __future__ import annotations

@@ -12,11 +12,18 @@ import json
 import math
 
 from dehnfill.certificates import _INV_C_SQ, FillingCertificate, envelope_bounds
-from dehnfill.envelope import _BELOW_ONE, INV_TOL, SEED_NODES, SEED_Z_FIRST, Z_MIN
-from dehnfill.errors import ConvergenceError, DomainError, UncertifiableError
+from dehnfill.envelope import _BELOW_ONE, INV_TOL, SEED_NODES, SEED_Z_FIRST
+from dehnfill.errors import DomainError, UncertifiableError
 from dehnfill.packing import PACKING, R0
 
 _COEFF = PACKING.h_coefficient  # 3.3957
+
+#: The lower end of the range parent_invert_decreasing brackets on.
+Z_MIN = 0.45
+
+
+class ConvergenceError(ArithmeticError):
+    """parent_invert_decreasing stopped before meeting its tolerance."""
 
 
 def _check_open_unit(z: float):

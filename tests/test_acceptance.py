@@ -129,7 +129,7 @@ def test_09_slope_enumeration_oracle():
 
 
 def test_10_monotonicity_and_ordering():
-    zs = np.linspace(0.5, 1.0, 1000)
+    zs = np.linspace(Z0, 1.0, 1000)
     fs = [f(z) for z in zs]
     fts = [ftilde(z) for z in zs]
     mono = all(a > b for a, b in zip(fs, fs[1:])) and all(

@@ -367,6 +367,19 @@ class TestStringLhats:
         assert certify(lhats).per_cusp_lhat == expected
 
 
+class TestUnreadableLhats:
+    """certify([10**400, 12.0]) and certify([Fraction(10**400, 3), 12.0])
+    raised OverflowError from float(), and certify([None]), [1j] and
+    [object()] raised TypeError, where every other refusal is DomainError."""
+
+    @pytest.mark.parametrize("element", [10 ** 400, Fraction(10 ** 400, 3), None, 1j, object()],
+                             ids=["huge_int", "huge_fraction", "none", "complex", "object"])
+    def test_library_rejects(self, element):
+        for fn in (certify, full_certificate):
+            with pytest.raises(DomainError, match="not read as a float"):
+                fn([element, 12.0])
+
+
 def _unreachable(*args, **kwargs):
     raise AssertionError("figure_data started work on a refused sample count")
 

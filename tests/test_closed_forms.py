@@ -22,19 +22,18 @@ from dehnfill.envelope import (
     H,
     INV_TOL,
     POLE,
-    Z_MIN,
-    _invert_decreasing,
     f,
     ftilde,
     invert_f,
     invert_ftilde,
 )
-from dehnfill.errors import ConvergenceError, DomainError
+from dehnfill.errors import DomainError
+from dehnfill.packing import Z0
 
 from oracles import G, Gtilde, H_prime
 
 C = 3.3957
-GRID = np.linspace(Z_MIN, 1.0 - 1e-9, 120)
+GRID = np.linspace(Z0, 1.0 - 1e-9, 120)
 
 
 def _quad(func, a, b):
@@ -69,27 +68,18 @@ class TestInversionProperties:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_invert_f(self, t):
-        x = t * f(Z_MIN)
+        x = t * f(Z0)
         z = invert_f(x)
-        assert Z_MIN <= z <= 1.0
+        assert Z0 <= z <= 1.0
         assert abs(f(z) - x) <= INV_TOL * max(1.0, x)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_invert_ftilde(self, t):
-        x = t * ftilde(Z_MIN)
+        x = t * ftilde(Z0)
         z = invert_ftilde(x)
-        assert Z_MIN <= z <= 1.0
+        assert Z0 <= z <= 1.0
         assert abs(ftilde(z) - x) <= INV_TOL * max(1.0, x)
-
-    def test_collapsed_bracket_raises(self):
-        # a step with no value in (0.5 - tol, 0.5 + tol) cannot meet the tolerance
-        def step(z):
-            return 1.0 if z < 0.7 else 0.0
-
-        with pytest.raises(ConvergenceError):
-            _invert_decreasing(step, lambda z: 0.0, 0.5, "step", step(Z_MIN),
-                               lambda x: 1.0 - x / 3.3957)
 
     def test_nan_target_rejected(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,9 @@
 """certify and full_certificate against the two-pass decision they replaced
 (``oracles.parent_certify``, ``oracles.parent_full_certificate``): the same
 record, float for float in hex, or the same exception class and message,
-for any mix of element types, fault positions and containers."""
+for any mix of element types, fault positions and containers.  Where the
+parent's float() raised OverflowError or TypeError, they refuse with
+DomainError at the same element instead, naming float()'s message."""
 
 import array
 import math
@@ -32,6 +34,14 @@ def _outcome(fn, make_argument):
         return _bits(fn(make_argument()))
     except Exception as exc:  # the class and message, bar a memory address, are compared
         return type(exc), re.sub(r"0x[0-9a-f]+", "0x", str(exc))
+
+
+def _parent_outcome(parent, make_argument):
+    """The parent's outcome, with its float() errors read as the refusal."""
+    outcome = _outcome(parent, make_argument)
+    if outcome[0] in (OverflowError, TypeError):
+        return DomainError, f"normalized length not read as a float: {outcome[1]}"
+    return outcome
 
 
 #: Lengths at the edges: 1/Lhat^2 overflows, underflows to 0 or is subnormal.
@@ -88,6 +98,11 @@ REFUSAL_ORDER = [
     pytest.param(lambda: [1e200, 1e-200], "not finite", id="underflow_beside_overflow"),
     pytest.param(lambda: [0.0], "must be positive", id="zero"),
     pytest.param(lambda: iter([]), "need at least one", id="empty_iterator"),
+    pytest.param(lambda: ["9", 10 ** 400], "not a string", id="string_before_unreadable"),
+    pytest.param(lambda: [None, "9"], "not read as a float", id="unreadable_before_string"),
+    pytest.param(lambda: [-1.0, 1j], "not read as a float", id="unreadable_before_non_positive"),
+    pytest.param(lambda: [1e-200, Fraction(10 ** 400, 3)], "not read as a float",
+                 id="unreadable_before_underflow"),
 ]
 
 
@@ -97,9 +112,9 @@ REFUSAL_ORDER = [
 @example(make_argument=lambda: [20.184778580569123])  # v ** 2 and v * v differ by an ulp
 @example(make_argument=lambda: (np.float64(9.3), Fraction(93, 10), 10 ** 3))
 def test_matches_the_two_pass_decision(make_argument):
-    assert _outcome(certify, make_argument) == _outcome(parent_certify, make_argument)
+    assert _outcome(certify, make_argument) == _parent_outcome(parent_certify, make_argument)
     assert _outcome(full_certificate, make_argument) == \
-        _outcome(parent_full_certificate, make_argument)
+        _parent_outcome(parent_full_certificate, make_argument)
 
 
 @pytest.mark.parametrize("make_argument, message", REFUSAL_ORDER)
@@ -108,4 +123,4 @@ def test_matches_the_two_pass_decision(make_argument):
 def test_refusal_order(decide, parent, make_argument, message):
     with pytest.raises(DomainError, match=message):
         decide(make_argument())
-    assert _outcome(decide, make_argument) == _outcome(parent, make_argument)
+    assert _outcome(decide, make_argument) == _parent_outcome(parent, make_argument)

@@ -10,7 +10,6 @@ from dehnfill.envelope import (
     Ftilde,
     H,
     POLE,
-    Z_MIN,
     f,
     ftilde,
     invert_f,
@@ -103,14 +102,12 @@ class TestEnvelopeFunctions:
         assert (2 * math.pi) ** 2 / f(Z0) == pytest.approx(57.5041, abs=5e-3)
 
     def test_ftilde_dominates_f(self):
-        for z in np.linspace(0.5, 1.0, 200):
+        for z in np.linspace(Z0, 1.0, 200):
             assert ftilde(z) >= f(z) - 1e-14
 
     def test_strictly_decreasing(self):
-        # f and ftilde turn over just above the domain floor, at z = 0.48587
-        # where f = 0.69911 (f(0.45) = 0.69760); strict decrease holds from
-        # 0.5 on, which covers the certified range starting at 1/sqrt(3)
-        zs = np.linspace(0.5, 1.0, 1000)
+        # on the certified range, the whole domain of f and ftilde
+        zs = np.linspace(Z0, 1.0, 1000)
         fs = [f(z) for z in zs]
         fts = [ftilde(z) for z in zs]
         assert all(a > b for a, b in zip(fs, fs[1:]))
@@ -125,15 +122,17 @@ class TestEnvelopeFunctions:
             assert abs(coarse - fine) <= max(err, 1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            f(0.2)
-        with pytest.raises(DomainError):
-            ftilde(1.1)
+        for bad in (0.2, 0.5, math.nextafter(Z0, 0.0), 1.1):
+            with pytest.raises(DomainError):
+                f(bad)
+            with pytest.raises(DomainError):
+                ftilde(bad)
 
 
 class TestInversion:
     def test_threshold_point(self):
-        assert invert_f((2 * math.pi) ** 2 / 57.5041) == pytest.approx(Z0, abs=1e-5)
+        # C*^2 = 57.50413 rounded up, so the target lies just below f(Z0)
+        assert invert_f((2 * math.pi) ** 2 / 57.5042) == pytest.approx(Z0, abs=1e-5)
 
     def test_zero_maps_to_one(self):
         assert invert_f(0.0) == 1.0
@@ -141,16 +140,16 @@ class TestInversion:
 
     def test_round_trip(self):
         rng = random.Random(17)
-        top = f(Z_MIN)
+        top = f(Z0)
         for _ in range(100):
             x = rng.uniform(0.0, top)
             assert f(invert_f(x)) == pytest.approx(x, abs=1e-10)
-        top_t = ftilde(Z_MIN)
+        top_t = ftilde(Z0)
         for _ in range(20):
             x = rng.uniform(0.0, top_t)
             assert ftilde(invert_ftilde(x)) == pytest.approx(x, abs=1e-10)
 
     def test_out_of_range(self):
         with pytest.raises(UncertifiableError):
-            invert_f(f(Z_MIN) * 1.01)
+            invert_f(f(Z0) * 1.01)
 

@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: Exported names with no caller outside their module, each with its reason.
 UNCALLED = {
-    "Z_MIN": "the lower end of the envelope's domain, named in its error messages",
     "POLE": "the singularity of Ftilde that bounds the envelope's domain",
     "mode_b": "the per-mode formula for b that boundary_form_b sums",
     "mode_min_eigenvalue": "the per-mode eigenvalue whose minimum exact_min_b returns",

@@ -1,7 +1,8 @@
 """Proof obligations checked exactly: the per-mode coefficients of the
 boundary form b, the envelope's closed forms, the derived threshold, the
 derivative bounds and rounding allowance behind the inversion's early exit,
-and the envelopes' least slopes on the certified range.
+the envelopes' least slopes on the certified range, and the inversion's
+two passes.
 
 For b, k1 and eps are symbols with k2 = 1/k1, wave vectors are symbols, and
 each coefficient c = x + i y is split into its real and imaginary parts.
@@ -17,6 +18,7 @@ import inspect
 import math
 import operator
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,8 +28,8 @@ from mpmath import iv, mp
 
 from dehnfill import envelope
 from dehnfill.certificates import UNIVERSAL_C
-from dehnfill.envelope import INV_TOL, Z_MIN
-from dehnfill.packing import PACKING
+from dehnfill.envelope import INV_TOL
+from dehnfill.packing import PACKING, R0, Z0, h
 from dehnfill.weitzenboeck import _mode_coefficients, _mode_matrix, _row_b
 from oracles import ParentSeed, parent_invert_decreasing
 
@@ -252,11 +254,16 @@ def test_h_coefficient_is_below_its_packing_value():
 # Derivative bounds behind the early exit of envelope._invert_decreasing.
 # With g = c (1 - z) K and K' = -integrand K (K = exp(-int_1^z integrand) > 0,
 # the forms proved above), g^(n) = c K P_n with P_0 = 1 - z and
-# P_{n+1} = P_n' - integrand P_n.  The largest |g^(n)| on [Z_MIN, 1] is at an
+# P_{n+1} = P_n' - integrand P_n.  The largest |g^(n)| on [lo, hi] is at an
 # end or at a root of P_{n+1}; sympy isolates those roots in rational
-# intervals, and interval arithmetic encloses c K P_n on each.
+# intervals, and interval arithmetic encloses c K P_n on each.  The bounds
+# hold on the certified range [1/sqrt 3, 1], whose left end is rounded down
+# to a rational within 1e-12, widened by DELTA, where the inversion's first
+# Newton step may land.
 
-_WORKING = (sp.Rational(9, 20), sp.Integer(1))  # 9/20 <= the float Z_MIN
+DELTA = 1e-6
+_CERTIFIED = (sp.floor(10 ** 12 / sp.sqrt(3)) / 10 ** 12, sp.Integer(1))
+_RANGE = (_CERTIFIED[0] - sp.Rational(1, 10 ** 6), sp.Integer(1))
 
 
 def _kernel(name):
@@ -297,16 +304,17 @@ def _abs_derivative_enclosures(name, order, lo, hi):
             for a, b in boxes]
 
 
+@functools.cache
 def _max_abs_derivative(name, order):
-    """An upper bound on max |g^(order)| over [9/20, 1], and the z it is taken at."""
-    bounds = [(box.b, at) for box, at in _abs_derivative_enclosures(name, order, *_WORKING)]
+    """An upper bound on max |g^(order)| over _RANGE, and the z it is taken at."""
+    bounds = [(box.b, at) for box, at in _abs_derivative_enclosures(name, order, *_RANGE)]
     return max(bounds, key=lambda pair: float(pair[0]))
 
 
 @pytest.mark.parametrize("name, bend, peak, at", [
-    ("f", envelope.F_BEND, 10.187, 1.0), ("ftilde", envelope.FTILDE_BEND, 181.85, 0.45)])
+    ("f", envelope.F_BEND, 10.187, 1.0), ("ftilde", envelope.FTILDE_BEND, 14.554, float(_RANGE[0]))])
 def test_second_derivative_bound(name, bend, peak, at):
-    assert sp.Rational(9, 20) <= sp.Rational(Z_MIN)
+    assert _RANGE[0] <= sp.Rational(Z0) - sp.Rational(DELTA)
     bound, where = _max_abs_derivative(name, 2)
     assert bound <= bend
     assert abs(bound - peak) < 0.01 and where == at  # as envelope's comment says
@@ -319,11 +327,8 @@ def test_slope_bound(name, peak):
     assert bound <= peak + 5e-5
 
 
-# Slopes bounded away from 0 on the certified range [1/sqrt 3, 1], whose
-# left end is rounded down to a rational within 1e-12: at 0.57 the slope of f
+# Slopes bounded away from 0 on the certified range: at 0.57 the slope of f
 # is already only 0.268.
-_CERTIFIED = (sp.floor(10 ** 12 / sp.sqrt(3)) / 10 ** 12, sp.Integer(1))
-
 
 @pytest.mark.parametrize("name, floor, least", [
     ("f", 0.2972, 0.297277), ("ftilde", 2.585, 2.585336)])
@@ -362,15 +367,19 @@ SLOPE_ERR = 2.0 ** -40
 ALLOWANCE = 1.1e-14
 
 
+def _rounding(name, x, step):
+    """The rounding terms above at target x for a Newton step of size ``step``."""
+    return (2.0 * EVAL_REL[name] * (x + SLOPE_MAX * step) + SLOPE_MAX * 2.0 ** -54
+            + step * (SLOPE_ERR + SLOPE_MAX * 2.0 * U))
+
+
 def test_rounding_allowance_fits_under_half_the_tolerance():
     for name, top, bend in (("f", envelope._F_TOP, envelope.F_BEND),
                             ("ftilde", envelope._FTILDE_TOP, envelope.FTILDE_BEND)):
         for x in (min(top, 1.0), top):  # tol = INV_TOL max(1, x) grows past x = 1
             tol = INV_TOL * max(1.0, x)
             step = math.sqrt(tol * (1.0 + 4.0 * U) / bend)
-            allowance = (2.0 * EVAL_REL[name] * (x + SLOPE_MAX * step) + SLOPE_MAX * 2.0 ** -54
-                         + step * (SLOPE_ERR + SLOPE_MAX * 2.0 * U))
-            assert allowance <= ALLOWANCE * max(1.0, x) < tol / 2.0
+            assert _rounding(name, x, step) <= ALLOWANCE * max(1.0, x) < tol / 2.0
 
 
 _INTEGRAND_MP = {name: sp.lambdify(z, expr, "mpmath") for name, expr in (("f", F_SYM),
@@ -389,7 +398,8 @@ def g_mp(name, t):
 
 def test_evaluation_and_slope_errors_within_the_allowance():
     rng = random.Random(89)
-    points = [Z_MIN, 0.5, envelope._BELOW_ONE] + [rng.uniform(Z_MIN, 1.0) for _ in range(25)]
+    lo = float(_RANGE[0])
+    points = [lo, Z0, envelope._BELOW_ONE] + [rng.uniform(lo, 1.0) for _ in range(25)]
     for name, func, integrand in (("f", envelope._f, envelope._F),
                                   ("ftilde", envelope._ftilde, envelope._Ftilde)):
         for t in points:
@@ -410,7 +420,8 @@ _INVERSION = {
 
 
 def _inversion(name, x, bend=math.inf):
-    """(z, the points func was evaluated at) of _invert_decreasing at x."""
+    """(z, the points func was evaluated at) of _invert_decreasing at x; the
+    default bend never exits early."""
     func, integrand, top, seed, _ = _INVERSION[name]
     seen = []
 
@@ -432,24 +443,26 @@ def _exit_ratio(name, x):
 
 def _adversarial_targets(name):
     """Targets with exit ratio in [0.9, 1]: each seed interval is sampled at 65
-    points, and every crossing of 0.95 is bisected into [0.9, 1]."""
+    points, and every crossing of 0.92, 0.95 and 0.98 is bisected to within
+    0.01 of it (the ftilde seed is so close that only three intervals cross)."""
     top, seed = _INVERSION[name][2], _INVERSION[name][3]
     nodes = [x for x in seed.x_nodes if x < top] + [top]
     targets = []
     for a, b in zip(nodes, nodes[1:]):
         xs = [a + (b - a) * k / 64 for k in range(65)]
-        below = [_exit_ratio(name, x) < 0.95 for x in xs]
-        for i in range(64):
-            if below[i] == below[i + 1]:
-                continue
-            lo, hi = (xs[i], xs[i + 1]) if below[i] else (xs[i + 1], xs[i])
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                ratio = _exit_ratio(name, mid)
-                if 0.9 <= ratio <= 1.0:
-                    targets.append(mid)
-                    break
-                lo, hi = (mid, hi) if ratio < 0.95 else (lo, mid)
+        ratios = [_exit_ratio(name, x) for x in xs]
+        for level in (0.92, 0.95, 0.98):
+            for i in range(64):
+                if (ratios[i] < level) == (ratios[i + 1] < level):
+                    continue
+                lo, hi = (xs[i], xs[i + 1]) if ratios[i] < level else (xs[i + 1], xs[i])
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    ratio = _exit_ratio(name, mid)
+                    if abs(ratio - level) <= 0.01:
+                        targets.append(mid)
+                        break
+                    lo, hi = (mid, hi) if ratio < level else (lo, mid)
     return targets
 
 
@@ -466,3 +479,132 @@ def test_exit_at_adversarial_targets(name):
             func, integrand, x, name, top, parent_seed).hex(), x.hex()
         tol = INV_TOL * max(1.0, x)
         assert abs(g_mp(name, z_exit)[0] - x) <= tol / 2.0 + ALLOWANCE * max(1.0, x) < tol
+
+
+# The inversion's two passes.  _invert_decreasing starts at z0 = seed(x),
+# clamped below 1; each pass evaluates g at z, returns z if it meets the
+# tolerance, else takes the Newton step d and returns it if bend d^2 <= tol,
+# and the second pass returns its step.  With r the root, e0 = |z0 - r|, m
+# the least |g'| and bend >= max|g''| on _RANGE, the exact first step z1 is
+# off r by at most e1 = bend e0^2/(2m), and the computed one by `rounding`
+# more (the rounding terms above, divided by m).  So z1 lies in [Z0 - DELTA,
+# 1), where the same bounds hold, and the second step, at most e1 + bend
+# e1^2/(2m) + rounding long, passes bend d^2 <= tol.  (f is concave on
+# _RANGE and ftilde changes convexity at z = 0.81, so a step may land on
+# either side of r.)
+
+#: Seed boxes are at most BOX wide in z, and at most KAPPA (1 - z) near 1.
+BOX, KAPPA = 1e-5, 0.1
+#: The boxes stop at 1 - ZETA; the seed meets every target whose root lies above.
+ZETA = 1e-13
+#: Covers the rounding of the float seed and of g at the box ends (the
+#: cubic rounds in its last bits, and g's error over m is below 1e-14).
+SLACK = 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_INVERSION))
+def test_seed_decreases_and_starts_in_the_certified_range(name):
+    # each seed cubic z0 + t (d + t (c2 + t c3)), t = x - x0, that a target in
+    # (0, g(Z0)] reaches, its floats read as exact fractions, for t in [0, h]:
+    # to the next node, or to g(Z0)
+    top, seed = _INVERSION[name][2], _INVERSION[name][3]
+    for cubic, x_next in zip(seed._cubics, seed.x_nodes[1:]):
+        if cubic[0] >= top:
+            break
+        x0, z0, d, c2, c3 = map(Fraction, cubic)
+        h = Fraction(min(x_next, top)) - x0
+        # the derivative d + 2 c2 t + 3 c3 t^2 is largest at an end or its vertex
+        ts = [Fraction(0), h] + ([-c2 / (3 * c3)] if c3 and 0 < -c2 / (3 * c3) < h else [])
+        assert max(d + 2 * c2 * t + 3 * c3 * t * t for t in ts) < 0
+        # so the piece is least at its right end, at g(Z0) for the last piece
+        assert z0 + h * (d + h * (c2 + h * c3)) - Fraction(Z0) > SLACK
+    assert Z0 < seed(top) < Z0 + 4e-6  # 0.5773538 for f, 0.5773511 for ftilde
+
+
+def _box_edges():
+    """z from 1 - ZETA down to Z0, in steps of at most BOX and KAPPA (1 - z)."""
+    gaps = [ZETA]  # 1 - z
+    while gaps[-1] < BOX / KAPPA:
+        gaps.append(gaps[-1] * (1.0 + KAPPA))
+    n = math.ceil((1.0 - Z0 - gaps[-1]) / BOX)
+    gaps += [gaps[-1] + (1.0 - Z0 - gaps[-1]) * k / n for k in range(1, n)]
+    return [1.0 - gap for gap in gaps] + [Z0]
+
+
+@functools.cache
+def _seed_boxes(name):
+    """[(za, zb, e0)] for boxes [za, zb] covering [Z0, 1 - ZETA], with e0
+    bounding |seed(x) - r| over the targets x whose root r lies in the box,
+    x in [g(zb), g(za)].  The seed decreases, so it lies in [seed(g(za)),
+    seed(g(zb))] there, and e0 = max(seed(g(zb)) - za, zb - seed(g(za)))."""
+    func, _, _, seed, _ = _INVERSION[name]
+    zs = _box_edges()
+    starts = [min(seed(func(t)), envelope._BELOW_ONE) for t in zs]
+    return [(za, zb, SLACK + max(s - za, zb - s_next))
+            for zb, za, s, s_next in zip(zs, zs[1:], starts, starts[1:])]
+
+
+@functools.cache
+def _least_slope(name):
+    """A lower bound on |g'| over _RANGE, where g' has no root."""
+    lo, hi = _RANGE
+    assert not _factors(name)[1][1][0].intervals(inf=lo, sup=hi)
+    return float(min(box.a for box, _ in _abs_derivative_enclosures(name, 1, lo, hi)))
+
+
+@pytest.mark.parametrize("name, least", [("f", 0.297273), ("ftilde", 2.585321)])
+def test_second_pass_returns_its_step(name, least):
+    func, _, top, seed, bend = _INVERSION[name]
+    assert _RANGE[0] <= sp.Rational(Z0) - sp.Rational(DELTA)
+    assert bend >= _max_abs_derivative(name, 2)[0]
+    m = _least_slope(name)
+    assert abs(m - least) < 1e-5
+    boxes = _seed_boxes(name)
+    assert boxes[0][1] == 1.0 - ZETA and boxes[-1][0] == Z0
+    # the rounding of a step at most 2 e0 long, as both steps are (asserted)
+    rounding = _rounding(name, top, 2.0 * max(e0 for _, _, e0 in boxes)) / m
+    for za, zb, e0 in boxes:
+        e1 = bend * e0 * e0 / (2.0 * m) + rounding  # |z1 - r|, so |z1 - z0| <= e0 + e1
+        assert e1 <= min(DELTA, e0) and zb + e1 < 1.0
+        d = e1 + bend * e1 * e1 / (2.0 * m) + rounding
+        assert d <= 2.0 * e0 and bend * d * d * (1.0 + 4.0 * U) <= INV_TOL  # tol >= INV_TOL
+    # roots above 1 - ZETA have targets x <= x_s, where the seed lies at or
+    # right of seed(x_s), less its rounding 2^-53 near 1 taken twice, and
+    # g there is below the tolerance: the first pass returns the seed
+    x_s = func(1.0 - ZETA) * (1.0 + 2.0 * EVAL_REL[name])
+    z_s = min(seed(x_s), envelope._BELOW_ONE) - 2.0 ** -52
+    assert max(x_s, func(z_s) * (1.0 + 3.0 * EVAL_REL[name])) <= INV_TOL
+
+
+@pytest.mark.parametrize("name, invert", [("f", envelope.invert_f),
+                                          ("ftilde", envelope.invert_ftilde)])
+def test_every_returned_z_lies_in_the_certified_range(name, invert):
+    # A returned z lies in [Z0 - DELTA, 1] (above) and has |g(z) - x| <= tol
+    # (the float test, or the early exit's proof), so g(z) <= (x + tol)/(1 -
+    # EVAL_REL), below g(Z0) >= top/(1 + EVAL_REL) once x < cover: there z >
+    # Z0.  The floats from cover to top are inverted one by one.
+    top, rel = _INVERSION[name][2], EVAL_REL[name]
+    cover = top * (1.0 - rel) / (1.0 + rel) - INV_TOL * max(1.0, top)
+    xs = [top]
+    while xs[-1] >= cover:
+        xs.append(math.nextafter(xs[-1], 0.0))
+    assert 5_000 < len(xs) < 20_000
+    assert min(map(invert, xs)) >= Z0
+
+
+def test_h_at_r0_is_reciprocal_h_at_z0():
+    # h(R0) = c tanh(R0)/cosh(2 R0) with tanh(R0) = 1/sqrt 3, so cosh(2 R0) =
+    # (1 + 1/3)/(1 - 1/3) = 2, and H(1/sqrt 3) = 2 sqrt 3/c: both are
+    # c/(2 sqrt 3) = 0.98025415454... with c = 3.3957
+    coeff = sp.Rational(repr(PACKING.h_coefficient))
+    exact = coeff / (2 * sp.sqrt(3))
+    r0 = sp.atanh(1 / sp.sqrt(3))
+    h_r0 = coeff * sp.tanh(r0) / sp.cosh(2 * r0).rewrite(sp.tanh)
+    assert sp.simplify(h_r0 - exact) == 0
+    assert sp.simplify(1 / run("H", 1 / sp.sqrt(3))[0].subs(c, coeff) - exact) == 0
+    enclosed = _enclose(exact, None)
+    assert 0.980254 <= enclosed.a and enclosed.b < 0.980255
+    with mp.workdps(40):
+        value = mp.mpf(coeff.p) / coeff.q / (2 * mp.sqrt(3))
+        for computed in (h(R0), 1.0 / envelope.H(Z0)):
+            assert abs(computed - value) <= 2 * math.ulp(computed)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from dehnfill import certificates, envelope
-from dehnfill.envelope import INV_TOL, Z_MIN, f, ftilde, invert_f, invert_ftilde
+from dehnfill.envelope import INV_TOL, f, ftilde, invert_f, invert_ftilde
 from dehnfill.errors import UncertifiableError
+from dehnfill.packing import Z0
 
 ENVELOPES = {"f": (f, invert_f), "ftilde": (ftilde, invert_ftilde)}
 
@@ -18,7 +19,7 @@ def _seed(name):
 
 
 def _assert_meets_rule(g, x, z):
-    assert Z_MIN <= z <= 1.0
+    assert Z0 <= z <= 1.0
     assert abs(g(z) - x) <= INV_TOL * max(1.0, x)
 
 
@@ -26,7 +27,7 @@ def _assert_meets_rule(g, x, z):
 class TestSeedEdges:
     def test_top_target(self, name):
         g, invert = ENVELOPES[name]
-        top = g(Z_MIN)
+        top = g(Z0)
         _assert_meets_rule(g, top, invert(top))
         with pytest.raises(UncertifiableError):
             invert(math.nextafter(top, math.inf))
@@ -39,7 +40,7 @@ class TestSeedEdges:
     def test_each_node_and_its_neighbours(self, name):
         g, invert = ENVELOPES[name]
         seed = _seed(name)
-        top = g(Z_MIN)
+        top = g(Z0)
         for node in seed.x_nodes:
             for x in (math.nextafter(node, -math.inf), node, math.nextafter(node, math.inf)):
                 if x < 0.0:
@@ -51,12 +52,12 @@ class TestSeedEdges:
                     _assert_meets_rule(g, x, invert(x))
 
     def test_between_last_node_and_top(self, name):
-        # the nodes run past g(Z_MIN), so no accepted target lies above the
-        # last node; the accepted targets nearest the turnover lie between
-        # the highest node below g(Z_MIN) and g(Z_MIN)
+        # the nodes run past g(Z0), so no accepted target lies above the
+        # last node; the accepted targets nearest Z0 lie between the highest
+        # node below g(Z0) and g(Z0)
         g, invert = ENVELOPES[name]
         seed = _seed(name)
-        top = g(Z_MIN)
+        top = g(Z0)
         assert seed.x_nodes[-1] >= top
         below = max(x for x in seed.x_nodes if x <= top)
         for x in np.linspace(below, top, 101).tolist():
@@ -64,14 +65,16 @@ class TestSeedEdges:
 
 
 class TestSeedOutsideBracket:
-    """A start on z = 1 would divide by 1 - z in the Newton slope."""
+    """A start on z = 1 would divide by 1 - z in the Newton slope, so a start
+    at or above 1 is first evaluated at the float below 1.  func met at once
+    returns that first point."""
 
     @pytest.mark.parametrize("x", [1e-300, 1e-9, 0.5])
     @pytest.mark.parametrize("start", [1.0, 1.5, 0.0])
     def test_start_is_clamped(self, x, start):
-        z = envelope._invert_decreasing(envelope._f, envelope._F, x, "f",
-                                        envelope._F_TOP, lambda _: start)
-        _assert_meets_rule(f, x, z)
+        z = envelope._invert_decreasing(lambda _: x, envelope._F, x, "f",
+                                        envelope._F_TOP, lambda _: start, envelope.F_BEND)
+        assert z == min(start, envelope._BELOW_ONE) < 1.0
 
 
 def test_at_most_three_evaluations_on_figure_grid(monkeypatch):

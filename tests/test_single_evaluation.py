@@ -22,7 +22,7 @@ from dehnfill.certificates import (
 )
 from dehnfill.cli import run
 from dehnfill.envelope import H, f
-from dehnfill.errors import UncertifiableError
+from dehnfill.errors import DomainError, UncertifiableError
 
 
 @pytest.fixture
@@ -104,7 +104,12 @@ class TestReadersMatchEnvelopeBounds:
             assert core == area[1] / (2.0 * math.pi)
             assert dv[0] <= dv[1] and area[0] <= area[1]
 
-    @pytest.mark.parametrize("lhat", [0.5, 7.5831, math.nextafter(UNIVERSAL_C, 0.0), math.nan])
+    @pytest.mark.parametrize("lhat", [0.5, 7.5831, math.nextafter(UNIVERSAL_C, 0.0)])
     def test_below_threshold(self, lhat):
         with pytest.raises(UncertifiableError, match="below threshold 7.5832"):
             envelope_bounds(lhat)
+
+    def test_nan_refused(self):
+        # NaN is not a length below the threshold: it was refused as one
+        with pytest.raises(DomainError, match="must be a number, got nan"):
+            envelope_bounds(math.nan)
