@@ -25,7 +25,6 @@ from .weitzenboeck import (
     FourierMode1Form,
     boundary_form_b,
     exact_min_b,
-    mode_b,
     random_form,
     random_modes,
     scan_min_b,

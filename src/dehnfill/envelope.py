@@ -7,27 +7,30 @@ integrated extremals of the differential inequalities for v = A/alpha^2 are
     ftilde(z) = 3.3957 (1 - z) exp(-int_1^z Ftilde(w) dw),
 
 and the deformation parameter x = alpha^2 / Lhat^2 is pinched between them:
-ftilde(z) >= x >= f(z).  H(z) = 1/A is the reciprocal visual area.  Ftilde
-has a pole at z = sqrt(2) - 1; f and ftilde are checked on the certified
-range [Z0, 1], Z0 = 1/sqrt(3) = tanh(R0), where both decrease.
+ftilde(z) >= x >= f(z), where H(z) = (1+z^2)/(3.3957 z (1-z^2)) = 1/A is
+the reciprocal visual area.  Ftilde has a pole at z = sqrt(2) - 1; f and
+ftilde are checked on the certified range [Z0, 1], Z0 = 1/sqrt(3) =
+tanh(R0), where both decrease.
 
-This module owns every envelope formula: H, F, Ftilde, f, ftilde, their
-inversions, and the closed forms that read the volume-drop and area bounds
-off a z (``_dv_upper_from_z``, ``_dv_lower_from_z``, ``_area_from_z``),
-which ``certificates`` applies at z-hat and z-tilde.
+This module owns every envelope formula: the exported f, ftilde and their
+inversions invert_f, invert_ftilde; the integrands F and Ftilde (``_F``,
+``_Ftilde``); and the closed forms that read the volume-drop and area bounds
+off a z (``_dv_upper_from_z``, ``_dv_lower_from_z``, and ``_area_from_z`` =
+1/H), which ``certificates`` applies at z-hat and z-tilde.
 
 F and Ftilde are rational, so both exponents are elementary (a rational term
 and logarithms; see f and ftilde).  Inverting g = f or ftilde takes at most
 two Newton steps, with g' = -g (1/(1-z) + F) (Ftilde for ftilde), from a
-cubic Hermite interpolant of the inverse built at import from 32 z-nodes on
-[0.49, 1].  A target x outside (0, g(Z0)] gives z = 1 at 0, else raises
-(UncertifiableError above, DomainError if NaN or negative).  A Newton step d
-with bend * d^2 <= tol, where bend bounds |g''| on [Z0 - 1e-6, 1] (10.2 for
-f, 14.6 for ftilde), is returned without evaluating g there: Taylor's
-theorem proves that g at it meets the tolerance, so it is the float one more
-evaluation would accept.  The seed's proven error makes every second step
-such a step.  Over the figure grids of 2 to 488 rows, 89 % of f and 99.6 %
-of ftilde inversions end after the seed's one evaluation; the rest take two.
+cubic Hermite interpolant of the inverse built at import on 27 z-nodes, from
+1 down to the first below Z0.  A target x outside (0, g(Z0)] gives z = 1 at
+0, else raises (UncertifiableError above, DomainError if NaN or negative).
+A Newton step d with bend * d^2 <= tol, where bend bounds |g''| on
+[Z0 - 1e-6, 1] (10.2 for f, 14.6 for ftilde), is returned without
+evaluating g there: Taylor's theorem proves that g at it meets the
+tolerance, so it is the float one more evaluation would accept.  The seed's
+proven error makes every second step such a step.  Over the figure grids of
+2 to 488 rows, 89 % of f and 99.6 % of ftilde inversions end after the
+seed's one evaluation; the rest take two.
 """
 
 from __future__ import annotations
@@ -38,19 +41,10 @@ from bisect import bisect_right
 from .errors import DomainError, UncertifiableError
 from .packing import PACKING, Z0
 
-__all__ = [
-    "POLE",
-    "H",
-    "F",
-    "Ftilde",
-    "f",
-    "ftilde",
-    "invert_f",
-    "invert_ftilde",
-]
+__all__ = ["f", "ftilde", "invert_f", "invert_ftilde"]
 
 #: Excluded singularity of Ftilde.
-POLE = math.sqrt(2.0) - 1.0
+_POLE = math.sqrt(2.0) - 1.0
 
 #: Inversion tolerance: |f(z) - x| <= INV_TOL * max(1, x).
 INV_TOL = 1e-12
@@ -63,17 +57,10 @@ _P2 = (_R2 - 1.0) ** 2
 _Q2 = (_R2 + 1.0) ** 2
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
-#: The inversion seed interpolates the inverse through this many z-nodes,
-#: evenly spaced from SEED_Z_FIRST to 1.
-SEED_NODES = 32
-SEED_Z_FIRST = 0.49
-
-
-def H(z: float) -> float:
-    """Reciprocal visual area H(z) = (1+z^2)/(3.3957 z (1-z^2))."""
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"argument must lie in (0, 1), got {z}")
-    return (1.0 + z * z) / (_COEFF * z * (1.0 - z * z))
+#: The inversion seed interpolates the inverse through the z-nodes
+#: 1 - k * SEED_STEP, k = 0, 1, ..., down to the first node below Z0: the
+#: spacing of 32 nodes on [0.49, 1], which fixes the seed's floats.
+SEED_STEP = (1.0 - 0.49) / 31
 
 
 def _dv_upper_from_z(z: float) -> float:
@@ -94,7 +81,7 @@ def _dv_lower_from_z(z: float) -> float:
         return 0.0
     # H - Gtilde = -(z^2+1)(z^2-2z-1)(z^2+2z-1) / (2c z^3 (z^2-1)(z^2-3)) has
     # the sign of z^2+2z-1 on (0, 1), so the integrand needs z > sqrt(2)-1
-    if not z > POLE:
+    if not z > _POLE:
         raise DomainError(f"H <= Gtilde at z = {z}; lower bound not applicable")
     rational = 2.0 * (1.0 - z) + (math.pi / 4.0 - math.atan(z)) - (1.0 - z) ** 2 / (1.0 + z * z)
     logs = 0.75 * math.log((z * z + 2.0 * z - 1.0) / (1.0 + 2.0 * z - z * z)) + 0.5 * _R2 * (
@@ -105,32 +92,22 @@ def _dv_lower_from_z(z: float) -> float:
 
 
 def _area_from_z(z: float) -> float:
-    """1/H(z), bit for bit, without H's domain check; 0 at z >= 1."""
-    return 0.0 if z >= 1.0 else 1.0 / ((1.0 + z * z) / (_COEFF * z * (1.0 - z * z)))
+    """1/H(z), the reciprocal of H as the module docstring writes it; 0 at z >= 1."""
+    if z >= 1.0:
+        return 0.0
+    return 1.0 / ((1.0 + z * z) / (_COEFF * z * (1.0 - z * z)))
 
 
 def _F(z: float) -> float:
+    """F(z) = -(1+4z+6z^2+z^4)/((z+1)(1+z^2)^2), regular on [0, 1]."""
     return -(1.0 + 4.0 * z + 6.0 * z * z + z ** 4) / ((z + 1.0) * (1.0 + z * z) ** 2)
 
 
-def F(z: float) -> float:
-    """F(z) = -(1+4z+6z^2+z^4)/((z+1)(1+z^2)^2), regular on [0, 1]."""
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"F is defined on [0, 1], got {z}")
-    return _F(z)
-
-
 def _Ftilde(z: float) -> float:
+    """Ftilde(z), regular on (sqrt(2)-1, 1]; pole at sqrt(2)-1."""
     num = z ** 6 + 7.0 * z ** 4 + 12.0 * z ** 3 - 9.0 * z * z - 4.0 * z + 1.0
     den = (z + 1.0) * (z * z + 1.0) * (z * z - 2.0 * z - 1.0) * (z * z + 2.0 * z - 1.0)
     return -num / den
-
-
-def Ftilde(z: float) -> float:
-    """Ftilde(z), regular on (sqrt(2)-1, 1]; pole at sqrt(2)-1."""
-    if not POLE < z <= 1.0:
-        raise DomainError(f"Ftilde is defined on (sqrt(2)-1, 1], got {z}")
-    return _Ftilde(z)
 
 
 def _check_working(z: float):
@@ -172,17 +149,17 @@ def ftilde(z: float) -> float:
 class _InverseSeed:
     """Start values for inverting g (f or ftilde) on [Z0, 1]: the cubic
     Hermite interpolant of the inverse through x = g(z) with dz/dx =
-    1/g'(z) at SEED_NODES z-nodes evenly spaced on [SEED_Z_FIRST, 1].
+    1/g'(z) at the z-nodes 1 - k SEED_STEP down to the first below Z0.
 
-    ``x_nodes`` ascend (z descends); above the last node the last cubic is
-    extended.  The nodes run past Z0, so every accepted target x <= g(Z0)
-    lies between two of them; each cubic decreases there, and the seed of
-    g(Z0) lies above Z0.
+    ``x_nodes`` ascend (z descends).  The last node lies below Z0, so every
+    accepted target x <= g(Z0) lies between two nodes; each cubic decreases
+    there, and the seed of g(Z0) lies above Z0.
     """
 
     def __init__(self, g, integrand):
-        step = (1.0 - SEED_Z_FIRST) / (SEED_NODES - 1)
-        zs = [1.0 - k * step for k in range(SEED_NODES)]
+        zs = [1.0]
+        while zs[-1] >= Z0:
+            zs.append(1.0 - len(zs) * SEED_STEP)
         xs = [g(z) for z in zs]
         # g' = -g (1/(1-z) + integrand) tends to -3.3957 at z = 1
         dz = [-1.0 / _COEFF] + [
@@ -190,7 +167,7 @@ class _InverseSeed:
         ]
         self.x_nodes = xs
         self._cubics = []  # (x, z, dz/dx, c2, c3) at the left end of each interval
-        for i in range(SEED_NODES - 1):
+        for i in range(len(zs) - 1):
             h = xs[i + 1] - xs[i]
             secant = (zs[i + 1] - zs[i]) / h
             self._cubics.append((
@@ -200,7 +177,7 @@ class _InverseSeed:
             ))
 
     def __call__(self, x: float) -> float:
-        x0, z, d, c2, c3 = self._cubics[bisect_right(self.x_nodes, x, 1, SEED_NODES - 1) - 1]
+        x0, z, d, c2, c3 = self._cubics[bisect_right(self.x_nodes, x, 1) - 1]
         dx = x - x0
         return z + dx * (d + dx * (c2 + dx * c3))
 

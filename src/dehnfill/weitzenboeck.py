@@ -15,11 +15,11 @@ eps <= 2*k1; ``BoundaryCurvature.in_positivity_window`` tests that window.
 We evaluate b exactly (up to floating point) on finite Fourier sums over
 the unit-area square flat torus: derivatives act as multiplication by
 2*pi*(m, n) per mode, and L2 norms follow from Parseval, so b splits into
-a sum of per-mode 2x2 forms (``mode_b``).  Their smallest eigenvalue is the
-exact minimum of b on unit forms (``exact_min_b``).  The quadratic form
-depends on the flat metric only through L2 norms, and another flat torus
-only moves the modes to other wave vectors, so the square torus stands for
-every flat torus in the sign of the minimum, not in its value.
+a sum of per-mode 2x2 forms (see ``boundary_form_b``).  Their smallest
+eigenvalue is the exact minimum of b on unit forms (``exact_min_b``).  The
+quadratic form depends on the flat metric only through L2 norms, and another
+flat torus only moves the modes to other wave vectors, so the square torus
+stands for every flat torus in the sign of the minimum, not in its value.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "BoundaryCurvature",
     "FourierMode1Form",
     "boundary_form_b",
-    "mode_b",
     "mode_min_eigenvalue",
     "exact_min_b",
     "scan_min_b",
@@ -159,7 +158,7 @@ def random_form(rng: np.random.Generator) -> FourierMode1Form:
 
 
 def _mode_coefficients(curv: BoundaryCurvature, kap1, kap2):
-    """(a1, a2, w) with mode_b = a1 |c1|^2 + a2 |c2|^2 + w |kap2 c1 - kap1 c2|^2: the one
+    """(a1, a2, w) with a mode's b = a1 |c1|^2 + a2 |c2|^2 + w |kap2 c1 - kap1 c2|^2: the one
     formula for b, in plain arithmetic, so arrays and symbols pass through alike."""
     k1, k2, eps = curv.k1, curv.k2, curv.epsilon
     sq1, sq2 = kap1 * kap1, kap2 * kap2
@@ -172,11 +171,10 @@ def _abs2(c):
     return np.real(c) ** 2 + np.imag(c) ** 2
 
 
-def mode_b(curv: BoundaryCurvature, kappa, c1, c2) -> np.ndarray:
-    """The boundary form b of single Fourier modes, elementwise.
-
-    ``kappa`` has shape (..., 2) and holds wave vectors 2*pi*(m, n); ``c1``
-    and ``c2`` broadcast against ``kappa[..., 0]``.  Per mode, with
+def boundary_form_b(curv: BoundaryCurvature, sigma: FourierMode1Form) -> float:
+    """Evaluate the boundary quadratic form b on a finite Fourier sum: the
+    sum over its modes of each mode's b.  For a mode with wave vector
+    kappa = 2*pi*(m, n) and coefficients (c1, c2), with
     A = (3 - k1^2) kappa1^2 + (3 - k2^2) kappa2^2,
 
         b = (1/4) A (k1 |c1|^2 + k2 |c2|^2)
@@ -187,17 +185,10 @@ def mode_b(curv: BoundaryCurvature, kappa, c1, c2) -> np.ndarray:
     components (kappa2, -kappa1) * (kappa2 c1 - kappa1 c2).  The form is
     even in kappa, so a mode and its conjugate contribute equally.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    a1, a2, w = _mode_coefficients(curv, kappa[..., 0], kappa[..., 1])
-    return a1 * _abs2(c1) + a2 * _abs2(c2) + w * _abs2(kappa[..., 1] * c1 - kappa[..., 0] * c2)
-
-
-def boundary_form_b(curv: BoundaryCurvature, sigma: FourierMode1Form) -> float:
-    """Evaluate the boundary quadratic form b on a finite Fourier sum:
-    the sum of :func:`mode_b` over its modes."""
-    freqs = np.array(list(sigma.modes), dtype=float).reshape(-1, 2)
-    coeffs = np.array(list(sigma.modes.values()), dtype=complex).reshape(-1, 2)
-    return float(np.sum(mode_b(curv, 2.0 * math.pi * freqs, coeffs[:, 0], coeffs[:, 1])))
+    kap1, kap2 = 2.0 * math.pi * np.array(list(sigma.modes), dtype=float).reshape(-1, 2).T
+    c1, c2 = np.array(list(sigma.modes.values()), dtype=complex).reshape(-1, 2).T
+    a1, a2, w = _mode_coefficients(curv, kap1, kap2)
+    return float(np.sum(a1 * _abs2(c1) + a2 * _abs2(c2) + w * _abs2(kap2 * c1 - kap1 * c2)))
 
 
 _SCAN_BLOCK = 1024  # trials per batch: bounds the scan's memory for any trial count
@@ -239,13 +230,13 @@ def scan_min_b(curv: BoundaryCurvature, rng: int | np.random.Generator, trials: 
 
 
 def _mode_matrix(curv: BoundaryCurvature, kap1, kap2):
-    """(q11, q22, q12): the real symmetric matrix Q of each mode's form (c1, c2) -> mode_b."""
+    """(q11, q22, q12): the real symmetric matrix Q of each mode's form (c1, c2) -> b."""
     a1, a2, w = _mode_coefficients(curv, kap1, kap2)
     return a1 + w * kap2 ** 2, a2 + w * kap1 ** 2, -w * kap1 * kap2
 
 
 def mode_min_eigenvalue(curv: BoundaryCurvature, kappa) -> np.ndarray:
-    """Smallest eigenvalue of each mode's form (c1, c2) -> mode_b.
+    """Smallest eigenvalue of each mode's form (c1, c2) -> b.
 
     That form is a real symmetric 2x2 matrix Q, read directly off the
     coefficients of b (no polarization).  The eigenvalue of larger magnitude

@@ -1,18 +1,19 @@
-"""Test-only oracles: the derivative of H and the coefficient functions G
-and Gtilde of the differential inequalities, against which the closed forms
-in dehnfill.envelope are checked, the json serialization against which
-certificate_to_json is checked, an earlier seeded Newton inversion
-(``ParentSeed``, ``parent_invert_decreasing``) against which invert_f and
-invert_ftilde are checked bit for bit, and an earlier two-pass decision
-(``parent_certify``, ``parent_full_certificate``) against which certify and
-full_certificate are checked bit for bit.  No package code calls them."""
+"""Test-only oracles: the reciprocal visual area H, its derivative, and the
+coefficient functions G and Gtilde of the differential inequalities, against
+which the closed forms in dehnfill.envelope are checked, the json
+serialization against which certificate_to_json is checked, an earlier
+seeded Newton inversion (``ParentSeed``, ``parent_invert_decreasing``)
+against which invert_f and invert_ftilde are checked bit for bit, and an
+earlier two-pass decision (``parent_certify``, ``parent_full_certificate``)
+against which certify and full_certificate are checked bit for bit.  No
+package code calls them."""
 
 import bisect
 import json
 import math
 
 from dehnfill.certificates import _INV_C_SQ, FillingCertificate, envelope_bounds
-from dehnfill.envelope import _BELOW_ONE, INV_TOL, SEED_NODES, SEED_Z_FIRST
+from dehnfill.envelope import _BELOW_ONE, INV_TOL
 from dehnfill.errors import DomainError, UncertifiableError
 from dehnfill.packing import PACKING, R0
 
@@ -29,6 +30,12 @@ class ConvergenceError(ArithmeticError):
 def _check_open_unit(z: float):
     if not 0.0 < z < 1.0:
         raise DomainError(f"argument must lie in (0, 1), got {z}")
+
+
+def H(z: float) -> float:
+    """Reciprocal visual area H(z) = (1+z^2)/(3.3957 z (1-z^2))."""
+    _check_open_unit(z)
+    return (1.0 + z * z) / (_COEFF * z * (1.0 - z * z))
 
 
 def H_prime(z: float) -> float:
@@ -58,13 +65,15 @@ def certificate_json(cert) -> str:
 
 
 class ParentSeed:
-    """The inversion seed as first written: the (z, dz/dx, c2, c3) table and
-    its lookup, kept verbatim.  ``ParentSeed(g, integrand)`` for g = f or
-    ftilde (their unchecked forms) and its integrand F or Ftilde."""
+    """The inversion seed as first written: the (z, dz/dx, c2, c3) table on
+    32 z-nodes evenly spaced on [0.49, 1] and its lookup, kept verbatim with
+    its node count and first node written out, so that it does not move with
+    the seed it checks.  ``ParentSeed(g, integrand)`` for g = f or ftilde
+    (their unchecked forms) and its integrand F or Ftilde."""
 
     def __init__(self, g, integrand):
-        step = (1.0 - SEED_Z_FIRST) / (SEED_NODES - 1)
-        zs = [1.0 - k * step for k in range(SEED_NODES)]
+        step = (1.0 - 0.49) / (32 - 1)
+        zs = [1.0 - k * step for k in range(32)]
         xs = [g(z) for z in zs]
         # g' = -g (1/(1-z) + integrand) tends to -3.3957 at z = 1
         dz = [-1.0 / _COEFF] + [
@@ -72,7 +81,7 @@ class ParentSeed:
         ]
         self.x_nodes = xs
         self._cubics = []  # (z, dz/dx, c2, c3) at the left end of each interval
-        for i in range(SEED_NODES - 1):
+        for i in range(32 - 1):
             h = xs[i + 1] - xs[i]
             secant = (zs[i + 1] - zs[i]) / h
             self._cubics.append((
@@ -82,7 +91,7 @@ class ParentSeed:
             ))
 
     def __call__(self, x: float) -> float:
-        i = bisect.bisect_right(self.x_nodes, x, 1, SEED_NODES - 1) - 1
+        i = bisect.bisect_right(self.x_nodes, x, 1, 32 - 1) - 1
         z, d, c2, c3 = self._cubics[i]
         dx = x - self.x_nodes[i]
         return z + dx * (d + dx * (c2 + dx * c3))

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from dehnfill.certificates import UNIVERSAL_C, envelope_bounds
-from dehnfill.envelope import F, Ftilde, H, f, ftilde
+from dehnfill import envelope
+from dehnfill.envelope import f, ftilde
 from dehnfill.packing import PACKING, R0, h
 from dehnfill.slope_lattice import CuspShape, enumerate_short_slopes
 from dehnfill.weitzenboeck import BoundaryCurvature, FourierMode1Form, boundary_form_b, random_form
 
-from oracles import G, Gtilde
+from oracles import G, Gtilde, H
 from test_slope_lattice import brute_force_slopes
 
 Z0 = 1.0 / math.sqrt(3.0)
@@ -99,8 +100,9 @@ def test_07_envelope_identities():
 
     worst_f = worst_ft = 0.0
     for z in np.linspace(0.45, 0.999, 100):
-        worst_f = max(worst_f, abs(F(z) + 1 / (1 - z) - dH(z) / (H(z) + G(z))))
-        worst_ft = max(worst_ft, abs(Ftilde(z) + 1 / (1 - z) - dH(z) / (H(z) - Gtilde(z))))
+        worst_f = max(worst_f, abs(envelope._F(z) + 1 / (1 - z) - dH(z) / (H(z) + G(z))))
+        worst_ft = max(worst_ft,
+                       abs(envelope._Ftilde(z) + 1 / (1 - z) - dH(z) / (H(z) - Gtilde(z))))
     ok = worst_f < 1e-8 and worst_ft < 1e-8
     report(7, "envelope partial-fraction identities", ok,
            f"max|F err|={worst_f:.2e}, max|Ftilde err|={worst_ft:.2e}")

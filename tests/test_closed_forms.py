@@ -15,22 +15,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import dehnfill
+from dehnfill import envelope
 from dehnfill.certificates import _dv_lower_from_z, _dv_upper_from_z
-from dehnfill.envelope import (
-    F,
-    Ftilde,
-    H,
-    INV_TOL,
-    POLE,
-    f,
-    ftilde,
-    invert_f,
-    invert_ftilde,
-)
+from dehnfill.envelope import INV_TOL, f, ftilde, invert_f, invert_ftilde
 from dehnfill.errors import DomainError
 from dehnfill.packing import Z0
 
-from oracles import G, Gtilde, H_prime
+from oracles import G, Gtilde, H, H_prime
 
 C = 3.3957
 GRID = np.linspace(Z0, 1.0 - 1e-9, 120)
@@ -45,12 +36,12 @@ def _quad(func, a, b):
 class TestAgainstQuadrature:
     def test_f(self):
         for z in GRID:
-            expected = C * (1.0 - z) * math.exp(-_quad(F, 1.0, z))
+            expected = C * (1.0 - z) * math.exp(-_quad(envelope._F, 1.0, z))
             assert abs(f(z) - expected) <= 1e-13
 
     def test_ftilde(self):
         for z in GRID:
-            expected = C * (1.0 - z) * math.exp(-_quad(Ftilde, 1.0, z))
+            expected = C * (1.0 - z) * math.exp(-_quad(envelope._Ftilde, 1.0, z))
             assert abs(ftilde(z) - expected) <= 1e-13
 
     def test_volume_drop_upper(self):
@@ -93,7 +84,7 @@ class TestLowerBoundGuard:
 
     def test_guard_at_pole(self):
         with pytest.raises(DomainError):
-            _dv_lower_from_z(POLE)
+            _dv_lower_from_z(envelope._POLE)
 
 
 def test_c_derived():

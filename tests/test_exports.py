@@ -19,13 +19,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: Exported names with no caller outside their module, each with its reason.
 UNCALLED = {
-    "POLE": "the singularity of Ftilde that bounds the envelope's domain",
-    "mode_b": "the per-mode formula for b that boundary_form_b sums",
     "mode_min_eigenvalue": "the per-mode eigenvalue whose minimum exact_min_b returns",
-    "random_modes": "the draw that random_form makes and scan_min_b repeats in blocks",
+    "random_modes": "the draw that random_form makes; scan_min_b repeats its _draw in blocks",
     "PackingConstants": "the type of PACKING",
     "EnvelopeBounds": "the return type of envelope_bounds",
     "FillingCertificate": "the return type of certify and full_certificate",
+    "main": "console-script entry point in pyproject.toml",
 }
 
 
@@ -44,25 +43,40 @@ def test_reexports_are_in_module_all():
         assert [a.name for a in node.names if a.name not in module.__all__] == [], node.module
 
 
-def _referenced_names(path):
-    """Every identifier, attribute and imported name that a file mentions."""
+def _referenced_names(source):
+    """Every attribute a source reads, and every bare name it reads that it
+    also imports from dehnfill (``from dehnfill... import X``, or a relative
+    import inside the package): a name it defines itself is not a caller."""
+    tree = ast.parse(source)
+    imported = {  # the local name of each, and the name it imports
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or node.module.split(".")[0] == "dehnfill") for alias in node.names
+    }
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in imported:
+            names.add(imported[node.id])
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
     return names
+
+
+def test_a_local_name_is_not_a_caller():
+    local = "def H(z):\n    return z\n\nH(0.5)\n"
+    assert "H" not in _referenced_names(local)
+    assert "H" in _referenced_names("from dehnfill.envelope import H\n\nH(0.5)\n")
+    assert "H" in _referenced_names("from .envelope import H as area\n\narea(0.5)\n")
+    assert "H" in _referenced_names("from dehnfill import envelope\n\nenvelope.H(0.5)\n")
 
 
 def test_every_public_name_has_a_caller():
     """An exported name is used in src/, demos/ or perfbench/ outside its own
-    module and the package's re-exports, or is listed in UNCALLED."""
+    module and the package's re-exports (read as an attribute, or as a bare
+    name imported from dehnfill), or is listed in UNCALLED."""
     init = Path(dehnfill.__file__).resolve()
     names = {
-        path.resolve(): _referenced_names(path)
+        path.resolve(): _referenced_names(path.read_text(encoding="utf-8"))
         for d in ("src", "demos", "perfbench") for path in (ROOT / d).rglob("*.py")
     }
     uncalled = []

@@ -15,19 +15,22 @@ from hypothesis import strategies as st
 
 from dehnfill import envelope
 from dehnfill.certificates import figure_data
-from dehnfill.envelope import H, invert_f, invert_ftilde
+from dehnfill.envelope import invert_f, invert_ftilde
 from dehnfill.packing import Z0
-from oracles import ParentSeed, parent_invert_decreasing
+from oracles import H, ParentSeed, parent_invert_decreasing
 
 _TOPS = {"f": envelope._F_TOP, "ftilde": envelope._FTILDE_TOP}
 _INVERT = {"f": invert_f, "ftilde": invert_ftilde}
 _SEEDS = {"f": envelope._F_SEED, "ftilde": envelope._FTILDE_SEED}
 
 
+_FUNCS = {"f": (envelope._f, envelope._F), "ftilde": (envelope._ftilde, envelope._Ftilde)}
+_PARENT_SEEDS = {name: ParentSeed(*funcs) for name, funcs in _FUNCS.items()}
+
+
 def _parent(name):
-    func, integrand = {"f": (envelope._f, envelope._F),
-                       "ftilde": (envelope._ftilde, envelope._Ftilde)}[name]
-    seed = ParentSeed(func, integrand)
+    func, integrand = _FUNCS[name]
+    seed = _PARENT_SEEDS[name]
     return lambda x: parent_invert_decreasing(func, integrand, x, name, _TOPS[name], seed)
 
 
@@ -83,6 +86,17 @@ class TestSameBitsAsParent:
         for x in refused:
             assert isinstance(_outcome(_INVERT[name], x), tuple), x
         _assert_same(name, refused + [-0.0, 0.0, math.ulp(0.0), top])
+
+
+@pytest.mark.parametrize("name", sorted(_INVERT))
+def test_seed_keeps_the_parent_cubics_down_to_z0(name):
+    # the nodes stop at the first below Z0 (0.5723); the parent's 5 cubics
+    # further down were never read
+    seed, parent = _SEEDS[name], _PARENT_SEEDS[name]
+    assert (len(seed.x_nodes), len(seed._cubics)) == (27, 26)
+    assert seed.x_nodes == parent.x_nodes[:27]
+    assert [cubic[1:] for cubic in seed._cubics] == parent._cubics[:26]
+    assert seed.x_nodes[-2] < _TOPS[name] < seed.x_nodes[-1]
 
 
 @settings(max_examples=500, deadline=None)

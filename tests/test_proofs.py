@@ -41,7 +41,8 @@ x1, y1, x2, y2 = sp.symbols("x1 y1 x2 y2", real=True)
 
 
 def docstring_b(kap1, kap2, c1, c2):
-    """The formula in ``mode_b``'s docstring, with c1, c2 as (re, im) pairs."""
+    """The per-mode formula in ``boundary_form_b``'s docstring, with c1, c2 as
+    (re, im) pairs."""
     def abs2(c):
         return c[0] ** 2 + c[1] ** 2
 
@@ -149,7 +150,7 @@ def is_zero(expr) -> bool:
 
 
 # the docstrings' H, G and Gtilde (G and Gtilde as in tests/oracles.py)
-H_SYM = run("H")[0]
+H_SYM = 1 / run("_area_from_z")[0]
 G_SYM = (1 + z ** 2) / (2 * c * z ** 3)
 GTILDE_SYM = (1 + z ** 2) ** 2 / (2 * c * z ** 3 * (3 - z ** 2))
 F_SYM, FTILDE_SYM = run("_F")[0], run("_Ftilde")[0]
@@ -601,10 +602,10 @@ def test_h_at_r0_is_reciprocal_h_at_z0():
     r0 = sp.atanh(1 / sp.sqrt(3))
     h_r0 = coeff * sp.tanh(r0) / sp.cosh(2 * r0).rewrite(sp.tanh)
     assert sp.simplify(h_r0 - exact) == 0
-    assert sp.simplify(1 / run("H", 1 / sp.sqrt(3))[0].subs(c, coeff) - exact) == 0
+    assert sp.simplify(run("_area_from_z", 1 / sp.sqrt(3))[0].subs(c, coeff) - exact) == 0
     enclosed = _enclose(exact, None)
     assert 0.980254 <= enclosed.a and enclosed.b < 0.980255
     with mp.workdps(40):
         value = mp.mpf(coeff.p) / coeff.q / (2 * mp.sqrt(3))
-        for computed in (h(R0), 1.0 / envelope.H(Z0)):
+        for computed in (h(R0), envelope._area_from_z(Z0)):
             assert abs(computed - value) <= 2 * math.ulp(computed)

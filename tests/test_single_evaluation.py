@@ -21,8 +21,9 @@ from dehnfill.certificates import (
     full_certificate,
 )
 from dehnfill.cli import run
-from dehnfill.envelope import H, f
+from dehnfill.envelope import f
 from dehnfill.errors import DomainError, UncertifiableError
+from oracles import H
 
 
 @pytest.fixture
