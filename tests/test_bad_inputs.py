@@ -215,6 +215,18 @@ class TestScanTrialCap:
         with pytest.raises(DomainError, match="at most 5, got 6"):
             scan_min_b(curv, _NoDraws(), 6)
 
+    def test_weitz_huge_trials_exit_2(self, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the scan drew random forms")
+
+        monkeypatch.setattr(weitzenboeck, "random_modes", no_draws)
+        monkeypatch.setattr(weitzenboeck, "_draw", no_draws)
+        argv = ["weitz", "--k1", "0.8", "--eps", "1", "--trials", "100000000000000000000"]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert "trials must be at most" in err
+        assert out == ""
+
     def test_weitz_huge_trials_exit_2_before_the_scan_draws(self, capsys, monkeypatch):
         def no_draws(*args, **kwargs):
             raise AssertionError("the scan drew random forms")
