@@ -14,17 +14,19 @@ Subcommands:
 Options are spelled in full and each takes one value, '--opt v' or '--opt=v'; a
 value may begin with '-' (--slope -7,3).  Every command prints a JSON report to
 stdout with fields (command, status, payload, checks); checks entries are
-(name, computed, expected, tolerance, pass).  Exit code 0 on success, 1 on a
-failed check or a mathematically uncertifiable input, 2 on usage errors.
+(name, computed, expected, tolerance, pass).  Its bytes are those of
+json.dumps(report, indent=2, allow_nan=False), then a newline.  Exit code 0 on
+success, 1 on a failed check or a mathematically uncertifiable input, 2 on
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import certificates, envelope, packing, slope_lattice, weitzenboeck
 from .errors import DomainError, UncertifiableError
@@ -38,11 +40,32 @@ def _check(name: str, computed: float, expected: float, tolerance: float) -> dic
     return {**entry, "pass": abs(computed - expected) <= tolerance}
 
 
+def _json(value, pad: str) -> str:
+    """value as json.dumps(value, indent=2, allow_nan=False) writes it, each
+    line after the first led by pad: dicts with str keys, lists and tuples
+    laid out at indent 2, str escaped as json's ensure_ascii escapes it, and
+    every other value one certificates._json_token scalar."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return certificates._json_token(value)
+
+
 def _report(command: str, payload, checks: list[dict], failed: bool = False) -> tuple[int, str]:
     check_fail = any(not c["pass"] for c in checks)
     status = "error" if (failed or check_fail) else "ok"
     doc = {"command": command, "status": status, "payload": payload, "checks": checks}
-    return (1 if status == "error" else 0), json.dumps(doc, indent=2, allow_nan=False)
+    return (1 if status == "error" else 0), _json(doc, "")
 
 
 def _parse_shape(text: str) -> slope_lattice.CuspShape:
@@ -208,16 +231,18 @@ def cmd_figure(args) -> tuple[int, str]:
     return _report("figure", payload, [])
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="dehnfill",
         description="Certified bounds for generalized hyperbolic Dehn filling.",
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p = commands[name] = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         return p
 
@@ -245,10 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--out", required=True)
-    return parser
+    return parser, commands
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
@@ -267,10 +292,25 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as _PARSER.parse_args parses it, but for the command field.
+    A named command's parser reads the tokens after the name, the one call
+    argparse's subparsers action would make on them.  Any other argv, or one
+    that leaves tokens unread, goes to _PARSER, which prints its own usage,
+    help or 'unrecognized arguments'."""
+    argv = _attach_signed_values(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def run(argv: list[str]) -> int:
     """Dispatch a command line; returns the exit code."""
     try:
-        args = _PARSER.parse_args(_attach_signed_values(argv))
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 
@@ -13,8 +14,10 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dehnfill import cli
-from dehnfill.certificates import figure_data
+from dehnfill.certificates import envelope_bounds, figure_data
 from dehnfill.cli import render_figure_csv, run
+from dehnfill.errors import UncertifiableError
+from dehnfill.slope_lattice import CuspShape, enumerate_short_slopes
 from dehnfill.weitzenboeck import BoundaryCurvature, exact_min_b, scan_min_b
 
 
@@ -710,3 +713,200 @@ class TestArgvFuzz:
             doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
             assert set(doc) == {"command", "status", "payload", "checks"}
             assert doc["command"] == argv[0]
+
+
+def _parent_run(argv):
+    """The reference dispatch: the top parser reads the whole argv, then the
+    command's func runs, as run did before it called a command's parser
+    directly."""
+    try:
+        args = cli._PARSER.parse_args(cli._attach_signed_values(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        code, out = args.func(args)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    print(out)
+    return code
+
+
+def _outcome(dispatch, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_TOP_USAGE = "usage: dehnfill [-h] {constants,certify,bounds,enumerate,weitz,figure} ...\n"
+_TOP_HELP = _TOP_USAGE + """
+Certified bounds for generalized hyperbolic Dehn filling.
+
+positional arguments:
+  {constants,certify,bounds,enumerate,weitz,figure}
+    constants           recompute and check the certified constants
+    certify             certify surgery coefficients
+    bounds              geometric bounds for one normalized length
+    enumerate           short-slope enumeration
+    weitz               boundary-form positivity scan
+    figure              export figure data as CSV
+
+options:
+  -h, --help            show this help message and exit
+"""
+_CHOICES = "(choose from 'constants', 'certify', 'bounds', 'enumerate', 'weitz', 'figure')"
+
+#: argv: (exit code, stdout, stderr), with the help laid out for 80 columns.
+TOP_PARSER_ANSWERS = {
+    (): (2, "", _TOP_USAGE + "dehnfill: error: the following arguments are required: command\n"),
+    ("-h",): (0, _TOP_HELP, ""),
+    ("--help",): (0, _TOP_HELP, ""),
+    ("nosuch",): (2, "", _TOP_USAGE + "dehnfill: error: argument command: invalid choice: "
+                  f"'nosuch' {_CHOICES}\n"),
+    ("--", "constants"): (2, "", _TOP_USAGE + "dehnfill: error: argument command: invalid "
+                          f"choice: '--' {_CHOICES}\n"),
+    ("constants", "extra"): (2, "", _TOP_USAGE + "dehnfill: error: unrecognized arguments: extra\n"),
+    ("weitz", "--k1", "1", "--eps", "0", "--bogus", "1"):
+        (2, "", _TOP_USAGE + "dehnfill: error: unrecognized arguments: --bogus 1\n"),
+    ("weitz", "-h"): (0, """\
+usage: dehnfill weitz [-h] --k1 K1 --eps EPS [--seed SEED] [--trials TRIALS]
+
+options:
+  -h, --help       show this help message and exit
+  --k1 K1
+  --eps EPS
+  --seed SEED
+  --trials TRIALS
+""", ""),
+    ("figure",): (2, "", """\
+usage: dehnfill figure [-h] --which {1,2,3} [--samples SAMPLES] --out OUT
+dehnfill figure: error: the following arguments are required: --which, --out
+"""),
+}
+
+
+class TestTopParserAnswers:
+    """The argv that the top parser still answers itself: no command, help,
+    an unknown name, a leading '--', and tokens a command leaves unread; and
+    a command's own help and usage error."""
+
+    @pytest.mark.parametrize("argv", list(TOP_PARSER_ANSWERS), ids=" ".join)
+    def test_exact_answer(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _outcome(run, list(argv)) == TOP_PARSER_ANSWERS[argv]
+
+
+def _report_stdout(command, status, payload, checks=()):
+    doc = {"command": command, "status": status, "payload": payload, "checks": list(checks)}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+class TestLibraryReportBytes:
+    """The exact stdout of enumerate, bounds and a failed figure, as json
+    writes a report rebuilt from the library."""
+
+    HEXAGONAL = (0.5, 0.8660254037844386)
+
+    @pytest.mark.parametrize("cutoff", [7.5832, 0.5])
+    def test_enumerate(self, capsys, cutoff):
+        argv = ["enumerate", "--shape", "%r,%r" % self.HEXAGONAL, "--cutoff", repr(cutoff)]
+        assert run(argv) == 0
+        slopes = enumerate_short_slopes(CuspShape(*self.HEXAGONAL), cutoff)
+        payload = {"shape": list(self.HEXAGONAL), "cutoff": cutoff, "count": len(slopes),
+                   "slopes": slopes}
+        stdout = capsys.readouterr()
+        assert stdout == (_report_stdout("enumerate", "ok", payload), "")
+        if slopes:
+            assert all(len(slope) == 3 for slope in slopes)
+            assert '"slopes": [\n      [\n        ' in stdout.out
+        else:
+            assert '"count": 0,\n    "slopes": []\n' in stdout.out
+
+    def test_bounds_below_threshold(self, capsys):
+        assert run(["bounds", "--lhat", "7"]) == 1
+        with pytest.raises(UncertifiableError) as info:
+            envelope_bounds(7.0)
+        payload = {"lhat": 7.0, "error": str(info.value)}
+        assert capsys.readouterr() == (_report_stdout("bounds", "error", payload), "")
+
+    def test_figure_unwritable(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "é" / "x.csv")
+        assert run(["figure", "--which", "1", "--samples", "3", "--out", out]) == 1
+        with pytest.raises(OSError) as info:
+            open(out, "w")
+        stdout = capsys.readouterr()
+        assert stdout == (_report_stdout("figure", "error", {"error": str(info.value)}), "")
+        assert "\\u00e9" in stdout.out
+
+
+class TestDispatchMatchesTopParser:
+    """run gives every argv the exit code, stdout and stderr of the reference
+    dispatch, which parses with the top parser alone."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_same_outcome(self, data):
+        with tempfile.TemporaryDirectory() as out_dir:
+            argv = data.draw(_argv(out_dir), label="argv")
+            assert _outcome(run, argv) == _outcome(_parent_run, argv)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 2**200) | st.integers(-2**200, -2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.text(st.characters(exclude_categories=())),
+)
+_JSON_KEYS = st.text(st.characters(exclude_categories=()), max_size=4)
+
+
+def _json_values(leaves):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    ), max_leaves=12)
+
+
+_NOT_JSON = st.sampled_from([
+    math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"),
+    object(), {1, 2}, b"bytes", 1j, np.int64(3), np.bool_(True),
+])
+
+
+def _dumps_or_error(dumps, value):
+    try:
+        return dumps(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc) if isinstance(exc, ValueError) else None
+
+
+class TestReportEmitter:
+    """cli._json writes the bytes of json.dumps(v, indent=2, allow_nan=False),
+    and raises what it raises."""
+
+    @staticmethod
+    def _dumps(value):
+        return json.dumps(value, indent=2, allow_nan=False)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_values(_JSON_SCALARS))
+    def test_same_bytes(self, value):
+        assert cli._json(value, "") == self._dumps(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_json_values(_JSON_SCALARS), bad=_NOT_JSON, where=st.integers(0, 2))
+    def test_same_error(self, value, bad, where):
+        nested = [[value, bad], {"k": bad, "v": value}, (value, {"deep": [bad]})][where]
+        expected = _dumps_or_error(self._dumps, nested)
+        assert isinstance(expected, tuple)
+        assert _dumps_or_error(lambda v: cli._json(v, ""), nested) == expected
+
+    @pytest.mark.parametrize("value", [{}, [], (), [{}, [], ()], {"a": {"b": [[]]}}, "é\ud800"])
+    def test_empty_and_odd(self, value):
+        assert cli._json(value, "") == self._dumps(value)

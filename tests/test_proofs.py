@@ -27,7 +27,7 @@ import sympy as sp
 from mpmath import iv, mp
 
 from dehnfill import envelope
-from dehnfill.certificates import UNIVERSAL_C
+from dehnfill.certificates import UNIVERSAL_C, envelope_bounds
 from dehnfill.envelope import INV_TOL
 from dehnfill.packing import PACKING, R0, Z0, h
 from dehnfill.weitzenboeck import _mode_coefficients, _mode_matrix, _row_b
@@ -219,6 +219,8 @@ def _enclose(expr, box):
         return iv.exp(args[0])
     if isinstance(expr, sp.log):
         return iv.log(args[0])
+    if isinstance(expr, sp.atan):  # mpmath 1.3.0 has no iv.atan
+        return iv.atan2(args[0], 1)
     raise NotImplementedError(expr)
 
 
@@ -609,3 +611,82 @@ def test_h_at_r0_is_reciprocal_h_at_z0():
         value = mp.mpf(coeff.p) / coeff.q / (2 * mp.sqrt(3))
         for computed in (h(R0), envelope._area_from_z(Z0)):
             assert abs(computed - value) <= 2 * math.ulp(computed)
+
+
+# h in z = tanh r: cosh 2r = (1 + z^2)/(1 - z^2), so h = c z (1 - z^2)/(1 + z^2),
+# the area 1/H(z) that envelope reads off a z.  A floor on the tube radius
+# read off the visual area needs h to decrease on the certified range.
+H_OF_Z = c * z * (1 - z ** 2) / (1 + z ** 2)
+#: the paper's coefficient, so that an edit of h's coefficient fails below
+PAPER_COEFF = sp.Rational("3.3957")
+#: working precision of the enclosures at C
+BITS = 120
+
+
+def test_h_decreases_on_the_certified_range():
+    assert is_zero(H_OF_Z - 1 / H_SYM)
+    assert is_zero(sp.diff(H_OF_Z, z) - c * (1 - 4 * z ** 2 - z ** 4) / (1 + z ** 2) ** 2)
+    # with u = z^2 > 0: 1 - 4u - u^2 = 5 - (u + 2)^2 < 0 exactly when u > sqrt 5 - 2
+    u = sp.symbols("u", positive=True)
+    assert sp.expand(1 - 4 * u - u ** 2 - (5 - (u + 2) ** 2)) == 0
+    negative = sp.solveset(1 - 4 * u - u ** 2 < 0, u, sp.Interval.open(0, sp.oo))
+    assert negative == sp.Interval.open(sp.sqrt(5) - 2, sp.oo)
+    # z^2 >= 1/3 on [1/sqrt 3, 1], and 1/3 > sqrt 5 - 2 as (7/3)^2 = 49/9 > 5
+    assert sp.Rational(7, 3) ** 2 > 5 and sp.Rational(1, 3) > sp.sqrt(5) - 2
+    # so dh/dz < 0 there, and h(r) decreases for r >= R0, tanh being increasing
+
+
+@pytest.mark.parametrize("zv", [0.2, Z0, 0.6, 0.75, 0.9, 0.999])
+def test_h_is_its_z_form(zv):
+    r = math.atanh(zv)
+    form = sp.lambdify(z, H_OF_Z.subs(c, PAPER_COEFF), "mpmath")
+    with mp.workdps(40):
+        expected = form(mp.tanh(mp.mpf(r)))
+        assert abs(h(r) - expected) <= 4 * math.ulp(h(r))
+
+
+def _z_hat_box(x_expr):
+    """[lo, hi] holding the z in [1/sqrt 3, 1] where f(z) = x_expr, f run from
+    envelope._f at the paper's coefficient, by bisection on interval values:
+    f(lo) > x > f(hi) throughout, and f decreases there (the slope floor above)."""
+    f_expr = run("_f")[0].subs(c, PAPER_COEFF)
+    saved, iv.prec = iv.prec, BITS
+    try:
+        x = _enclose(x_expr, None)
+        lo, hi = mp.mpf(Z0), mp.mpf(1)
+        assert _enclose(f_expr, iv.mpf(lo)).a > x.b and _enclose(f_expr, iv.mpf(hi)).b < x.a
+        while True:
+            with mp.workprec(BITS + 10):
+                mid = (lo + hi) / 2
+            value = _enclose(f_expr, iv.mpf(mid))
+            if value.a > x.b:
+                lo = mid
+            elif value.b < x.a:
+                hi = mid
+            else:
+                return lo, hi
+    finally:
+        iv.prec = saved
+
+
+def test_upper_bounds_at_c_lie_below_the_printed_values():
+    # volume_drop_hi and core_length_hi at C = 7.5832 are read off z-hat, where
+    # f(z-hat) = x-hat = (2 pi)^2/C^2; the true values lie below the paper's
+    # printed 0.197816 and 0.156012.  The library's z-hat meets |f(z) - x| <=
+    # INV_TOL, so it is within INV_TOL/0.2972 of the true one, and each bound,
+    # of slope below 0.14 in z there, within INV_TOL of its true value.
+    x_hat = (2 * sp.pi) ** 2 / sp.Rational(75832, 10000) ** 2
+    lo, hi = _z_hat_box(x_hat)
+    assert hi - lo < 1e-27
+    saved, iv.prec = iv.prec, BITS
+    try:
+        box = iv.mpf([lo, hi])
+        dv = _enclose(run("_dv_upper_from_z")[0].subs(c, PAPER_COEFF), box)
+        core = _enclose(run("_area_from_z")[0].subs(c, PAPER_COEFF) / (2 * sp.pi), box)
+    finally:
+        iv.prec = saved
+    assert dv.b < 0.197816 and core.b < 0.156012
+    assert dv.b - dv.a < 1e-25 and core.b - core.a < 1e-25
+    env = envelope_bounds(UNIVERSAL_C)
+    for computed, enclosure in ((env.volume_drop[1], dv), (env.core_length_hi, core)):
+        assert abs(computed - float(enclosure.a)) <= INV_TOL
