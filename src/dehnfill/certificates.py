@@ -83,6 +83,22 @@ def _unfilled_as_none(lhats) -> list:
 
 def _decide(lhats) -> tuple:
     """The fields of certify's record, with every bound None."""
+    # one float length in (1e-150, 1e150), a list or tuple of it, skips the
+    # loop: v ** 2 cannot overflow, 1/v^2 is finite and positive, and a sum()
+    # of one term is that term, so the floats are the loop's
+    v = lhats[0] if (type(lhats) is list or type(lhats) is tuple) and len(lhats) == 1 else None
+    if type(v) is float and 1e-150 < v < 1e150:
+        values, inv_sq = (v,), 1.0 / v ** 2
+    else:
+        values, inv_sq = _values_and_sum(lhats)
+    margin = _INV_C_SQ - inv_sq
+    certified = margin > 0.0
+    return (values, 1.0 / math.sqrt(inv_sq), certified, margin,
+            R0 if certified else None, None, None, None, None, None)
+
+
+def _values_and_sum(lhats) -> tuple:
+    """The lengths as a tuple of floats and sum(1/Lhat_i^2), or DomainError."""
     # a list or tuple, the usual argument, passes at the first and cheaper test
     if not isinstance(lhats, (list, tuple)) and (
         isinstance(lhats, (str, bytes, bytearray))
@@ -119,17 +135,19 @@ def _decide(lhats) -> tuple:
             else "not finite: a cusp is too short"
         )
         raise DomainError(f"sum of 1/Lhat^2 is {reason} (normalized lengths {values})")
-    margin = _INV_C_SQ - inv_sq
-    certified = margin > 0.0
-    return (tuple(values), 1.0 / math.sqrt(inv_sq), certified, margin,
-            R0 if certified else None, None, None, None, None, None)
+    return tuple(values), inv_sq
 
 
 def certify(lhats) -> FillingCertificate:
     """Decision-only certificate: certified iff sum(1/Lhat_i^2) < 1/C^2.
 
-    One pass converts each length and takes its term 1/Lhat_i^2 (0 where
-    Lhat_i^2 overflows, inf where it underflows); sum() adds the terms.
+    A list or tuple (exactly, not a subclass) of one float v with 1e-150 <
+    v < 1e150 is decided from 1.0 / v ** 2 alone: there v ** 2 cannot
+    overflow, 1/v^2 is finite and positive, and sum() of one term is that
+    term, so every float is the one the general pass gives.  Any other
+    argument takes that pass, which converts each length and takes its term
+    1/Lhat_i^2 (0 where Lhat_i^2 overflows, inf where it underflows); sum()
+    adds the terms.  Both share the margin, decision and record.
     DomainError refuses, in this order: a str, bytes or bytearray argument,
     or a byte or char view of bytes; each element in turn, a string before
     float reads it, then one float() cannot read (an int or Fraction beyond

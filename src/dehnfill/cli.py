@@ -295,10 +295,14 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv parsed as _PARSER.parse_args parses it, but for the command field.
     A named command's parser reads the tokens after the name, the one call
-    argparse's subparsers action would make on them.  Any other argv, or one
-    that leaves tokens unread, goes to _PARSER, which prints its own usage,
-    help or 'unrecognized arguments'."""
+    argparse's subparsers action would make on them.  A leading '--' before a
+    command name is dropped: it ends the options, and the name is an operand.
+    Any other argv (empty, help, an unknown name, a leading '--' before
+    anything else), or one that leaves tokens unread, goes to _PARSER, which
+    prints its own usage, help or 'unrecognized arguments'."""
     argv = _attach_signed_values(argv)
+    if argv[:1] == ["--"] and len(argv) > 1 and argv[1] in _COMMANDS:
+        argv = argv[1:]
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is not None:
         args, extras = command.parse_known_args(argv[1:])

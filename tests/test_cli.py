@@ -764,8 +764,12 @@ TOP_PARSER_ANSWERS = {
     ("--help",): (0, _TOP_HELP, ""),
     ("nosuch",): (2, "", _TOP_USAGE + "dehnfill: error: argument command: invalid choice: "
                   f"'nosuch' {_CHOICES}\n"),
-    ("--", "constants"): (2, "", _TOP_USAGE + "dehnfill: error: argument command: invalid "
-                          f"choice: '--' {_CHOICES}\n"),
+    ("--",): (2, "", _TOP_USAGE + "dehnfill: error: the following arguments are required: "
+              "command\n"),
+    ("--", "--help"): (2, "", _TOP_USAGE + "dehnfill: error: argument command: invalid "
+                       f"choice: '--' {_CHOICES}\n"),
+    ("--", "nosuch"): (2, "", _TOP_USAGE + "dehnfill: error: argument command: invalid "
+                       f"choice: '--' {_CHOICES}\n"),
     ("constants", "extra"): (2, "", _TOP_USAGE + "dehnfill: error: unrecognized arguments: extra\n"),
     ("weitz", "--k1", "1", "--eps", "0", "--bogus", "1"):
         (2, "", _TOP_USAGE + "dehnfill: error: unrecognized arguments: --bogus 1\n"),
@@ -788,13 +792,43 @@ dehnfill figure: error: the following arguments are required: --which, --out
 
 class TestTopParserAnswers:
     """The argv that the top parser still answers itself: no command, help,
-    an unknown name, a leading '--', and tokens a command leaves unread; and
-    a command's own help and usage error."""
+    an unknown name, a leading '--' before no command name, and tokens a
+    command leaves unread; and a command's own help and usage error."""
 
     @pytest.mark.parametrize("argv", list(TOP_PARSER_ANSWERS), ids=" ".join)
     def test_exact_answer(self, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
         assert _outcome(run, list(argv)) == TOP_PARSER_ANSWERS[argv]
+
+
+class TestLeadingDoubleDash:
+    """A leading '--' ends the options, so the command name after it is an
+    operand: `dehnfill -- NAME ...` does what `dehnfill NAME ...` does."""
+
+    ARGV = [
+        ["constants"],
+        ["constants", "extra"],
+        ["certify", "--lhat", "12,11"],
+        ["certify", "--lhat", "-3"],
+        ["bounds", "--lhat", "7"],
+        ["enumerate", "--shape", "0.5,0.8660254037844386", "--cutoff", "8"],
+        ["weitz", "--k1", "0.9", "--eps", "0.7", "--trials", "5"],
+        ["weitz", "-h"],
+        ["figure"],
+        ["figure", "--which", "2", "--samples", "3", "--out", "{out}"],
+    ]
+
+    def test_every_command_is_covered(self):
+        assert {argv[0] for argv in self.ARGV} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_same_outcome_as_without(self, tmp_path, argv):
+        argv = [tok.format(out=tmp_path / "fig.csv") for tok in argv]
+        plain = _outcome(run, argv)
+        written = (tmp_path / "fig.csv").read_bytes() if "--out" in argv else None
+        assert _outcome(run, ["--", *argv]) == plain
+        if written is not None:
+            assert (tmp_path / "fig.csv").read_bytes() == written
 
 
 def _report_stdout(command, status, payload, checks=()):

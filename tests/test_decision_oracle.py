@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dehnfill import certificates
 from dehnfill.certificates import certify, full_certificate
 from dehnfill.errors import DomainError
 from oracles import parent_certify, parent_full_certificate
@@ -44,10 +45,14 @@ def _parent_outcome(parent, make_argument):
     return outcome
 
 
-#: Lengths at the edges: 1/Lhat^2 overflows, underflows to 0 or is subnormal.
+#: Lengths at the edges: 1/Lhat^2 overflows, underflows to 0 or is subnormal;
+#: and the bounds 1e-150 and 1e150 of the one-length route, with their
+#: neighbours on both sides.
 EDGES = [1e200, -1e200, 1e-200, 1e-160, 1.3e154, 1e-154, 5e-324, 1.7e308,
          7.5832, math.nextafter(7.5832, math.inf), 0.0, -0.0, -1.0,
-         math.inf, -math.inf, math.nan]
+         math.inf, -math.inf, math.nan,
+         math.nextafter(1e-150, 0.0), 1e-150, math.nextafter(1e-150, math.inf),
+         math.nextafter(1e150, 0.0), 1e150, math.nextafter(1e150, math.inf)]
 
 ELEMENTS = st.one_of(
     st.floats(),
@@ -74,6 +79,10 @@ CONTAINERS = {
     "iterator": iter,
     "generator": lambda xs: (x for x in xs),
 }
+
+
+class _ListSubclass(list):
+    pass
 
 
 @st.composite
@@ -111,6 +120,24 @@ REFUSAL_ORDER = [
 @example(make_argument=lambda: [12, 11.0])
 @example(make_argument=lambda: [20.184778580569123])  # v ** 2 and v * v differ by an ulp
 @example(make_argument=lambda: (np.float64(9.3), Fraction(93, 10), 10 ** 3))
+# the one-length route: each bound and just inside it, as a list and a tuple
+@example(make_argument=lambda: [1e-150])
+@example(make_argument=lambda: (1e-150,))
+@example(make_argument=lambda: [math.nextafter(1e-150, math.inf)])
+@example(make_argument=lambda: (math.nextafter(1e-150, math.inf),))
+@example(make_argument=lambda: [1e150])
+@example(make_argument=lambda: (1e150,))
+@example(make_argument=lambda: [math.nextafter(1e150, 0.0)])
+@example(make_argument=lambda: (math.nextafter(1e150, 0.0),))
+@example(make_argument=lambda: [7.5832])
+@example(make_argument=lambda: (math.nextafter(7.5832, math.inf),))
+# one length between a route bound and where 1/v^2 is inf or v ** 2 overflows
+@example(make_argument=lambda: [1e-155])
+@example(make_argument=lambda: [1e155])
+# one length that is not a float, or not in a list or tuple exactly
+@example(make_argument=lambda: [np.float64(9.3)])
+@example(make_argument=lambda: _ListSubclass([9.3]))
+@example(make_argument=lambda: [True])
 def test_matches_the_two_pass_decision(make_argument):
     assert _outcome(certify, make_argument) == _parent_outcome(parent_certify, make_argument)
     assert _outcome(full_certificate, make_argument) == \
@@ -124,3 +151,18 @@ def test_refusal_order(decide, parent, make_argument, message):
     with pytest.raises(DomainError, match=message):
         decide(make_argument())
     assert _outcome(decide, make_argument) == _parent_outcome(parent, make_argument)
+
+
+def test_one_length_route_skips_the_loop(monkeypatch):
+    """One float length in range, in a list or tuple, is decided without
+    the loop's helper; every other argument still reaches it."""
+    def refuse(lhats):
+        raise AssertionError("the loop's helper was called")
+
+    monkeypatch.setattr(certificates, "_values_and_sum", refuse)
+    assert certify([9.3]) == certify((9.3,)) == parent_certify([9.3])
+    assert full_certificate([12.0]) == parent_full_certificate([12.0])
+    for make_argument in (lambda: [9.3, 9.3], lambda: [np.float64(9.3)],
+                          lambda: [1e-200], lambda: iter([9.3])):
+        with pytest.raises(AssertionError, match="helper was called"):
+            certify(make_argument())
