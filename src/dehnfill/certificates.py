@@ -275,9 +275,9 @@ def certificate_to_json(cert: FillingCertificate) -> str:
 
 
 #: Largest sample count accepted by figure_data: about 2 s of `dehnfill
-#: figure` work, 8 to 15 us per row: 5.5 to 11 to tabulate and 2 to 4 to
-#: write as CSV (150 000 rows, each figure, 5 runs, a shared 2-vCPU x86-64
-#: host).
+#: figure` work (1.7 to 2.0 s for figure 2), 5 to 10 us per row: 4 to 7 to
+#: tabulate and 1 to 3 to write as CSV (150 000 rows, each figure, 5 runs, a
+#: shared 2-vCPU x86-64 host).
 MAX_SAMPLES = 150_000
 
 FIGURE_HEADERS = {

@@ -26,6 +26,7 @@ import argparse
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import certificates, envelope, packing, slope_lattice, weitzenboeck
@@ -207,13 +208,21 @@ def cmd_weitz(args) -> tuple[int, str]:
     return _report("weitz", payload, checks)
 
 
+#: Rows formatted by one % call in render_figure_csv: the text of one block
+#: at a time, so a large table's peak memory stays near that of its rows.
+_CSV_BLOCK = 1024
+
+
 def render_figure_csv(table: tuple[tuple[str, ...], list[tuple[float, ...]]], path: str):
-    """Write figure data as CSV: header row, >= 12 significant digits, LF."""
+    """Write figure data as CSV: header row, >= 12 significant digits, LF.
+    Each block of up to _CSV_BLOCK rows is one % format and one write."""
     header, rows = table
     line = ",".join(["%.12e"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
+        for i in range(0, len(rows), _CSV_BLOCK):
+            block = rows[i:i + _CSV_BLOCK]
+            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def cmd_figure(args) -> tuple[int, str]:
@@ -231,18 +240,18 @@ def cmd_figure(args) -> tuple[int, str]:
     return _report("figure", payload, [])
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each command's parser by name."""
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The top-level parser, and its command action, whose choices map each
+    command's name to its parser."""
     parser = argparse.ArgumentParser(
         prog="dehnfill",
         description="Certified bounds for generalized hyperbolic Dehn filling.",
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     def command(name, func, help):
-        p = commands[name] = sub.add_parser(name, help=help, allow_abbrev=False)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         return p
 
@@ -270,10 +279,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--out", required=True)
-    return parser, commands
+    return parser, sub
 
 
-_PARSER, _COMMANDS = _build_parser()
+_PARSER, _COMMAND = _build_parser()
+_COMMANDS = _COMMAND.choices
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
@@ -295,14 +305,20 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv parsed as _PARSER.parse_args parses it, but for the command field.
     A named command's parser reads the tokens after the name, the one call
-    argparse's subparsers action would make on them.  A leading '--' before a
-    command name is dropped: it ends the options, and the name is an operand.
-    Any other argv (empty, help, an unknown name, a leading '--' before
-    anything else), or one that leaves tokens unread, goes to _PARSER, which
-    prints its own usage, help or 'unrecognized arguments'."""
+    argparse's subparsers action would make on them.  A leading '--' ends the
+    options, so the token after it is the command name, an operand: the '--'
+    is dropped, and a token that names no command is refused as argparse
+    refuses an unknown name, '--help' and '-h' included.  Any other argv
+    (empty, help, an unknown name, a lone '--'), or one that leaves tokens
+    unread, goes to _PARSER, which prints its own usage, help or
+    'unrecognized arguments'."""
     argv = _attach_signed_values(argv)
-    if argv[:1] == ["--"] and len(argv) > 1 and argv[1] in _COMMANDS:
+    if argv[:1] == ["--"] and len(argv) > 1:
         argv = argv[1:]
+        try:  # argparse's own check and message, as for a name without '--'
+            _PARSER._check_value(_COMMAND, argv[0])
+        except argparse.ArgumentError as exc:
+            _PARSER.error(str(exc))
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is not None:
         args, extras = command.parse_known_args(argv[1:])

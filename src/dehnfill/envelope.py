@@ -19,18 +19,20 @@ off a z (``_dv_upper_from_z``, ``_dv_lower_from_z``, and ``_area_from_z`` =
 1/H), which ``certificates`` applies at z-hat and z-tilde.
 
 F and Ftilde are rational, so both exponents are elementary (a rational term
-and logarithms; see f and ftilde).  Inverting g = f or ftilde takes at most
-two Newton steps, with g' = -g (1/(1-z) + F) (Ftilde for ftilde), from a
-cubic Hermite interpolant of the inverse built at import on 27 z-nodes, from
-1 down to the first below Z0.  A target x outside (0, g(Z0)] gives z = 1 at
-0, else raises (UncertifiableError above, DomainError if NaN or negative).
-A Newton step d with bend * d^2 <= tol, where bend bounds |g''| on
-[Z0 - 1e-6, 1] (10.2 for f, 14.6 for ftilde), is returned without
-evaluating g there: Taylor's theorem proves that g at it meets the
-tolerance, so it is the float one more evaluation would accept.  The seed's
-proven error makes every second step such a step.  Over the figure grids of
-2 to 488 rows, 89 % of f and 99.6 % of ftilde inversions end after the
-seed's one evaluation; the rest take two.
+and logarithms; see f and ftilde); their constant parts are module
+constants.  invert_f and invert_ftilde are one inverter per envelope, each
+built once at import by ``_inverter`` around its envelope, integrand and
+seed.  Inverting g = f or ftilde takes at most two Newton steps, with g' = -g
+(1/(1-z) + F) (Ftilde for ftilde), from a cubic Hermite interpolant of the
+inverse built at import on 27 z-nodes, from 1 down to the first below Z0.  A
+target x outside (0, g(Z0)] gives z = 1 at 0, else raises
+(UncertifiableError above, DomainError if NaN or negative).  A Newton step d
+with bend * d^2 <= tol, where bend bounds |g''| on [Z0 - 1e-6, 1] (10.2 for
+f, 14.6 for ftilde), is returned without evaluating g there: Taylor's
+theorem proves that g at it meets the tolerance, so it is the float one more
+evaluation would accept.  The seed's proven error makes every second step
+such a step.  Over the figure grids of 2 to 488 rows, 89 % of f and 99.6 % of
+ftilde inversions end after the seed's one evaluation; the rest take two.
 """
 
 from __future__ import annotations
@@ -56,6 +58,19 @@ _B = (_R2 + 1.0) / (2.0 * _R2)
 _P2 = (_R2 - 1.0) ** 2
 _Q2 = (_R2 + 1.0) ** 2
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+# The constant parts of the closed forms below.  Python evaluates a op b op c
+# as (a op b) op c, so each is the float the form computed in place.
+_C_OVER_16 = _COEFF / 16.0
+_C_OVER_4 = _COEFF / 4.0
+_HALF_C = 0.5 * _COEFF
+_FOUR_MINUS_PI = 4.0 - math.pi
+_QUARTER_PI = math.pi / 4.0
+_HALF_R2 = 0.5 * _R2
+_TWO_MINUS_R2 = 2.0 - _R2
+_TWO_PLUS_R2 = 2.0 + _R2
+_R2_PLUS_ONE = _R2 + 1.0
+_P2_SCALE = 2.0 * _R2 - 2.0
+_Q2_SCALE = 2.0 * _R2 + 2.0
 
 #: The inversion seed interpolates the inverse through the z-nodes
 #: 1 - k * SEED_STEP, k = 0, 1, ..., down to the first node below Z0: the
@@ -68,8 +83,8 @@ def _dv_upper_from_z(z: float) -> float:
     if z >= 1.0:
         return 0.0
     zz1 = 1.0 + z * z
-    return _COEFF / 16.0 * (
-        4.0 - math.pi - 8.0 * z + 4.0 * math.atan(z) + (12.0 * z ** 3 + 4.0 * z) / (zz1 * zz1)
+    return _C_OVER_16 * (
+        _FOUR_MINUS_PI - 8.0 * z + 4.0 * math.atan(z) + (12.0 * z ** 3 + 4.0 * z) / (zz1 * zz1)
     )
 
 
@@ -83,12 +98,12 @@ def _dv_lower_from_z(z: float) -> float:
     # the sign of z^2+2z-1 on (0, 1), so the integrand needs z > sqrt(2)-1
     if not z > _POLE:
         raise DomainError(f"H <= Gtilde at z = {z}; lower bound not applicable")
-    rational = 2.0 * (1.0 - z) + (math.pi / 4.0 - math.atan(z)) - (1.0 - z) ** 2 / (1.0 + z * z)
-    logs = 0.75 * math.log((z * z + 2.0 * z - 1.0) / (1.0 + 2.0 * z - z * z)) + 0.5 * _R2 * (
-        math.log((2.0 - _R2) * (z + 1.0 + _R2) / ((2.0 + _R2) * (z + 1.0 - _R2)))
-        - math.log((_R2 + 1.0 - z) / (z - 1.0 + _R2))
+    rational = 2.0 * (1.0 - z) + (_QUARTER_PI - math.atan(z)) - (1.0 - z) ** 2 / (1.0 + z * z)
+    logs = 0.75 * math.log((z * z + 2.0 * z - 1.0) / (1.0 + 2.0 * z - z * z)) + _HALF_R2 * (
+        math.log(_TWO_MINUS_R2 * (z + 1.0 + _R2) / (_TWO_PLUS_R2 * (z + 1.0 - _R2)))
+        - math.log((_R2_PLUS_ONE - z) / (z - 1.0 + _R2))
     )
-    return _COEFF / 4.0 * (rational + logs)
+    return _C_OVER_4 * (rational + logs)
 
 
 def _area_from_z(z: float) -> float:
@@ -117,7 +132,7 @@ def _check_working(z: float):
 
 def _f(z: float) -> float:
     zz = z * z
-    return 0.5 * _COEFF * (1.0 - z) * (1.0 + z) * math.exp((zz - 1.0) / (zz + 1.0))
+    return _HALF_C * (1.0 - z) * (1.0 + z) * math.exp((zz - 1.0) / (zz + 1.0))
 
 
 def f(z: float) -> float:
@@ -130,8 +145,8 @@ def _ftilde(z: float) -> float:
     zz = z * z
     exponent = (
         math.log((1.0 + zz) / (1.0 + z))
-        - _A * math.log((zz - _P2) / (2.0 * _R2 - 2.0))
-        - _B * math.log((_Q2 - zz) / (2.0 * _R2 + 2.0))
+        - _A * math.log((zz - _P2) / _P2_SCALE)
+        - _B * math.log((_Q2 - zz) / _Q2_SCALE)
     )
     return _COEFF * (1.0 - z) * math.exp(-exponent)
 
@@ -182,11 +197,11 @@ class _InverseSeed:
         return z + dx * (d + dx * (c2 + dx * c3))
 
 
-def _invert_decreasing(func, integrand, x_hat: float, name: str, top: float, seed,
-                       bend: float) -> float:
-    """z in [Z0, 1] with |func(z) - x_hat| <= INV_TOL * max(1, x_hat), by at
-    most two Newton steps from seed(x_hat).  ``top`` is func(Z0), the
-    largest target accepted.
+def _inverter(func, integrand, name: str, top: float, seed, bend: float):
+    """invert(x_hat): z in [Z0, 1] with |func(z) - x_hat| <= INV_TOL * max(1,
+    x_hat), by at most two Newton steps from seed(x_hat).  ``top`` is
+    func(Z0), the largest target accepted.  Built once per envelope, at
+    import; the seed is read through its bound ``__call__``.
 
     Each pass evaluates func at z and returns z if it meets the tolerance;
     else it takes the Newton step d and returns it, unevaluated, if bend *
@@ -201,45 +216,46 @@ def _invert_decreasing(func, integrand, x_hat: float, name: str, top: float, see
     [Z0, 1], and every returned z in [Z0, 1].  tests/test_proofs.py checks
     the bounds, the allowance and both passes.
     """
-    if not 0.0 < x_hat <= top:
-        if x_hat == 0.0:
-            return 1.0
-        if x_hat > top:
-            raise UncertifiableError(f"uncertifiable: normalized length too small "
-                                     f"(target {x_hat} exceeds {name}(1/sqrt(3)) = {top})")
-        raise DomainError(f"target value must be nonnegative, got {x_hat}")
-    tol = INV_TOL * x_hat if x_hat > 1.0 else INV_TOL
-    # kept below 1, where the slope would divide by 1 - z; func there is
-    # below 4e-16, so a target that small is met at once
-    z = seed(x_hat)
-    z = z if z <= _BELOW_ONE else _BELOW_ONE
-    for _ in range(2):
-        val = func(z)
-        if -tol <= val - x_hat <= tol:
-            return z
-        slope = -val * (1.0 / (1.0 - z) + integrand(z))
-        step = z - (val - x_hat) / slope
-        d = step - z
-        if bend * d * d <= tol:
-            return step
-        z = step
-    return z
+    start = seed.__call__
+
+    def invert(x_hat: float) -> float:
+        if not 0.0 < x_hat <= top:
+            if x_hat == 0.0:
+                return 1.0
+            if x_hat > top:
+                raise UncertifiableError(f"uncertifiable: normalized length too small "
+                                         f"(target {x_hat} exceeds {name}(1/sqrt(3)) = {top})")
+            raise DomainError(f"target value must be nonnegative, got {x_hat}")
+        tol = INV_TOL * x_hat if x_hat > 1.0 else INV_TOL
+        # kept below 1, where the slope would divide by 1 - z; func there is
+        # below 4e-16, so a target that small is met at once
+        z = start(x_hat)
+        z = z if z <= _BELOW_ONE else _BELOW_ONE
+        for _ in range(2):
+            val = func(z)
+            if -tol <= val - x_hat <= tol:
+                return z
+            slope = -val * (1.0 / (1.0 - z) + integrand(z))
+            step = z - (val - x_hat) / slope
+            d = step - z
+            if bend * d * d <= tol:
+                return step
+            z = step
+        return z
+
+    invert.__name__ = invert.__qualname__ = f"invert_{name}"
+    return invert
 
 
 _F_TOP, _FTILDE_TOP = _f(Z0), _ftilde(Z0)
 _F_SEED, _FTILDE_SEED = _InverseSeed(_f, _F), _InverseSeed(_ftilde, _Ftilde)
 
-#: Bounds on |f''| and |ftilde''| over [Z0 - 1e-6, 1] for the early exit of
-#: _invert_decreasing: the maxima are 10.187 at z = 1 and 14.554 at Z0.
+#: Bounds on |f''| and |ftilde''| over [Z0 - 1e-6, 1] for the inverters'
+#: early exit: the maxima are 10.187 at z = 1 and 14.554 at Z0.
 F_BEND, FTILDE_BEND = 10.2, 14.6
 
+invert_f = _inverter(_f, _F, "f", _F_TOP, _F_SEED, F_BEND)
+invert_f.__doc__ = "z-hat in [Z0, 1] with f(z-hat) = x_hat."
 
-def invert_f(x_hat: float) -> float:
-    """z-hat in [Z0, 1] with f(z-hat) = x_hat."""
-    return _invert_decreasing(_f, _F, x_hat, "f", _F_TOP, _F_SEED, F_BEND)
-
-
-def invert_ftilde(x_hat: float) -> float:
-    """z-tilde in [Z0, 1] with ftilde(z-tilde) = x_hat."""
-    return _invert_decreasing(_ftilde, _Ftilde, x_hat, "ftilde", _FTILDE_TOP, _FTILDE_SEED,
-                              FTILDE_BEND)
+invert_ftilde = _inverter(_ftilde, _Ftilde, "ftilde", _FTILDE_TOP, _FTILDE_SEED, FTILDE_BEND)
+invert_ftilde.__doc__ = "z-tilde in [Z0, 1] with ftilde(z-tilde) = x_hat."

@@ -244,9 +244,15 @@ class TestFigureCsvBytes:
         render_figure_csv((header, rows), str(out))
         assert out.read_bytes() == self._expected(header, rows)
 
-    @pytest.mark.parametrize("which", [1, 2, 3])
-    def test_figure_table(self, tmp_path, which):
-        header, rows = figure_data(which, 9)
+    # 9 rows, then tables around and at the 1 024-row block: one row short,
+    # exactly one block, a one-row tail, and exactly two blocks
+    @pytest.mark.parametrize("which, samples", [
+        *(pytest.param(which, 9, id=str(which)) for which in (1, 2, 3)),
+        *((which, samples) for samples in (1023, 1024, 1025, 2048) for which in (1, 2, 3)),
+    ])
+    def test_figure_table(self, tmp_path, which, samples):
+        header, rows = figure_data(which, samples)
+        assert len(rows) == samples
         out = tmp_path / "figure.csv"
         render_figure_csv((header, rows), str(out))
         assert out.read_bytes() == self._expected(header, rows)
@@ -767,9 +773,11 @@ TOP_PARSER_ANSWERS = {
     ("--",): (2, "", _TOP_USAGE + "dehnfill: error: the following arguments are required: "
               "command\n"),
     ("--", "--help"): (2, "", _TOP_USAGE + "dehnfill: error: argument command: invalid "
-                       f"choice: '--' {_CHOICES}\n"),
+                       f"choice: '--help' {_CHOICES}\n"),
     ("--", "nosuch"): (2, "", _TOP_USAGE + "dehnfill: error: argument command: invalid "
-                       f"choice: '--' {_CHOICES}\n"),
+                       f"choice: 'nosuch' {_CHOICES}\n"),
+    ("--", "-h"): (2, "", _TOP_USAGE + "dehnfill: error: argument command: invalid "
+                   f"choice: '-h' {_CHOICES}\n"),
     ("constants", "extra"): (2, "", _TOP_USAGE + "dehnfill: error: unrecognized arguments: extra\n"),
     ("weitz", "--k1", "1", "--eps", "0", "--bogus", "1"):
         (2, "", _TOP_USAGE + "dehnfill: error: unrecognized arguments: --bogus 1\n"),

@@ -112,9 +112,10 @@ def test_start_clamped_as_before(start, x):
     # to the float below 1, as before; so does NaN, which the parent raised
     # to 0.45.  That lower clamp is gone: no seed lies below Z0
     # (tests/test_proofs.py), and a start there is kept.
-    args = (lambda _: x, envelope._F, x, "f", _TOPS["f"], lambda _: start)
-    z = envelope._invert_decreasing(*args, envelope.F_BEND)
+    func, seed = (lambda _: x), (lambda _: start)
+    z = envelope._inverter(func, envelope._F, "f", _TOPS["f"], seed, envelope.F_BEND)(x)
     if start >= Z0:
-        assert z.hex() == parent_invert_decreasing(*args).hex()
+        assert z.hex() == parent_invert_decreasing(func, envelope._F, x, "f", _TOPS["f"],
+                                                   seed).hex()
     else:
         assert z.hex() == (start if start <= envelope._BELOW_ONE else envelope._BELOW_ONE).hex()

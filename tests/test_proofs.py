@@ -127,7 +127,9 @@ _EXACT = {"math": SimpleNamespace(pi=sp.pi, atan=sp.atan, log=sp.log, exp=sp.exp
           "Rational": sp.Rational, "_COEFF": c}
 for _node in _ENVELOPE.body:
     if isinstance(_node, ast.Assign) and getattr(_node.targets[0], "id", None) in {
-            "_R2", "_A", "_B", "_P2", "_Q2"}:
+            "_R2", "_A", "_B", "_P2", "_Q2", "_C_OVER_16", "_C_OVER_4", "_HALF_C",
+            "_FOUR_MINUS_PI", "_QUARTER_PI", "_HALF_R2", "_TWO_MINUS_R2", "_TWO_PLUS_R2",
+            "_R2_PLUS_ONE", "_P2_SCALE", "_Q2_SCALE"}:
         exec(_compiled(_node, "exec"), _EXACT)
 _FUNCTIONS = {node.name: node for node in _ENVELOPE.body if isinstance(node, ast.FunctionDef)}
 
@@ -254,7 +256,7 @@ def test_h_coefficient_is_below_its_packing_value():
     assert 0 <= gap.a and gap.b < 1e-4
 
 
-# Derivative bounds behind the early exit of envelope._invert_decreasing.
+# Derivative bounds behind the early exit of the inverters envelope._inverter builds.
 # With g = c (1 - z) K and K' = -integrand K (K = exp(-int_1^z integrand) > 0,
 # the forms proved above), g^(n) = c K P_n with P_0 = 1 - z and
 # P_{n+1} = P_n' - integrand P_n.  The largest |g^(n)| on [lo, hi] is at an
@@ -423,8 +425,8 @@ _INVERSION = {
 
 
 def _inversion(name, x, bend=math.inf):
-    """(z, the points func was evaluated at) of _invert_decreasing at x; the
-    default bend never exits early."""
+    """(z, the points func was evaluated at) of the inverter _inverter builds
+    around func, at x; the default bend never exits early."""
     func, integrand, top, seed, _ = _INVERSION[name]
     seen = []
 
@@ -432,7 +434,7 @@ def _inversion(name, x, bend=math.inf):
         seen.append(t)
         return func(t)
 
-    return envelope._invert_decreasing(recorded, integrand, x, name, top, seed, bend), seen
+    return envelope._inverter(recorded, integrand, name, top, seed, bend)(x), seen
 
 
 def _exit_ratio(name, x):
@@ -484,7 +486,7 @@ def test_exit_at_adversarial_targets(name):
         assert abs(g_mp(name, z_exit)[0] - x) <= tol / 2.0 + ALLOWANCE * max(1.0, x) < tol
 
 
-# The inversion's two passes.  _invert_decreasing starts at z0 = seed(x),
+# The inversion's two passes.  An inverter starts at z0 = seed(x),
 # clamped below 1; each pass evaluates g at z, returns z if it meets the
 # tolerance, else takes the Newton step d and returns it if bend d^2 <= tol,
 # and the second pass returns its step.  With r the root, e0 = |z0 - r|, m

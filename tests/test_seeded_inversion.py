@@ -72,27 +72,44 @@ class TestSeedOutsideBracket:
     @pytest.mark.parametrize("x", [1e-300, 1e-9, 0.5])
     @pytest.mark.parametrize("start", [1.0, 1.5, 0.0])
     def test_start_is_clamped(self, x, start):
-        z = envelope._invert_decreasing(lambda _: x, envelope._F, x, "f",
-                                        envelope._F_TOP, lambda _: start, envelope.F_BEND)
+        z = envelope._inverter(lambda _: x, envelope._F, "f", envelope._F_TOP,
+                               lambda _: start, envelope.F_BEND)(x)
         assert z == min(start, envelope._BELOW_ONE) < 1.0
 
 
-def test_at_most_three_evaluations_on_figure_grid(monkeypatch):
+def _count_evaluations(monkeypatch):
+    """{name: []}, to which each inversion figure_data makes appends the
+    number of times it evaluated its envelope: certificates.invert_f and
+    invert_ftilde are replaced by inverters built around a counting func."""
     counts = {"f": [], "ftilde": []}
-    original = envelope._invert_decreasing
+    calls = [0]
 
-    def counting(func, integrand, x_hat, name, *args, **kwargs):
-        calls = [0]
-
+    def counting(func):
         def counted(z):
             calls[0] += 1
             return func(z)
+        return counted
 
-        z = original(counted, integrand, x_hat, name, *args, **kwargs)
-        counts[name].append(calls[0])
-        return z
+    def recorded(name, invert):
+        def inverted(x_hat):
+            calls[0] = 0
+            z = invert(x_hat)
+            counts[name].append(calls[0])
+            return z
+        return inverted
 
-    monkeypatch.setattr(envelope, "_invert_decreasing", counting)
+    for name, func, integrand, top, seed, bend in (
+            ("f", envelope._f, envelope._F, envelope._F_TOP, envelope._F_SEED,
+             envelope.F_BEND),
+            ("ftilde", envelope._ftilde, envelope._Ftilde, envelope._FTILDE_TOP,
+             envelope._FTILDE_SEED, envelope.FTILDE_BEND)):
+        invert = envelope._inverter(counting(func), integrand, name, top, seed, bend)
+        monkeypatch.setattr(certificates, f"invert_{name}", recorded(name, invert))
+    return counts
+
+
+def test_at_most_three_evaluations_on_figure_grid(monkeypatch):
+    counts = _count_evaluations(monkeypatch)
     sizes = (2, 8, 57, 248, 487)
     for samples in sizes:
         certificates.figure_data(2, samples)
@@ -105,21 +122,7 @@ def test_most_inversions_end_after_one_evaluation(monkeypatch):
     # the early exit returns the first Newton step unevaluated whenever
     # bend * d^2 <= tol; on these grids 88.8 % of f and 99.6 % of ftilde
     # inversions end after the seed's one evaluation (x = 0 takes none)
-    counts = {"f": [], "ftilde": []}
-    original = envelope._invert_decreasing
-
-    def counting(func, integrand, x_hat, name, *args):
-        calls = [0]
-
-        def counted(z):
-            calls[0] += 1
-            return func(z)
-
-        z = original(counted, integrand, x_hat, name, *args)
-        counts[name].append(calls[0])
-        return z
-
-    monkeypatch.setattr(envelope, "_invert_decreasing", counting)
+    counts = _count_evaluations(monkeypatch)
     for samples in range(2, 489):
         certificates.figure_data(1, samples)
     for name, least in (("f", 0.85), ("ftilde", 0.98)):
