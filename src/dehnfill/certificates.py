@@ -236,13 +236,11 @@ def _layout(*tokens: str) -> str:
 
 
 _LIST, _PAIR = "[\n    %s\n  ]", "[\n    %r,\n    %r\n  ]"
-#: The % layout of each record shape that certify and full_certificate
-#: return, by certified and the type of each field; a float goes in as %r.
+#: The % layout of a record not certified and of one certified with bounds,
+#: by certified and the type of each field; a float goes in as %r.
 _LAYOUTS = {
     (False, tuple, float, bool, float, *(type(None),) * 6):
         _layout(_LIST, "%r", "false", "%r", *("null",) * 6),
-    (True, tuple, float, bool, float, float, *(type(None),) * 5):
-        _layout(_LIST, "%r", "true", "%r", "%r", *("null",) * 5),
     (True, tuple, float, bool, float, float, tuple, tuple, float, float, float):
         _layout(_LIST, "%r", "true", "%r", "%r", _PAIR, _PAIR, "%r", "%r", "%r"),
 }
@@ -254,16 +252,16 @@ def certificate_to_json(cert: FillingCertificate) -> str:
 
     The bytes are those of json.dumps(cert.as_dict(), indent=2,
     allow_nan=False), and %r is float.__repr__, json's float token.  A
-    record shaped as certify or full_certificate returns it, with lengths
-    and finite floats, is one % format of its layout.  Any other record
-    (hand-built, int fields, no lengths, other types) is written token by
-    token, its only path.  A non-finite float raises ValueError; a value of
-    any other type (a nested list included) raises TypeError.
+    record not certified or certified with bounds, with lengths and finite
+    floats, is one % format of its layout.  Any other record (certify's
+    certified one, hand-built, int fields, no lengths, other types) is
+    written token by token.  A non-finite float raises ValueError; a value
+    of any other type (a nested list included) raises TypeError.
     """
     lhats, combined, certified, margin, radius, dv, area, *tail = cert
     layout = _LAYOUTS.get((certified is True, *map(type, cert)))  # a field may be unhashable
     if dv is None:
-        floats = (combined, margin) if radius is None else (combined, margin, radius)
+        floats = (combined, margin)
     elif layout and tuple(map(type, dv)) == tuple(map(type, area)) == (float, float):
         floats = (combined, margin, radius, *dv, *area, *tail)
     else:

@@ -19,20 +19,20 @@ off a z (``_dv_upper_from_z``, ``_dv_lower_from_z``, and ``_area_from_z`` =
 1/H), which ``certificates`` applies at z-hat and z-tilde.
 
 F and Ftilde are rational, so both exponents are elementary (a rational term
-and logarithms; see f and ftilde); their constant parts are module
-constants.  invert_f and invert_ftilde are one inverter per envelope, each
-built once at import by ``_inverter`` around its envelope, integrand and
-seed.  Inverting g = f or ftilde takes at most two Newton steps, with g' = -g
-(1/(1-z) + F) (Ftilde for ftilde), from a cubic Hermite interpolant of the
-inverse built at import on 27 z-nodes, from 1 down to the first below Z0.  A
-target x outside (0, g(Z0)] gives z = 1 at 0, else raises
-(UncertifiableError above, DomainError if NaN or negative).  A Newton step d
-with bend * d^2 <= tol, where bend bounds |g''| on [Z0 - 1e-6, 1] (10.2 for
-f, 14.6 for ftilde), is returned without evaluating g there: Taylor's
-theorem proves that g at it meets the tolerance, so it is the float one more
-evaluation would accept.  The seed's proven error makes every second step
-such a step.  Over the figure grids of 2 to 488 rows, 89 % of f and 99.6 % of
-ftilde inversions end after the seed's one evaluation; the rest take two.
+and logarithms; see f and ftilde).  invert_f and invert_ftilde are one
+inverter per envelope, each built once at import by ``_inverter`` around its
+envelope, integrand and seed.  Inverting g = f or ftilde takes at most two
+Newton steps, with g' = -g (1/(1-z) + F) (Ftilde for ftilde), from a cubic
+Hermite interpolant of the inverse built at import on 27 z-nodes, from 1
+down to the first below Z0.  A target x outside (0, g(Z0)] gives z = 1 at
+0, else raises (UncertifiableError above, DomainError if NaN or negative).
+A Newton step d with bend * d^2 <= tol, where bend bounds |g''| on
+[Z0 - 1e-6, 1] (10.2 for f, 14.6 for ftilde), is returned without
+evaluating g there: Taylor's theorem proves that g at it meets the
+tolerance, so it is the float one more evaluation would accept.  The seed's
+proven error makes every second step such a step.  Over the figure grids of
+2 to 488 rows, 89 % of f and 99.6 % of ftilde inversions end after the
+seed's one evaluation; the rest take two.
 """
 
 from __future__ import annotations
@@ -58,19 +58,6 @@ _B = (_R2 + 1.0) / (2.0 * _R2)
 _P2 = (_R2 - 1.0) ** 2
 _Q2 = (_R2 + 1.0) ** 2
 _BELOW_ONE = math.nextafter(1.0, 0.0)
-# The constant parts of the closed forms below.  Python evaluates a op b op c
-# as (a op b) op c, so each is the float the form computed in place.
-_C_OVER_16 = _COEFF / 16.0
-_C_OVER_4 = _COEFF / 4.0
-_HALF_C = 0.5 * _COEFF
-_FOUR_MINUS_PI = 4.0 - math.pi
-_QUARTER_PI = math.pi / 4.0
-_HALF_R2 = 0.5 * _R2
-_TWO_MINUS_R2 = 2.0 - _R2
-_TWO_PLUS_R2 = 2.0 + _R2
-_R2_PLUS_ONE = _R2 + 1.0
-_P2_SCALE = 2.0 * _R2 - 2.0
-_Q2_SCALE = 2.0 * _R2 + 2.0
 
 #: The inversion seed interpolates the inverse through the z-nodes
 #: 1 - k * SEED_STEP, k = 0, 1, ..., down to the first node below Z0: the
@@ -83,8 +70,8 @@ def _dv_upper_from_z(z: float) -> float:
     if z >= 1.0:
         return 0.0
     zz1 = 1.0 + z * z
-    return _C_OVER_16 * (
-        _FOUR_MINUS_PI - 8.0 * z + 4.0 * math.atan(z) + (12.0 * z ** 3 + 4.0 * z) / (zz1 * zz1)
+    return _COEFF / 16.0 * (
+        4.0 - math.pi - 8.0 * z + 4.0 * math.atan(z) + (12.0 * z ** 3 + 4.0 * z) / (zz1 * zz1)
     )
 
 
@@ -98,12 +85,12 @@ def _dv_lower_from_z(z: float) -> float:
     # the sign of z^2+2z-1 on (0, 1), so the integrand needs z > sqrt(2)-1
     if not z > _POLE:
         raise DomainError(f"H <= Gtilde at z = {z}; lower bound not applicable")
-    rational = 2.0 * (1.0 - z) + (_QUARTER_PI - math.atan(z)) - (1.0 - z) ** 2 / (1.0 + z * z)
-    logs = 0.75 * math.log((z * z + 2.0 * z - 1.0) / (1.0 + 2.0 * z - z * z)) + _HALF_R2 * (
-        math.log(_TWO_MINUS_R2 * (z + 1.0 + _R2) / (_TWO_PLUS_R2 * (z + 1.0 - _R2)))
-        - math.log((_R2_PLUS_ONE - z) / (z - 1.0 + _R2))
+    rational = 2.0 * (1.0 - z) + (math.pi / 4.0 - math.atan(z)) - (1.0 - z) ** 2 / (1.0 + z * z)
+    logs = 0.75 * math.log((z * z + 2.0 * z - 1.0) / (1.0 + 2.0 * z - z * z)) + 0.5 * _R2 * (
+        math.log((2.0 - _R2) * (z + 1.0 + _R2) / ((2.0 + _R2) * (z + 1.0 - _R2)))
+        - math.log((_R2 + 1.0 - z) / (z - 1.0 + _R2))
     )
-    return _C_OVER_4 * (rational + logs)
+    return _COEFF / 4.0 * (rational + logs)
 
 
 def _area_from_z(z: float) -> float:
@@ -132,7 +119,7 @@ def _check_working(z: float):
 
 def _f(z: float) -> float:
     zz = z * z
-    return _HALF_C * (1.0 - z) * (1.0 + z) * math.exp((zz - 1.0) / (zz + 1.0))
+    return 0.5 * _COEFF * (1.0 - z) * (1.0 + z) * math.exp((zz - 1.0) / (zz + 1.0))
 
 
 def f(z: float) -> float:
@@ -145,8 +132,8 @@ def _ftilde(z: float) -> float:
     zz = z * z
     exponent = (
         math.log((1.0 + zz) / (1.0 + z))
-        - _A * math.log((zz - _P2) / _P2_SCALE)
-        - _B * math.log((_Q2 - zz) / _Q2_SCALE)
+        - _A * math.log((zz - _P2) / (2.0 * _R2 - 2.0))
+        - _B * math.log((_Q2 - zz) / (2.0 * _R2 + 2.0))
     )
     return _COEFF * (1.0 - z) * math.exp(-exponent)
 

@@ -185,5 +185,5 @@ def test_nan_in_volume_drop_raises_value_error():
 @pytest.mark.parametrize("margin", ["0.1", ((0.1,),)])
 def test_unsupported_value_raises_type_error(margin):
     cert = FillingCertificate((9.0,), 9.0, True, margin, 0.5)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="is not a certificate field value"):
         certificate_to_json(cert)

@@ -196,6 +196,7 @@ class TestUsageErrors:
         (["certify", "--shape", "-1.7976931348623157e+308,1.7976931348623157e+308",
           "--slope", "-5e-324,-1"],
          "every cusp is unfilled or too long (normalized lengths [inf])"),
+        (["certify"], "certify requires --lhat or --shape/--slope pairs"),
     ])
     def test_exit_2_names_the_problem(self, capsys, argv, message):
         assert run(argv) == 2

@@ -127,9 +127,7 @@ _EXACT = {"math": SimpleNamespace(pi=sp.pi, atan=sp.atan, log=sp.log, exp=sp.exp
           "Rational": sp.Rational, "_COEFF": c}
 for _node in _ENVELOPE.body:
     if isinstance(_node, ast.Assign) and getattr(_node.targets[0], "id", None) in {
-            "_R2", "_A", "_B", "_P2", "_Q2", "_C_OVER_16", "_C_OVER_4", "_HALF_C",
-            "_FOUR_MINUS_PI", "_QUARTER_PI", "_HALF_R2", "_TWO_MINUS_R2", "_TWO_PLUS_R2",
-            "_R2_PLUS_ONE", "_P2_SCALE", "_Q2_SCALE"}:
+            "_R2", "_A", "_B", "_P2", "_Q2"}:
         exec(_compiled(_node, "exec"), _EXACT)
 _FUNCTIONS = {node.name: node for node in _ENVELOPE.body if isinstance(node, ast.FunctionDef)}
 

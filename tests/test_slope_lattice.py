@@ -1,8 +1,9 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dehnfill import slope_lattice
@@ -137,6 +138,22 @@ class TestLatticeReduce:
                     slope_normalized_length(shape, (p, q)), rel=1e-12
                 )
 
+    def test_unit_circle_stops_without_inverting(self, monkeypatch):
+        # translated, this tau lies within rounding of |tau| = 1 and -1/tau does
+        # not raise im: the walk stops there instead of cycling to its step cap
+        inversions = []
+
+        def isfinite(value):  # lattice_reduce checks each inverted tau once
+            inversions.append(value)
+            return math.isfinite(value.real) and math.isfinite(value.imag)
+
+        monkeypatch.setattr(slope_lattice, "cmath", SimpleNamespace(isfinite=isfinite))
+        im = 0.9220234189900272
+        reduced, m = lattice_reduce(CuspShape(2.6128658955427193, im))
+        assert inversions == []
+        assert m == ((1, 3), (0, 1))
+        assert reduced.im.hex() == im.hex()
+
     @pytest.mark.parametrize("re, im, given", [
         (1e-310, 1e-310, "re=1e-310, im=1e-310"),
         (1e308, 5e-324, "re=1e+308, im=5e-324"),
@@ -242,6 +259,7 @@ class TestScanlineOracle:
         st.floats(min_value=0.1, max_value=3.0),
         st.floats(min_value=0.5, max_value=8.0),
     )
+    @example(2.6128658955427193, 0.9220234189900272, C)  # reduction stops on the unit circle
     def test_brute_force(self, re, im, cutoff):
         # slopes within rounding of the cutoff may fall on either side
         shape = CuspShape(re, im)
