@@ -49,6 +49,7 @@ __all__ = [
 #: Universal certification threshold, stored as the literal decimal.
 UNIVERSAL_C = 7.5832
 _INV_C_SQ = 1.0 / UNIVERSAL_C ** 2
+_record = tuple.__new__  # builds a record from its fields, past NamedTuple's __new__
 
 
 class FillingCertificate(NamedTuple):
@@ -79,22 +80,6 @@ class FillingCertificate(NamedTuple):
 def _unfilled_as_none(lhats) -> list:
     """The lengths as JSON reads them: an unfilled cusp (Lhat = inf) is None."""
     return [None if v == math.inf else v for v in lhats]
-
-
-def _decide(lhats) -> tuple:
-    """The fields of certify's record, with every bound None."""
-    # one float length in (1e-150, 1e150), a list or tuple of it, skips the
-    # loop: v ** 2 cannot overflow, 1/v^2 is finite and positive, and a sum()
-    # of one term is that term, so the floats are the loop's
-    v = lhats[0] if (type(lhats) is list or type(lhats) is tuple) and len(lhats) == 1 else None
-    if type(v) is float and 1e-150 < v < 1e150:
-        values, inv_sq = (v,), 1.0 / v ** 2
-    else:
-        values, inv_sq = _values_and_sum(lhats)
-    margin = _INV_C_SQ - inv_sq
-    certified = margin > 0.0
-    return (values, 1.0 / math.sqrt(inv_sq), certified, margin,
-            R0 if certified else None, None, None, None, None, None)
 
 
 def _values_and_sum(lhats) -> tuple:
@@ -153,7 +138,17 @@ def certify(lhats) -> FillingCertificate:
     float reads it, then one float() cannot read (an int or Fraction beyond
     the float range, None, a complex number, any other object); no lengths;
     a length not positive (NaN included); a sum that is 0 or not finite."""
-    return tuple.__new__(FillingCertificate, _decide(lhats))
+    v = lhats[0] if (type(lhats) is list or type(lhats) is tuple) and len(lhats) == 1 else None
+    if type(v) is float and 1e-150 < v < 1e150:
+        values, inv_sq = (v,), 1.0 / v ** 2
+    else:
+        values, inv_sq = _values_and_sum(lhats)
+    margin = _INV_C_SQ - inv_sq
+    if margin > 0.0:
+        return _record(FillingCertificate, (values, 1.0 / math.sqrt(inv_sq), True, margin,
+                                            R0, None, None, None, None, None))
+    return _record(FillingCertificate, (values, 1.0 / math.sqrt(inv_sq), False, margin,
+                                        None, None, None, None, None, None))
 
 
 class EnvelopeBounds(NamedTuple):
@@ -192,12 +187,12 @@ def envelope_bounds(lhat: float) -> EnvelopeBounds:
 
 def full_certificate(lhats) -> FillingCertificate:
     """Certificate with geometric bounds filled in when certified."""
-    decision = _decide(lhats)
-    if not decision[2]:
-        return tuple.__new__(FillingCertificate, decision)
-    env = envelope_bounds(decision[1])
+    cert = certify(lhats)
+    if not cert[2]:
+        return cert
+    env = envelope_bounds(cert[1])
     bounds = env.volume_drop, env.visual_area, env.core_length_hi, env.z_hat, env.z_tilde
-    return tuple.__new__(FillingCertificate, decision[:5] + bounds)
+    return _record(FillingCertificate, cert[:5] + bounds)
 
 
 #: '{' or ',' then the indented key of each field, in field order.

@@ -22,10 +22,10 @@ F and Ftilde are rational, so both exponents are elementary (a rational term
 and logarithms; see f and ftilde).  invert_f and invert_ftilde are one
 inverter per envelope, each built once at import by ``_inverter`` around its
 envelope, integrand and seed.  Inverting g = f or ftilde takes at most two
-Newton steps, with g' = -g (1/(1-z) + F) (Ftilde for ftilde), from a cubic
-Hermite interpolant of the inverse built at import on 27 z-nodes, from 1
-down to the first below Z0.  A target x outside (0, g(Z0)] gives z = 1 at
-0, else raises (UncertifiableError above, DomainError if NaN or negative).
+Newton steps, written out as two passes, with g' = -g (1/(1-z) + F) (Ftilde
+for ftilde), from a cubic Hermite interpolant of the inverse on 27 z-nodes,
+from 1 down to the first below Z0.  A target outside (0, g(Z0)] gives z = 1
+at 0, else raises (UncertifiableError above, DomainError if NaN or negative).
 A Newton step d with bend * d^2 <= tol, where bend bounds |g''| on
 [Z0 - 1e-6, 1] (10.2 for f, 14.6 for ftilde), is returned without
 evaluating g there: Taylor's theorem proves that g at it meets the
@@ -186,9 +186,9 @@ class _InverseSeed:
 
 def _inverter(func, integrand, name: str, top: float, seed, bend: float):
     """invert(x_hat): z in [Z0, 1] with |func(z) - x_hat| <= INV_TOL * max(1,
-    x_hat), by at most two Newton steps from seed(x_hat).  ``top`` is
-    func(Z0), the largest target accepted.  Built once per envelope, at
-    import; the seed is read through its bound ``__call__``.
+    x_hat), by at most two Newton steps from seed(x_hat), written out as two
+    passes.  ``top`` is func(Z0), the largest target accepted.  Built once
+    per envelope, at import; the seed is read through its bound ``__call__``.
 
     Each pass evaluates func at z and returns z if it meets the tolerance;
     else it takes the Newton step d and returns it, unevaluated, if bend *
@@ -218,17 +218,20 @@ def _inverter(func, integrand, name: str, top: float, seed, bend: float):
         # below 4e-16, so a target that small is met at once
         z = start(x_hat)
         z = z if z <= _BELOW_ONE else _BELOW_ONE
-        for _ in range(2):
-            val = func(z)
-            if -tol <= val - x_hat <= tol:
-                return z
-            slope = -val * (1.0 / (1.0 - z) + integrand(z))
-            step = z - (val - x_hat) / slope
-            d = step - z
-            if bend * d * d <= tol:
-                return step
-            z = step
-        return z
+        val = func(z)
+        if -tol <= val - x_hat <= tol:
+            return z
+        slope = -val * (1.0 / (1.0 - z) + integrand(z))
+        step = z - (val - x_hat) / slope
+        d = step - z
+        if bend * d * d <= tol:
+            return step
+        z = step
+        val = func(z)
+        if -tol <= val - x_hat <= tol:
+            return z
+        slope = -val * (1.0 / (1.0 - z) + integrand(z))
+        return z - (val - x_hat) / slope
 
     invert.__name__ = invert.__qualname__ = f"invert_{name}"
     return invert

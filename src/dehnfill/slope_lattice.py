@@ -155,7 +155,9 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
             except OverflowError:
                 raise DomainError(f"cusp shape re={shape.re}, im={shape.im} has a slope beyond "
                                   f"the float range at cutoff {cutoff}") from None
-    # a float key takes CPython's fast float compare; tied lengths also need p, then q
-    tied = len(set(map(operator.itemgetter(2), out))) < len(out)
-    out.sort(key=operator.itemgetter(2, 0, 1) if tied else operator.itemgetter(2))
+    # a float key takes CPython's fast float compare; adjacent tied lengths need p, then q
+    out.sort(key=operator.itemgetter(2))
+    lengths = list(map(operator.itemgetter(2), out))
+    if any(map(operator.eq, lengths, lengths[1:])):
+        out.sort(key=operator.itemgetter(2, 0, 1))
     return out

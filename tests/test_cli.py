@@ -102,6 +102,13 @@ class TestEnumerate:
         assert run(["enumerate", "--shape", "0,-1", "--cutoff", "1"]) == 2
         assert run(["enumerate", "--shape", "nonsense", "--cutoff", "1"]) == 2
 
+    @pytest.mark.xfail(strict=True, reason="far-translated shape: cancellation in |p + q*tau| "
+                                           "reports 8 of the 60 slopes above the cutoff")
+    def test_far_translated_shape_lists_lengths_within_cutoff(self, capsys):
+        code, doc = run_json(capsys, ["enumerate", "--shape", "3.3e16,1", "--cutoff", "8"])
+        assert code == 0 and doc["payload"]["count"] == 60
+        assert all(length <= 8.0 for _, _, length in doc["payload"]["slopes"])
+
 
 class TestWeitz:
     def test_certified_range_passes(self, capsys):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dehnfill import slope_lattice
+from dehnfill.certificates import certify
 from dehnfill.errors import DomainError
 from dehnfill.slope_lattice import (
     CuspShape,
@@ -308,6 +309,52 @@ class TestUnmovedShapes:
         for near in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
             listed = {(p, q) for p, q, _ in enumerate_short_slopes(shape, near)}
             assert listed == brute_force_slopes(shape, near)
+
+
+class TestTieProneShapes:
+    """On and next to the edges of the reduced domain many slopes share one
+    float length, so the listed order rests on the tie-break by p, then q:
+    the scanline list is the box enumerator's, for the shape as given and
+    for a copy moved by an SL(2, Z) word."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tau=st.one_of(
+            st.sampled_from(EDGE_MODULI),
+            st.tuples(st.sampled_from([0.0, -0.0, 0.5, -0.5]), st.floats(0.5, 3.0)),
+        ),
+        word=st.one_of(st.none(), st.integers(0, 2 ** 32)),
+        stretch=st.floats(0.0, 1.0),
+    )
+    @example(tau=(0.0, 1.0), word=None, stretch=1.0)
+    @example(tau=(-0.5, math.sqrt(3.0) / 2.0), word=7, stretch=0.5)
+    def test_matches_reference(self, tau, word, stretch):
+        tau = complex(*tau)
+        if word is not None:
+            tau = _sl2_word(random.Random(word), tau)
+        shape, cutoff = CuspShape(tau.real, tau.imag), C * 4.2 ** stretch
+        assert enumerate_short_slopes(shape, cutoff) == reference_enumerate(shape, cutoff)
+
+
+class TestFarTranslatedShape:
+    """Known defect: a shape translated far from the reduced domain loses
+    its normalized lengths to cancellation in abs(p + q*tau).  tau =
+    3.3e16 + i reduces to tau' = i, where the slope (32999999999999993, -1)
+    is (-7, -1), of exact length sqrt(50) = 7.071, below C."""
+
+    SHAPE, SLOPE = CuspShape(3.3e16, 1.0), (32999999999999993, -1)
+
+    @pytest.mark.xfail(strict=True, reason="the given basis reports 8.062 for sqrt(50)")
+    def test_length_is_the_reduced_basis_length(self):
+        length = slope_normalized_length(self.SHAPE, self.SLOPE)
+        assert length == pytest.approx(math.sqrt(50.0), rel=1e-12)
+        assert not certify([length]).certified
+
+    @pytest.mark.xfail(strict=True, reason="8 of the 60 slopes listed report lengths above 8")
+    def test_listed_lengths_within_cutoff(self):
+        listed = enumerate_short_slopes(self.SHAPE, 8.0)
+        assert len(listed) == 60
+        assert all(length <= 8.0 for _, _, length in listed)
 
 
 class TestCandidateCap:
