@@ -12,17 +12,19 @@ Subcommands:
     figure    --which 1|2|3 --samples n --out path   CSV figure data
 
 Options are spelled in full and each takes one value, '--opt v' or '--opt=v'; a
-value may begin with '-' (--slope -7,3).  Every command prints a JSON report to
-stdout with fields (command, status, payload, checks); checks entries are
-(name, computed, expected, tolerance, pass).  Its bytes are those of
-json.dumps(report, indent=2, allow_nan=False), then a newline.  Exit code 0 on
-success, 1 on a failed check or a mathematically uncertifiable input, 2 on
-usage errors.
+value may begin with '-' (--slope -7,3).  A well-formed command line is read
+directly; argparse answers every other one, so usage, help and error text are
+argparse's own.  Every command prints a JSON report to stdout with fields
+(command, status, payload, checks); checks entries are (name, computed,
+expected, tolerance, pass).  Its bytes are those of json.dumps(report,
+indent=2, allow_nan=False), then a newline.  Exit code 0 on success, 1 on a
+failed check or a mathematically uncertifiable input, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import math
 import os
 import sys
@@ -286,6 +288,19 @@ _PARSER, _COMMAND = _build_parser()
 _COMMANDS = _COMMAND.choices
 
 
+def _reader_table(parser: argparse.ArgumentParser) -> tuple[dict, dict, tuple[str, ...]]:
+    """A command parser's declarations as _read uses them: its actions by
+    option string, the namespace its parse starts from (each action's default
+    and the parser's set_defaults), and the dests of its required options."""
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    options = {opt: a for a in actions for opt in a.option_strings}
+    defaults = {**parser._defaults, **{a.dest: a.default for a in actions}}
+    return options, defaults, tuple(a.dest for a in actions if a.required)
+
+
+_READER = {name: _reader_table(parser) for name, parser in _COMMANDS.items()}
+
+
 def _attach_signed_values(argv: list[str]) -> list[str]:
     """argv with '--opt -v' as '--opt=-v': every long option but --help takes one
     value, so a single-'-' token other than -h right after one is its value. A
@@ -302,16 +317,54 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace _PARSER.parse_args gives a well-formed argv, or None for
+    any other.  Well formed: a command's name, then each of its options once,
+    as '--opt v' or '--opt=v', every required one among them; each value is
+    not empty, not '-h' and not '--'-led, and passes its option's type and
+    choices.  Options not given take fresh copies of their defaults.  _read
+    prints nothing, so _PARSER can still answer an argv it refuses."""
+    table = _READER.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, defaults, required = table
+    values = {}
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        opt, eq, text = tok.partition("=")
+        action = options.get(opt)
+        if action is None or action.dest in values:
+            return None
+        if not eq:
+            text = next(tokens, "")
+        if not text or text == "-h" or text[:2] == "--":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if isinstance(action, argparse._AppendAction):
+            value = [*(action.default or ()), value]
+        values[action.dest] = value
+    if not all(dest in values for dest in required):
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for dest, default in defaults.items():
+        setattr(args, dest, values[dest] if dest in values else copy.copy(default))
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as _PARSER.parse_args parses it, but for the command field.
-    A named command's parser reads the tokens after the name, the one call
-    argparse's subparsers action would make on them.  A leading '--' ends the
+    """argv parsed as _PARSER.parse_args parses it.  _read builds the
+    namespace of a well-formed argv; every other argv (empty, help, an
+    unknown name or option, a bad value, a missing option) goes to _PARSER,
+    which prints its own usage, help or error.  A leading '--' ends the
     options, so the token after it is the command name, an operand: the '--'
     is dropped, and a token that names no command is refused as argparse
-    refuses an unknown name, '--help' and '-h' included.  Any other argv
-    (empty, help, an unknown name, a lone '--'), or one that leaves tokens
-    unread, goes to _PARSER, which prints its own usage, help or
-    'unrecognized arguments'."""
+    refuses an unknown name, '--help' and '-h' included; a lone '--' goes to
+    _PARSER."""
     argv = _attach_signed_values(argv)
     if argv[:1] == ["--"] and len(argv) > 1:
         argv = argv[1:]
@@ -319,12 +372,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             _PARSER._check_value(_COMMAND, argv[0])
         except argparse.ArgumentError as exc:
             _PARSER.error(str(exc))
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return _PARSER.parse_args(argv)
+    args = _read(argv)
+    return _PARSER.parse_args(argv) if args is None else args
 
 
 def run(argv: list[str]) -> int:

@@ -231,6 +231,18 @@ class TestParserReuse:
         assert len(json.loads(first[1])["payload"]["per_cusp_lhat"]) == 2
         assert run(["certify"]) == 2
 
+    def test_list_defaults_are_fresh(self, monkeypatch, capsys):
+        read, parsed = cli._read, []
+        monkeypatch.setattr(cli, "_read", lambda argv: parsed.append(read(argv)) or parsed[-1])
+        argv = ["certify", "--shape", "0,1", "--slope", "9,2"]
+        assert (run(argv), run(argv), run(["certify"])) == (0, 0, 2)
+        lists = [args.shape for args in parsed] + [args.slope for args in parsed]
+        assert lists == [[CuspShape(0.0, 1.0)]] * 2 + [[]] + [[(9.0, 2.0)]] * 2 + [[]]
+        command = cli._COMMANDS["certify"]
+        defaults = [command.get_default("shape"), command.get_default("slope")]
+        assert defaults == [[], []]
+        assert len({id(x) for x in lists + defaults}) == len(lists + defaults)
+
 
 class TestFigureCsvBytes:
     """render_figure_csv writes the header, then format(v, ".12e") per value,
@@ -620,7 +632,8 @@ _OPTIONS = {
     "--eps": (_real(0.0, 2.0), _ATOM),
     "--seed": (st.integers(0, 2**64).map(str), _ATOM),
     "--trials": (st.integers(-2, 1000).map(str), _ODD_BOUNDED),
-    "--which": (st.sampled_from(["1", "2", "3"]), _ATOM),
+    "--which": (st.sampled_from(["1", "2", "3", " 1"]),
+                st.one_of(st.sampled_from(["0", "4", "1.0"]), _ATOM)),
     "--samples": (st.integers(-2, 500).map(str), _ODD_BOUNDED),
 }
 _COMMAND_OPTIONS = {
@@ -631,13 +644,18 @@ _COMMAND_OPTIONS = {
     "figure": ["--which", "--samples", "--out"],
 }
 _STRAYS = ["--bogus", "--lh", "--sl", "--k", "--cut", "--help=x", "-x", "-7,3", "9"]
+# values at the edge of a well-formed argv: empty, '-'- or '--'-led, -h, or
+# another option's name ('--out' left out, so no file lands outside out_dir)
+_EDGE = st.sampled_from(["", "-h", "-", "-1", "--", "--1", "--k1", "--eps", "--shape",
+                         "--slope", "--lhat", "--which", "--help"])
+_FORM = st.sampled_from(["space", "equals"])
 
 
 @st.composite
 def _argv(draw, out_dir):
     """A subcommand and its options in any order, well formed, then up to
-    three faults: an odd value, a dropped, repeated or bare option, or a
-    stray token."""
+    three faults: an odd or edge value, a dropped, repeated or bare option,
+    or a stray token."""
     command = draw(st.sampled_from([*_COMMAND_OPTIONS, "certify", "certify", "frobnicate", ""]))
     if command == "certify":
         names = draw(st.sampled_from([["--lhat"], ["--shape", "--slope"] * draw(st.integers(1, 3))]))
@@ -650,10 +668,9 @@ def _argv(draw, out_dir):
             return os.path.join(out_dir, name)
         return draw(_OPTIONS[opt][0]) if opt in _OPTIONS else draw(_ATOM)
 
-    entries = [[opt, well_formed(opt), draw(st.sampled_from(["space", "equals"]))]
-               for opt in names]
+    entries = [[opt, well_formed(opt), draw(_FORM)] for opt in names]
     for _ in range(draw(st.integers(0, 3))):
-        fault = draw(st.sampled_from(["odd", "drop", "repeat", "bare", "stray"]))
+        fault = draw(st.sampled_from(["odd", "edge", "drop", "repeat", "bare", "stray"]))
         if fault == "stray" or not entries:
             entries.append([draw(st.sampled_from(_STRAYS)), draw(_ATOM), "space"])
             continue
@@ -662,7 +679,9 @@ def _argv(draw, out_dir):
         if fault == "drop":
             del entries[i]
         elif fault == "repeat":
-            entries.append([opt, well_formed(opt), "space"])
+            entries.append([opt, well_formed(opt), draw(_FORM)])
+        elif fault == "edge":
+            entries[i][1] = "" if opt == "--out" else draw(_EDGE)
         elif opt == "--out":
             pass  # an --out value always names a file in out_dir
         elif fault == "odd":
@@ -896,10 +915,72 @@ class TestDispatchMatchesTopParser:
 
     @settings(max_examples=1000, deadline=None)
     @given(data=st.data())
+    @example(data=_GivenArgv("weitz", "--k1=", "--eps", "0.7"))
+    @example(data=_GivenArgv("weitz", "--k1", "0.9", "--eps", "0.7", "--k1", "0.8"))
+    @example(data=_GivenArgv("weitz", "--k1", "0.9", "--eps", "--seed", "1"))
+    @example(data=_GivenArgv("weitz", "--k1", "-h", "--eps", "0.7"))
+    @example(data=_GivenArgv("weitz", "--k1", "--", "0.9", "--eps", "0.7"))
+    @example(data=_GivenArgv("bounds", "--lhat", "7", "--lhat=12"))
+    @example(data=_GivenArgv("certify", "--shape", "0,1", "--slope", "9,2",
+                             "--shape=0.5,1", "--slope", "-7,1"))
+    @example(data=_GivenArgv("certify", "--lhat=--shape"))
     def test_same_outcome(self, data):
         with tempfile.TemporaryDirectory() as out_dir:
             argv = data.draw(_argv(out_dir), label="argv")
             assert _outcome(run, argv) == _outcome(_parent_run, argv)
+
+
+class TestReadWithoutArgparse:
+    """The argv the benchmark's CLI workloads send are read without argparse,
+    into the namespace argparse gives them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["weitz", "--k1", "0.9", "--eps", "0.7", "--trials", "64", "--seed", "27979266"],
+        ["weitz", "--k1", repr(math.exp(1.638671875)), "--eps", "1.96875", "--trials", "64",
+         "--seed", "0"],
+        ["figure", "--which", "2", "--samples", "100", "--out", "{out}"],
+        ["figure", "--which", "3", "--samples", "2", "--out", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_parser_not_called(self, monkeypatch, capsys, tmp_path, argv):
+        argv = [tok.format(out=tmp_path / "fig.csv") for tok in argv]
+        expected = cli._PARSER.parse_args(argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a well-formed argv")
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+        assert cli._parse(argv) == expected
+        assert run(argv) == 0
+
+
+class TestOutValueEdges:
+    """--out takes any text, so the argv generators keep its edge values out;
+    here they run in a fresh working directory each, where run and the
+    reference dispatch must give the same outcome and write the same files."""
+
+    @pytest.mark.parametrize("tail", [
+        ["--which", "1", "--out", "-h"],
+        ["--which", "1", "--out", "--x"],
+        ["--which", "1", "--out=--x"],
+        ["--which", "1", "--out", "--which", "2"],
+        ["--which", "1", "--out", ""],
+        ["--which", "1", "--out="],
+        ["--which", "1", "--out"],
+        ["--which", "4", "--out", "fig.csv"],
+        ["--which=0", "--out", "fig.csv"],
+        ["--which", "1.0", "--out", "fig.csv"],
+        ["--which", " 1", "--out", "fig.csv"],
+        ["--which", "1", "--out", "fig.csv", "--which", "3"],
+    ], ids=repr)
+    def test_same_outcome_and_files(self, monkeypatch, tmp_path, tail):
+        argv = ["figure", "--samples", "2", *tail]
+        seen = []
+        for dispatch in (run, _parent_run):
+            cwd = tmp_path / dispatch.__name__
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            seen.append((_outcome(dispatch, argv), {f.name: f.read_bytes() for f in cwd.iterdir()}))
+        assert seen[0] == seen[1]
 
 
 _JSON_SCALARS = st.one_of(

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
@@ -67,21 +68,24 @@ class TestBoundaryForm:
         assert len(form.modes) == 16  # 8 modes plus conjugates
 
 
-def direct_b(curv, sigma):
+def direct_b(curv, sigma, num=lambda x: x, pi=math.pi):
     """Reference b: gradients and delta(d sigma) mode by mode, accumulated
-    into ||grad_i sigma_j||^2 and ||a_i||^2 before the curvature weights."""
-    k1, k2, eps = curv.k1, curv.k2, curv.epsilon
+    into ||grad_i sigma_j||^2 and ||a_i||^2 before the curvature weights.
+    num converts each input and pi is pi: floats by default, or
+    mpmath.mpmathify and mpmath.pi for the same formula at mpmath's precision."""
+    k1, k2, eps = num(curv.k1), num(curv.k2), num(curv.epsilon)
     ks = (k1, k2)
-    grad2 = np.zeros((2, 2))
+    grad2 = [[0.0, 0.0], [0.0, 0.0]]
     a1_sq = a2_sq = 0.0
     for (m, n), (c1, c2) in sigma.modes.items():
-        kap1, kap2 = 2.0 * math.pi * m, 2.0 * math.pi * n
+        c1, c2 = num(c1), num(c2)
+        kap1, kap2 = 2.0 * pi * m, 2.0 * pi * n
         for i, kap in ((0, kap1), (1, kap2)):
-            grad2[i, 0] += kap * kap * abs(c1) ** 2
-            grad2[i, 1] += kap * kap * abs(c2) ** 2
+            grad2[i][0] += kap * kap * abs(c1) ** 2
+            grad2[i][1] += kap * kap * abs(c2) ** 2
         a1_sq += abs(kap2 * kap2 * c1 - kap1 * kap2 * c2) ** 2
         a2_sq += abs(-kap1 * kap2 * c1 + kap1 * kap1 * c2) ** 2
-    total = sum((3.0 - ks[i] ** 2) * ks[j] * grad2[i, j] for i in range(2) for j in range(2))
+    total = sum((3.0 - ks[i] ** 2) * ks[j] * grad2[i][j] for i in range(2) for j in range(2))
     return total / 4.0 + (eps / 2.0) * ((k2 - eps / 2.0) * a1_sq + (k1 - eps / 2.0) * a2_sq)
 
 
@@ -147,11 +151,20 @@ class TestScanMatchesDirectFormula:
     @example(k1=0.9, eps=2.5, seed=1)  # eps > 2 k1
     @example(k1=50.0, eps=3.0, seed=2)
     @example(k1=1 / 50, eps=0.0, seed=3)
+    # float direct_b is 9.8e-12 above the 50-digit minimum here; the scan is within 9.2e-13
+    @example(k1=math.exp(1.638671875), eps=1.96875, seed=27979266)
     def test_scan_is_min_of_direct_b(self, k1, eps, seed):
         curv = BoundaryCurvature(k1, 1.0 / k1, eps)
         event("inside the window" if curv.in_positivity_window() else "outside the window")
         freqs, c1, c2 = random_modes(np.random.default_rng(seed), 64)
-        ref = min(direct_b(curv, row_form(*row)) for row in zip(freqs, c1, c2))
+        forms = [row_form(*row) for row in zip(freqs, c1, c2)]
+        b = [direct_b(curv, sigma) for sigma in forms]
+        # float direct_b errs by far less than 1e-6 of max(1, |b|), so only a
+        # form that near its float minimum can hold the exact one
+        near = min(b) + 1e-6 * max(1.0, abs(min(b)))
+        with mpmath.workdps(50):
+            ref = float(min(direct_b(curv, sigma, mpmath.mpmathify, mpmath.pi)
+                            for sigma, v in zip(forms, b) if v <= near))
         assert abs(scan_min_b(curv, seed, 64) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
