@@ -22,17 +22,16 @@ rng = np.random.default_rng(7)
 
 print("inside the certified curvature window:")
 for k1 in np.linspace(1.0 / math.sqrt(3.0), 1.0, 5):
-    k2 = 1.0 / k1
-    curv = BoundaryCurvature(k1=k1, k2=k2, epsilon=min(2.0 * k1, 1.0))
+    curv = BoundaryCurvature(k1=k1, epsilon=min(2.0 * k1, 1.0))
     scan = scan_min_b(curv, rng, 2000)
     exact, mode = exact_min_b(curv)
-    print(f"  k1 = {k1:.4f}, k2 = {k2:.4f}: min b over 2000 random forms = {scan:.3e}, "
+    print(f"  k1 = {k1:.4f}, k2 = {curv.k2:.4f}: min b over 2000 random forms = {scan:.3e}, "
           f"exact min b = {exact:.3e} at mode {mode}")
     assert -1e-10 <= exact <= scan
 
 print()
 print("outside the window the form goes negative:")
-curv = BoundaryCurvature(k1=0.5, k2=2.0, epsilon=0.0)
+curv = BoundaryCurvature(k1=0.5, epsilon=0.0)
 sigma = FourierMode1Form({(0, 1): (0.0, -0.5j), (0, -1): (0.0, 0.5j)})
 b = boundary_form_b(curv, sigma)
 print(f"  k2 = 2, sigma = sin(2 pi x2) theta2: b = {b:.6f} (exact -pi^2 = {-math.pi**2:.6f})")

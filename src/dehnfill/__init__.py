@@ -13,7 +13,7 @@ from .certificates import (
     full_certificate,
 )
 from .envelope import f, ftilde, invert_f, invert_ftilde
-from .packing import PACKING, R0, h
+from .packing import R0, h
 from .slope_lattice import (
     CuspShape,
     enumerate_short_slopes,

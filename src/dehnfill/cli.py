@@ -113,7 +113,6 @@ def _parse_lhat_list(text: str) -> list[float]:
 
 def cmd_constants(_args) -> tuple[int, str]:
     lhat_sq = (2.0 * math.pi) ** 2 / envelope.f(certificates.Z0)
-    s = packing.PACKING.s_constant
     env = certificates.envelope_bounds(certificates.UNIVERSAL_C)
     checks = [
         _check("threshold_squared", lhat_sq, 57.5041, 5e-3),
@@ -122,9 +121,9 @@ def cmd_constants(_args) -> tuple[int, str]:
         _check("visual_area_ceiling", packing.h(packing.R0), 0.980254, 1e-5),
         _check("visual_area_hi_at_threshold", env.visual_area[1], packing.h(packing.R0), 1e-4),
         _check("core_length_hi", env.core_length_hi, 0.156012, 1e-5),
-        _check("inverse_S", 1.0 / s, 0.980257, 5e-6),
-        _check("h_coefficient", 2.0 * math.sqrt(3.0) * packing.PACKING.axis_coefficient,
-               packing.PACKING.h_coefficient, 5e-4),
+        _check("inverse_S", 1.0 / packing.S_CONSTANT, 0.980257, 5e-6),
+        _check("h_coefficient", 2.0 * math.sqrt(3.0) * packing.AXIS_COEFFICIENT,
+               packing.H_COEFFICIENT, 5e-4),
     ]
     payload = {"C": certificates.UNIVERSAL_C, "C_derived": math.sqrt(lhat_sq), "R0": packing.R0}
     return _report("constants", payload, checks)
@@ -188,13 +187,13 @@ def cmd_weitz(args) -> tuple[int, str]:
         raise argparse.ArgumentTypeError(f"--k1 must be positive, got {k1}")
     if args.seed < 0:
         raise argparse.ArgumentTypeError(f"--seed must be non-negative, got {args.seed}")
-    curv = weitzenboeck.BoundaryCurvature(k1, 1.0 / k1, args.eps)
+    curv = weitzenboeck.BoundaryCurvature(k1, epsilon=args.eps)
     b_min = weitzenboeck.scan_min_b(curv, args.seed, args.trials)
     b_exact, mode = weitzenboeck.exact_min_b(curv)
     in_certified_range = curv.in_positivity_window()
     payload = {
         "k1": k1,
-        "k2": 1.0 / k1,
+        "k2": curv.k2,
         "eps": args.eps,
         "trials": args.trials,
         "seed": args.seed,

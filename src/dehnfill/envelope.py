@@ -41,7 +41,7 @@ import math
 from bisect import bisect_right
 
 from .errors import DomainError, UncertifiableError
-from .packing import PACKING, Z0
+from .packing import H_COEFFICIENT, Z0
 
 __all__ = ["f", "ftilde", "invert_f", "invert_ftilde"]
 
@@ -51,7 +51,7 @@ _POLE = math.sqrt(2.0) - 1.0
 #: Inversion tolerance: |f(z) - x| <= INV_TOL * max(1, x).
 INV_TOL = 1e-12
 
-_COEFF = PACKING.h_coefficient  # 3.3957
+_COEFF = H_COEFFICIENT  # 3.3957
 _R2 = math.sqrt(2.0)
 _A = (_R2 - 1.0) / (2.0 * _R2)
 _B = (_R2 + 1.0) / (2.0 * _R2)

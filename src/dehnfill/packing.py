@@ -6,10 +6,11 @@ radius of the filled manifold.  The coefficients come from packing disjoint
 ellipses (the shadows of bumping tubes) on the boundary torus at density at
 most pi/(2*sqrt(3)).
 
-The decimal constants 3.3957 and 0.980258 are kept as the literal truncated
-values the certified statements use; recomputing them more precisely would
-change certified outputs.  tests/test_proofs.py proves in exact and
-interval arithmetic that each sits on its safe side, within its truncation:
+The decimal constants H_COEFFICIENT = 3.3957 and AXIS_COEFFICIENT =
+0.980258 are kept as the literal truncated values the certified statements
+use; recomputing them more precisely would change certified outputs.
+tests/test_proofs.py proves in exact and interval arithmetic that each sits
+on its safe side, within its truncation:
 0.980258 <= 1/S < 0.980258 + 1e-6, and 3.3957 <= 2*sqrt(3) * 0.980258 <
 3.3957 + 1e-4; and that h(R0) = 1/H(1/sqrt(3)) = 3.3957/(2*sqrt(3)) lies in
 [0.980254, 0.980255).  tests/test_packing.py rebuilds h from the
@@ -20,13 +21,13 @@ bumping-ellipse axes.  Note 0.980258 (the axis coefficient, ~1/S) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
 __all__ = [
-    "PackingConstants",
-    "PACKING",
+    "S_CONSTANT",
+    "H_COEFFICIENT",
+    "AXIS_COEFFICIENT",
     "R0",
     "Z0",
     "h",
@@ -39,21 +40,14 @@ Z0 = 1.0 / math.sqrt(3.0)
 #: bound no longer pins the geometry.
 R0 = math.atanh(Z0)
 
+#: S = (1/(2 sqrt 2)) / arcsinh(1/(2 sqrt 2)).
+S_CONSTANT = (1.0 / (2.0 * math.sqrt(2.0))) / math.asinh(1.0 / (2.0 * math.sqrt(2.0)))
 
-@dataclass(frozen=True)
-class PackingConstants:
-    """The literal decimal constants entering the packing bound."""
+#: 3.3957, the coefficient of h(r).
+H_COEFFICIENT = 3.3957
 
-    s_constant: float  # S = (1/(2 sqrt 2)) / arcsinh(1/(2 sqrt 2))
-    h_coefficient: float  # 3.3957, the coefficient of h(r)
-    axis_coefficient: float  # 0.980258, semi-axis shrink factor ~ 1/S
-
-
-PACKING = PackingConstants(
-    s_constant=(1.0 / (2.0 * math.sqrt(2.0))) / math.asinh(1.0 / (2.0 * math.sqrt(2.0))),
-    h_coefficient=3.3957,
-    axis_coefficient=0.980258,
-)
+#: 0.980258, the semi-axis shrink factor of the bumping ellipses, ~ 1/S.
+AXIS_COEFFICIENT = 0.980258
 
 
 def _over(x: float, hyp, R: float) -> float:
@@ -69,4 +63,4 @@ def h(r: float) -> float:
     """Visual-area lower bound h(r) = 3.3957 tanh(r)/cosh(2r), r > 0."""
     if not r > 0.0:
         raise DomainError(f"h needs r > 0, got {r}")
-    return _over(PACKING.h_coefficient * math.tanh(r), math.cosh, 2.0 * r)
+    return _over(H_COEFFICIENT * math.tanh(r), math.cosh, 2.0 * r)

@@ -1,8 +1,8 @@
 """Spectral evaluation of the boundary quadratic form.
 
 The boundary term whose sign controls infinitesimal rigidity is, for a
-tubular boundary with principal curvatures k1, k2 (k1*k2 = 1) and the
-perturbed tangential operator with parameter epsilon,
+tubular boundary with principal curvatures k1, k2 and the perturbed
+tangential operator with parameter epsilon,
 
     b = (1/4) sum_{i,j} (3 - k_i^2) k_j ||grad_i sigma_j||^2
         + (eps/2) int ((k2 - eps/2) a1^2 + (k1 - eps/2) a2^2) dA,
@@ -11,6 +11,8 @@ where sigma = sigma_1 theta_1 + sigma_2 theta_2 is a tangential 1-form in
 the parallel principal frame and a1, a2 are the components of delta(d sigma).
 It is non-negative whenever 1/sqrt(3) <= k1 <= k2 <= sqrt(3) and
 eps <= 2*k1; ``BoundaryCurvature.in_positivity_window`` tests that window.
+A tube of radius R has principal curvatures coth R and tanh R, whose product
+is 1, so ``BoundaryCurvature`` takes k1 and derives k2 = 1/k1.
 
 We evaluate b exactly (up to floating point) on finite Fourier sums over
 the unit-area square flat torus: derivatives act as multiplication by
@@ -25,12 +27,11 @@ stands for every flat torus in the sign of the minimum, not in its value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .packing import Z0
 
 __all__ = [
     "BoundaryCurvature",
@@ -42,8 +43,6 @@ __all__ = [
     "random_form",
     "random_modes",
 ]
-
-_CURV_TOL = 1e-12
 
 #: Random and exact forms use the nonzero frequencies with |m|, |n| <= MAX_FREQ.
 MAX_FREQ = 3
@@ -59,19 +58,20 @@ MAX_CURVATURE = 1e40
 
 @dataclass(frozen=True)
 class BoundaryCurvature:
-    """Principal curvatures of a tubular boundary plus the form parameter."""
+    """Principal curvatures k1 and k2 = 1/k1 of a tubular boundary plus the
+    form parameter; k2 is derived, not passed."""
 
     k1: float
-    k2: float
-    epsilon: float = 0.0
+    epsilon: float = field(default=0.0, kw_only=True)
+    k2: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.k1 < math.inf and 0.0 < self.k2 < math.inf):
-            raise DomainError(f"curvatures must be positive and finite, got {self.k1}, {self.k2}")
-        if abs(self.k1 * self.k2 - 1.0) > _CURV_TOL:
-            raise DomainError(
-                f"tubular boundary needs k1*k2 = 1, got {self.k1 * self.k2}"
-            )
+        # k2 is NaN for k1 <= 0 or NaN (refused undivided), 0 for k1 = inf and inf
+        # for k1 < 1/DBL_MAX, so one test on k2 refuses every k1 that is no tube
+        k2 = 1.0 / self.k1 if self.k1 > 0.0 else math.nan
+        if not 0.0 < k2 < math.inf:
+            raise DomainError(f"curvatures must be positive and finite, got {self.k1}, {k2}")
+        object.__setattr__(self, "k2", k2)
         if not 0.0 <= self.epsilon < math.inf:
             raise DomainError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if max(self.k1, self.k2, self.epsilon) > MAX_CURVATURE:
@@ -82,13 +82,12 @@ class BoundaryCurvature:
             )
 
     def in_positivity_window(self) -> bool:
-        """Whether 1/sqrt(3) <= k1, k2 <= sqrt(3), with slack 1e-12 at both
-        ends, and eps <= 2*min(k1, k2): the window where b is nonnegative."""
-        k_min = min(self.k1, self.k2)
+        """Whether 1/sqrt(3) <= k1, k2 <= sqrt(3), with slack 1e-12, and
+        eps <= 2*min(k1, k2): the window where b is nonnegative.  As k1*k2 = 1,
+        max(k1, k2) <= sqrt(3) + 1e-12 puts min(k1, k2) above 1/sqrt(3) - 4e-13."""
         return (
-            Z0 - 1e-12 <= k_min
-            and max(self.k1, self.k2) <= math.sqrt(3.0) + 1e-12
-            and self.epsilon <= 2.0 * k_min
+            max(self.k1, self.k2) <= math.sqrt(3.0) + 1e-12
+            and self.epsilon <= 2.0 * min(self.k1, self.k2)
         )
 
 

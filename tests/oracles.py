@@ -15,9 +15,9 @@ import math
 from dehnfill.certificates import _INV_C_SQ, FillingCertificate, envelope_bounds
 from dehnfill.envelope import _BELOW_ONE, INV_TOL
 from dehnfill.errors import DomainError, UncertifiableError
-from dehnfill.packing import PACKING, R0
+from dehnfill.packing import H_COEFFICIENT, R0
 
-_COEFF = PACKING.h_coefficient  # 3.3957
+_COEFF = H_COEFFICIENT  # 3.3957
 
 #: The lower end of the range parent_invert_decreasing brackets on.
 Z_MIN = 0.45

@@ -14,7 +14,7 @@ import pytest
 from dehnfill.certificates import UNIVERSAL_C, envelope_bounds
 from dehnfill import envelope
 from dehnfill.envelope import f, ftilde
-from dehnfill.packing import PACKING, R0, h
+from dehnfill.packing import R0, S_CONSTANT, h
 from dehnfill.slope_lattice import CuspShape, enumerate_short_slopes
 from dehnfill.weitzenboeck import BoundaryCurvature, FourierMode1Form, boundary_form_b, random_form
 
@@ -61,7 +61,7 @@ def test_04_core_length_bound():
 
 
 def test_05_packing_constant_consistency():
-    inv_s = 1.0 / PACKING.s_constant
+    inv_s = 1.0 / S_CONSTANT
     prov = 2 * math.sqrt(3.0) * 0.980258
     ok = abs(inv_s - 0.980257) <= 5e-6 and abs(prov - 3.3957) <= 5e-4
     report(5, "packing-constant consistency", ok,
@@ -75,10 +75,10 @@ def test_06_weitzenboeck_positivity_suite():
     for _ in range(10_000):
         k1 = float(rng.uniform(1.0 / math.sqrt(3.0), 1.0))
         eps = float(rng.uniform(0.0, 2.0 * k1))
-        curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+        curv = BoundaryCurvature(k1, epsilon=eps)
         b_min = min(b_min, boundary_form_b(curv, random_form(rng)))
     counter = boundary_form_b(
-        BoundaryCurvature(0.5, 2.0, 0.0),
+        BoundaryCurvature(0.5, epsilon=0.0),
         FourierMode1Form({(0, 1): (0.0, -0.5j)}),
     )
     elapsed = time.perf_counter() - start

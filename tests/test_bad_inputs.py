@@ -69,8 +69,8 @@ class TestWeitzInputs:
         (math.inf, 0.0, 0.5),
     ])
     def test_curvature_rejects_non_finite(self, k1, k2, eps):
-        with pytest.raises(DomainError):
-            BoundaryCurvature(k1, k2, eps)
+        with pytest.raises(DomainError):  # k2 is derived from k1; it stays in the test ids
+            BoundaryCurvature(k1, epsilon=eps)
 
     def test_eps_nan_exit_2(self):
         assert run(["weitz", "--k1", "0.8", "--eps", "nan"]) == 2
@@ -187,7 +187,7 @@ class TestScanTrials:
     @pytest.mark.parametrize("trials", [0, -5])
     def test_scan_rejects(self, trials):
         with pytest.raises(DomainError, match=f"trials must be at least 1, got {trials}"):
-            scan_min_b(BoundaryCurvature(0.8, 1.25, 1.0), np.random.default_rng(0), trials)
+            scan_min_b(BoundaryCurvature(0.8, epsilon=1.0), np.random.default_rng(0), trials)
 
     def test_weitz_negative_trials_exit_2(self, capsys):
         assert run(["weitz", "--k1", "0.8", "--eps", "1.0", "--trials", "-5"]) == 2
@@ -206,11 +206,15 @@ class TestScanTrialCap:
 
     def test_scan_refuses_before_drawing(self):
         with pytest.raises(DomainError, match="trials must be at most"):
-            scan_min_b(BoundaryCurvature(0.8, 1.25, 1.0), _NoDraws(), 10 ** 20)
+            scan_min_b(BoundaryCurvature(0.8, epsilon=1.0), _NoDraws(), 10 ** 20)
+
+    def test_cap_value(self):
+        with pytest.raises(DomainError, match="at most 1500000, got 1500001"):
+            scan_min_b(BoundaryCurvature(0.8, epsilon=1.0), _NoDraws(), 1_500_001)
 
     def test_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(weitzenboeck, "MAX_TRIALS", 5)
-        curv = BoundaryCurvature(0.8, 1.25, 1.0)
+        curv = BoundaryCurvature(0.8, epsilon=1.0)
         assert math.isfinite(scan_min_b(curv, np.random.default_rng(0), 5))
         with pytest.raises(DomainError, match="at most 5, got 6"):
             scan_min_b(curv, _NoDraws(), 6)
@@ -233,7 +237,7 @@ class TestScanTrialCap:
 
         monkeypatch.setattr(weitzenboeck, "_draw", no_draws)
         with pytest.raises(AssertionError, match="drew random forms"):  # the patch is on its path
-            scan_min_b(BoundaryCurvature(0.8, 1.25, 1.0), 0, 1)
+            scan_min_b(BoundaryCurvature(0.8, epsilon=1.0), 0, 1)
         argv = ["weitz", "--k1", "0.8", "--eps", "1", "--trials", "100000000000000000000"]
         assert run(argv) == 2
         assert "trials must be at most" in capsys.readouterr().err
@@ -261,14 +265,14 @@ class TestCurvatureOverflow:
         (1.0, 1.0, 1.5e40),
     ])
     def test_curvature_rejects(self, k1, k2, eps):
-        with pytest.raises(DomainError, match="must be at most"):
-            BoundaryCurvature(k1, k2, eps)
+        with pytest.raises(DomainError, match="must be at most"):  # k2 = 1/k1, in the ids
+            BoundaryCurvature(k1, epsilon=eps)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_cap_is_finite(self):
         cap = weitzenboeck.MAX_CURVATURE
         for k1, eps in ((1.0 / cap, cap), (cap, cap), (1.0, cap)):
-            curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+            curv = BoundaryCurvature(k1, epsilon=eps)
             assert math.isfinite(exact_min_b(curv)[0])
             assert math.isfinite(scan_min_b(curv, np.random.default_rng(0), 100))
 

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 from dehnfill.errors import DomainError
-from dehnfill.packing import PACKING, R0, h
+from dehnfill.packing import AXIS_COEFFICIENT, H_COEFFICIENT, R0, S_CONSTANT, h
 
 SQRT3 = math.sqrt(3.0)
 
@@ -15,6 +15,10 @@ class TestH:
         assert math.tanh(R0) == pytest.approx(1.0 / SQRT3, abs=1e-15)
         assert math.cosh(2 * R0) == pytest.approx(2.0, abs=1e-14)
         assert h(R0) == pytest.approx(0.980254, abs=1e-5)
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-300, 5e-4, 1e-3])
+    def test_every_positive_r(self, r):
+        assert h(r) == pytest.approx(3.3957 * math.tanh(r) / math.cosh(2.0 * r), rel=1e-15)
 
     def test_decays_at_infinity(self):
         for r in (50.0, 400.0, 1e6):  # cosh(2r) overflows from r = 355.24
@@ -50,14 +54,14 @@ class TestH:
 
 class TestConstantConsistency:
     def test_axis_coefficient_vs_s(self):
-        assert PACKING.axis_coefficient * PACKING.s_constant == pytest.approx(
+        assert AXIS_COEFFICIENT * S_CONSTANT == pytest.approx(
             1.0, abs=5e-6
         )
-        assert 1.0 / PACKING.s_constant == pytest.approx(0.980257, abs=5e-6)
+        assert 1.0 / S_CONSTANT == pytest.approx(0.980257, abs=5e-6)
 
     def test_h_coefficient_provenance(self):
-        assert 2.0 * SQRT3 * PACKING.axis_coefficient == pytest.approx(
-            PACKING.h_coefficient, abs=5e-4
+        assert 2.0 * SQRT3 * AXIS_COEFFICIENT == pytest.approx(
+            H_COEFFICIENT, abs=5e-4
         )
 
     def test_reproduces_h(self):
@@ -65,7 +69,7 @@ class TestConstantConsistency:
         # packing density pi/(2 sqrt 3) turns the ellipse area into h(R)
         for R in (R0, 0.8, 1.5):
             t = math.tanh(R)
-            a, b = PACKING.axis_coefficient * t / (1.0 + t * t), t / 2.0
+            a, b = AXIS_COEFFICIENT * t / (1.0 + t * t), t / 2.0
             bound = (4 * SQRT3 / math.pi) * math.pi * a * b / (
                 math.sinh(R) * math.cosh(R)
             )

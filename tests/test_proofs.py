@@ -29,7 +29,7 @@ from mpmath import iv, mp
 from dehnfill import envelope
 from dehnfill.certificates import UNIVERSAL_C, envelope_bounds
 from dehnfill.envelope import INV_TOL
-from dehnfill.packing import PACKING, R0, Z0, h
+from dehnfill.packing import AXIS_COEFFICIENT, H_COEFFICIENT, R0, Z0, h
 from dehnfill.weitzenboeck import _mode_coefficients, _mode_matrix, _row_b
 from oracles import ParentSeed, parent_invert_decreasing
 
@@ -229,7 +229,7 @@ def test_derived_threshold_is_below_the_literal():
     # is what decisions need.  They compare L-hat with the literal C = 7.5832,
     # and the theorem holds for L-hat > C*; were C* above C, a filling with
     # L-hat in (C, C*] would be certified without the theorem behind it.
-    coeff = sp.Rational(repr(PACKING.h_coefficient))
+    coeff = sp.Rational(repr(H_COEFFICIENT))
     cstar2 = (2 * sp.pi) ** 2 / run("_f", 1 / sp.sqrt(3))[0].subs(c, coeff)
     assert sp.simplify(cstar2 - 12 * sp.pi ** 2 * sp.sqrt(sp.E) / coeff) == 0
     literal2 = _enclose(sp.Rational(repr(UNIVERSAL_C)) ** 2, None)
@@ -242,14 +242,14 @@ def test_axis_coefficient_is_inverse_s_truncated():
     # the literal 0.980258 at or below 1/S, within the 1e-6 of a truncation.
     t = 1 / (2 * iv.sqrt(2))
     inverse_s = iv.log(t + iv.sqrt(1 + t ** 2)) / t
-    gap = inverse_s - _enclose(sp.Rational(repr(PACKING.axis_coefficient)), None)
+    gap = inverse_s - _enclose(sp.Rational(repr(AXIS_COEFFICIENT)), None)
     assert 0 <= gap.a and gap.b < 1e-6
 
 
 def test_h_coefficient_is_below_its_packing_value():
     # 2 sqrt 3 * 0.980258 = 3.3957133... <= 2 sqrt 3 / S.  The literal 3.3957 must
     # lie at or below it, within the 1e-4 of a truncation.
-    axis, coeff = (sp.Rational(repr(v)) for v in (PACKING.axis_coefficient, PACKING.h_coefficient))
+    axis, coeff = (sp.Rational(repr(v)) for v in (AXIS_COEFFICIENT, H_COEFFICIENT))
     gap = _enclose(2 * sp.sqrt(3) * axis - coeff, None)
     assert 0 <= gap.a and gap.b < 1e-4
 
@@ -599,7 +599,7 @@ def test_h_at_r0_is_reciprocal_h_at_z0():
     # h(R0) = c tanh(R0)/cosh(2 R0) with tanh(R0) = 1/sqrt 3, so cosh(2 R0) =
     # (1 + 1/3)/(1 - 1/3) = 2, and H(1/sqrt 3) = 2 sqrt 3/c: both are
     # c/(2 sqrt 3) = 0.98025415454... with c = 3.3957
-    coeff = sp.Rational(repr(PACKING.h_coefficient))
+    coeff = sp.Rational(repr(H_COEFFICIENT))
     exact = coeff / (2 * sp.sqrt(3))
     r0 = sp.atanh(1 / sp.sqrt(3))
     h_r0 = coeff * sp.tanh(r0) / sp.cosh(2 * r0).rewrite(sp.tanh)

@@ -27,18 +27,18 @@ SQRT3 = math.sqrt(3.0)
 
 class TestBoundaryForm:
     def test_zero_form(self):
-        curv = BoundaryCurvature(1.0, 1.0, 0.5)
+        curv = BoundaryCurvature(1.0, epsilon=0.5)
         assert boundary_form_b(curv, FourierMode1Form({})) == 0.0
 
     def test_negative_outside_certified_range(self):
         # k2 = 2 > sqrt(3), single mode sigma = sin(2 pi x2) theta_2
-        curv = BoundaryCurvature(0.5, 2.0, 0.0)
+        curv = BoundaryCurvature(0.5, epsilon=0.0)
         sigma = FourierMode1Form({(0, 1): (0.0, -0.5j)})
         assert boundary_form_b(curv, sigma) == pytest.approx(-math.pi**2, abs=1e-9)
 
     def test_sharpness_at_sqrt3(self):
         # (3 - k2^2) k2 = 0 at k2 = sqrt(3): any g(x2) theta_2 mode gives 0
-        curv = BoundaryCurvature(1.0 / SQRT3, SQRT3, 0.0)
+        curv = BoundaryCurvature(1.0 / SQRT3, epsilon=0.0)
         sigma = FourierMode1Form({(0, 1): (0.0, 0.3 - 0.7j), (0, 2): (0.0, 0.1j)})
         assert abs(boundary_form_b(curv, sigma)) <= 1e-12
 
@@ -47,15 +47,13 @@ class TestBoundaryForm:
         for _ in range(500):
             k1 = float(rng.uniform(1.0 / SQRT3, 1.0))
             eps = float(rng.uniform(0.0, 2.0 * k1))
-            curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+            curv = BoundaryCurvature(k1, epsilon=eps)
             sigma = random_form(rng)
             assert boundary_form_b(curv, sigma) >= -1e-9
 
     def test_curvature_invariant_enforced(self):
         with pytest.raises(DomainError):
-            BoundaryCurvature(1.0, 2.0, 0.0)
-        with pytest.raises(DomainError):
-            BoundaryCurvature(1.0, 1.0, -0.1)
+            BoundaryCurvature(1.0, epsilon=-0.1)
 
     def test_reality_constraint(self):
         with pytest.raises(DomainError):
@@ -66,6 +64,44 @@ class TestBoundaryForm:
         form = random_form(rng)
         assert form.coefficient_norm_sq() == pytest.approx(1.0, rel=1e-12)
         assert len(form.modes) == 16  # 8 modes plus conjugates
+
+
+class TestDerivedK2:
+    """A tube of radius R has principal curvatures coth R and tanh R, whose
+    product is 1, so the record takes k1 and derives k2 = 1/k1."""
+
+    def test_k2_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            BoundaryCurvature(0.8, 1.25)
+        with pytest.raises(TypeError):
+            BoundaryCurvature(0.8, k2=1.25)
+
+    @pytest.mark.parametrize("k1", [
+        1.0 / weitzenboeck.MAX_CURVATURE, 1e-20, 1.0 / SQRT3, 0.8, 0.9, 1.0, 1.5, SQRT3, 3.0,
+        1e20, weitzenboeck.MAX_CURVATURE,
+    ])
+    def test_k2_is_the_reciprocal(self, k1):
+        curv = BoundaryCurvature(k1, epsilon=0.5)
+        assert curv.k2.hex() == (1.0 / k1).hex()
+        assert (curv.k1, curv.epsilon) == (k1, 0.5)
+
+    def test_epsilon_defaults_to_zero(self):
+        assert BoundaryCurvature(0.8).epsilon == 0.0
+
+    @pytest.mark.parametrize("k1", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    def test_no_tube_is_refused_before_dividing(self, k1):
+        with pytest.raises(DomainError, match="curvatures must be positive and finite"):
+            BoundaryCurvature(k1)
+
+    def test_infinite_epsilon_is_refused_as_such(self):
+        with pytest.raises(DomainError, match="epsilon must be finite and nonnegative, got inf"):
+            BoundaryCurvature(0.8, epsilon=math.inf)
+
+    @pytest.mark.parametrize("k1, k2", [("inf", "0.0"), ("5e-324", "inf")])
+    def test_weitz_names_the_pair(self, capsys, k1, k2):
+        assert run(["weitz", "--k1", k1, "--eps", "0"]) == 2
+        assert capsys.readouterr() == (
+            "", f"curvatures must be positive and finite, got {k1}, {k2}\n")
 
 
 def direct_b(curv, sigma, num=lambda x: x, pi=math.pi):
@@ -106,7 +142,7 @@ def reference_random_form(rng, n_modes=8, max_freq=3):
 
 def random_curvature(rng, k_lo=0.4, k_hi=1.0, eps_hi=2.5):
     k1 = float(rng.uniform(k_lo, k_hi))
-    return BoundaryCurvature(k1, 1.0 / k1, float(rng.uniform(0.0, eps_hi)))
+    return BoundaryCurvature(k1, epsilon=float(rng.uniform(0.0, eps_hi)))
 
 
 def row_form(freqs, c1, c2):
@@ -154,7 +190,7 @@ class TestScanMatchesDirectFormula:
     # float direct_b is 9.8e-12 above the 50-digit minimum here; the scan is within 9.2e-13
     @example(k1=math.exp(1.638671875), eps=1.96875, seed=27979266)
     def test_scan_is_min_of_direct_b(self, k1, eps, seed):
-        curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+        curv = BoundaryCurvature(k1, epsilon=eps)
         event("inside the window" if curv.in_positivity_window() else "outside the window")
         freqs, c1, c2 = random_modes(np.random.default_rng(seed), 64)
         forms = [row_form(*row) for row in zip(freqs, c1, c2)]
@@ -175,7 +211,7 @@ class TestRowContraction:
     by about 1e-3 relative, while the curl form is exact to rounding."""
 
     def test_cancelling_curl_matches_fraction(self):
-        curv = BoundaryCurvature(1.5, 1 / 1.5, 1e6)
+        curv = BoundaryCurvature(1.5, epsilon=1e6)
         kap1, kap2 = weitzenboeck._KAPPA.T
         table = np.array([*weitzenboeck._mode_coefficients(curv, kap1, kap2), kap1, kap2])
         cls = PAIR_CLASSES.index((1, 1))
@@ -205,6 +241,13 @@ class TestRandomModes:
             assert len(classes) == 8
             assert all(abs(m) <= 3 and abs(n) <= 3 for m, n in keys)
 
+    def test_random_form_is_one_row_of_random_modes(self):
+        freqs, c1, c2 = random_modes(np.random.default_rng(9), 1)
+        modes = random_form(np.random.default_rng(9)).modes
+        assert len(modes) == 16
+        for (m, n), a, b in zip(freqs[0].tolist(), c1[0].tolist(), c2[0].tolist()):
+            assert modes[m, n] == (a, b)
+
     def test_pair_classes_uniform(self):
         freqs, _, _ = random_modes(np.random.default_rng(53), self.ROWS)
         index = {mn: i for i, mn in enumerate(PAIR_CLASSES)}
@@ -217,7 +260,7 @@ class TestRandomModes:
 
     @pytest.mark.parametrize("k1, eps", [(0.8, 0.9), (0.5, 0.3)])
     def test_same_b_distribution_as_rejection_sampler(self, k1, eps):
-        curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+        curv = BoundaryCurvature(k1, epsilon=eps)
         rng = np.random.default_rng(59)
         old = np.array([direct_b(curv, reference_random_form(rng)) for _ in range(3000)])
         freqs, c1, c2 = random_modes(np.random.default_rng(61), 3000)
@@ -252,7 +295,7 @@ class TestExactMinimum:
                                    for _ in range(20)]
         kappa = 2.0 * math.pi * np.array(PAIR_CLASSES, dtype=float)
         for k1, eps in cases:
-            curv = BoundaryCurvature(k1, 1.0 / k1, eps)
+            curv = BoundaryCurvature(k1, epsilon=eps)
             lam = mode_min_eigenvalue(curv, kappa)
             refs = []
             for (m, n), got in zip(PAIR_CLASSES, lam):
@@ -266,7 +309,7 @@ class TestExactMinimum:
             assert value == pytest.approx(min(refs), rel=1e-12, abs=1e-9)
 
     def test_attained_by_a_unit_form(self):
-        curv = BoundaryCurvature(0.9, 1.0 / 0.9, 0.7)
+        curv = BoundaryCurvature(0.9, epsilon=0.7)
         value, (m, n) = exact_min_b(curv)
         assert value == pytest.approx(19.36, abs=0.01)
         _, vecs = np.linalg.eigh(reference_mode_matrix(curv, m, n))
@@ -284,16 +327,16 @@ class TestExactMinimum:
     def test_nonnegative_inside_window(self):
         for k1 in np.linspace(1.0 / SQRT3, 1.0, 9):
             for frac in np.linspace(0.0, 1.0, 9):
-                curv = BoundaryCurvature(float(k1), 1.0 / float(k1), float(2.0 * k1 * frac))
+                curv = BoundaryCurvature(float(k1), epsilon=float(2.0 * k1 * frac))
                 assert exact_min_b(curv)[0] >= -1e-9
 
     def test_negative_at_k2_two(self):
-        value, mode = exact_min_b(BoundaryCurvature(0.5, 2.0, 0.0))
+        value, mode = exact_min_b(BoundaryCurvature(0.5, epsilon=0.0))
         assert value == pytest.approx(-18.0 * math.pi ** 2, rel=1e-12)  # (0, 3): -2 pi^2 n^2
         assert mode == (0, 3)
 
     def test_eps_beyond_window_goes_negative(self):
-        assert exact_min_b(BoundaryCurvature(1.0, 1.0, 2.2))[0] < 0.0
+        assert exact_min_b(BoundaryCurvature(1.0, epsilon=2.2))[0] < 0.0
 
 
 class TestWeitzCommand:
@@ -308,21 +351,28 @@ class TestWeitzCommand:
         )
         assert code == 0 and doc["trials"] == 5000
         # the scan draws whole blocks of 1024 from one stream: 4 full ones and 904
-        curv = BoundaryCurvature(0.8, 1.0 / 0.8, 0.5)
+        curv = BoundaryCurvature(0.8, epsilon=0.5)
         rng = np.random.default_rng(11)
         blocks = [scan_min_b(curv, rng, n) for n in (1024, 1024, 1024, 1024, 904)]
         assert doc["min_b"] == min(blocks)
         assert doc["min_b_exact"] <= doc["min_b"]
 
+    def test_scan_draws_exactly_trials_forms(self):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        scan_min_b(BoundaryCurvature(0.8, epsilon=0.5), rng, 1030)
+        weitzenboeck._draw(ref, 1024)
+        weitzenboeck._draw(ref, 6)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_seed_starts_the_generator(self):
-        curv = BoundaryCurvature(0.8, 1.0 / 0.8, 0.5)
+        curv = BoundaryCurvature(0.8, epsilon=0.5)
         assert scan_min_b(curv, 7, 300) == scan_min_b(curv, np.random.default_rng(7), 300)
 
     def test_exact_fields(self, capsys):
         code, doc = self.payload(capsys, ["weitz", "--k1", "0.9", "--eps", "0.7", "--trials", "5"])
         assert code == 0
         assert doc["min_b_exact"] == pytest.approx(19.36, abs=0.01)
-        assert doc["min_mode"] == list(exact_min_b(BoundaryCurvature(0.9, 1 / 0.9, 0.7))[1])
+        assert doc["min_mode"] == list(exact_min_b(BoundaryCurvature(0.9, epsilon=0.7))[1])
         code, doc = self.payload(capsys, ["weitz", "--k1", "0.5", "--eps", "0", "--trials", "5"])
         assert code == 0 and doc["in_certified_range"] is False
         assert doc["min_b_exact"] < 0.0
@@ -344,7 +394,7 @@ class TestPositivityWindow:
         epss = rng.uniform(0.0, 4.0, 2000)
         inside = 0
         for k1, eps in zip(k1s.tolist(), epss.tolist()):
-            got = BoundaryCurvature(k1, 1.0 / k1, eps).in_positivity_window()
+            got = BoundaryCurvature(k1, epsilon=eps).in_positivity_window()
             assert got is window_oracle(k1, eps)
             inside += got
         assert 200 < inside < 1800
@@ -356,14 +406,50 @@ class TestPositivityWindow:
     def test_corners(self, k1):
         k_min = min(k1, 1.0 / k1)
         for eps in (0.0, 2.0 * k_min, math.nextafter(2.0 * k_min, math.inf)):
-            got = BoundaryCurvature(k1, 1.0 / k1, eps).in_positivity_window()
+            got = BoundaryCurvature(k1, epsilon=eps).in_positivity_window()
             assert got is window_oracle(k1, eps)
 
     def test_corner_values(self):
-        assert BoundaryCurvature(SQRT3, 1.0 / SQRT3, 2.0 / SQRT3).in_positivity_window()
+        assert BoundaryCurvature(SQRT3, epsilon=2.0 / SQRT3).in_positivity_window()
         assert not BoundaryCurvature(
-            SQRT3, 1.0 / SQRT3, math.nextafter(2.0 / SQRT3, 3.0)).in_positivity_window()
-        assert not BoundaryCurvature(SQRT3 + 2e-12, 1.0 / (SQRT3 + 2e-12)).in_positivity_window()
+            SQRT3, epsilon=math.nextafter(2.0 / SQRT3, 3.0)).in_positivity_window()
+        assert not BoundaryCurvature(SQRT3 + 2e-12).in_positivity_window()
+
+    def test_slack_is_1e_12(self):
+        top = SQRT3 + 1e-12
+        assert BoundaryCurvature(top).in_positivity_window()
+        assert not BoundaryCurvature(math.nextafter(top, 3.0)).in_positivity_window()
+
+
+class TestRealityTolerance:
+    """A stored conjugate may differ from the exact one by 1e-14 in each
+    component, and no more.  A constant mode is its own conjugate, so its
+    imaginary part y gives a difference of exactly 2y."""
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_bound_is_inclusive(self, slot):
+        coeffs = [0.0, 0.0]
+        coeffs[slot] = 5e-15j
+        assert FourierMode1Form({(0, 0): tuple(coeffs)}).modes[0, 0] == tuple(coeffs)
+        coeffs[slot] = 5.004e-15j
+        with pytest.raises(DomainError, match="reality constraint"):
+            FourierMode1Form({(0, 0): tuple(coeffs)})
+
+
+class TestZeroModeForm:
+    """At k1 = 0x1.a827999fcef33p-2, the float nearest sqrt(2) - 1, the floats
+    give (3 - k1^2) + (3 - k2^2) = 0, so at eps = 0 the 2x2 form of the class
+    (1, 1) is exactly 0."""
+
+    def test_eigenvalue_is_zero(self):
+        curv = BoundaryCurvature(float.fromhex("0x1.a827999fcef33p-2"))
+        q11, q22, q12 = weitzenboeck._mode_matrix(curv, *weitzenboeck._KAPPA.T)
+        i = PAIR_CLASSES.index((1, 1))
+        assert q11[i] == q22[i] == q12[i] == 0.0
+        with np.errstate(all="raise"):
+            lam = mode_min_eigenvalue(curv, weitzenboeck._KAPPA)
+        assert lam[i] == 0.0
+        assert math.isfinite(exact_min_b(curv)[0])
 
 
 class TestMirrorClassTies:
