@@ -712,6 +712,42 @@ class _GivenArgv:
         return f"_GivenArgv{tuple(self.argv)!r}"
 
 
+class TestArgvFuzz:
+    """Every argv has exactly one outcome: exit 0 or 1 with a strict JSON
+    report on stdout, exit 2 with nothing on stdout and a message on stderr,
+    or, for -h/--help, exit 0 with usage text; never an escaped exception or
+    a warning."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    @example(data=_GivenArgv("enumerate", "--shape", "1e-310,1e-310", "--cutoff", "8"))
+    @example(data=_GivenArgv("enumerate", "--shape", "1e308,5e-324", "--cutoff", "50"))
+    @example(data=_GivenArgv("enumerate", "--shape", "1e+308,0.3", "--cutoff", "8"))
+    @example(data=_GivenArgv("certify", "--shape",
+                             "-1.7976931348623157e+308,1.7976931348623157e+308",
+                             "--slope", "-5e-324,-1"))
+    def test_one_outcome_per_argv(self, data):
+        with tempfile.TemporaryDirectory() as out_dir:
+            argv = data.draw(_argv(out_dir), label="argv")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(argv)
+        event(f"{argv[0] if argv else '(none)'} exit {code}")
+        assert not caught, [str(w.message) for w in caught]
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().strip()
+        elif out.getvalue().startswith("usage: dehnfill"):
+            assert code == 0 and {"-h", "--help"} & set(argv)
+        else:
+            assert code in (0, 1)
+            assert err.getvalue() == ""
+            doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert set(doc) == {"command", "status", "payload", "checks"}
+            assert doc["command"] == argv[0]
+
+
 def _parent_run(argv):
     """The reference dispatch: the top parser reads the whole argv, then the
     command's func runs, as run did before it called a command's parser
@@ -874,20 +910,11 @@ class TestLibraryReportBytes:
 
 
 class TestDispatchMatchesTopParser:
-    """Every argv has exactly one outcome: exit 0 or 1 with a strict JSON
-    report on stdout, exit 2 with nothing on stdout and a message on stderr,
-    or, for -h/--help, exit 0 with usage text; never an escaped exception or
-    a warning.  And run gives it the exit code, stdout and stderr of the
-    reference dispatch, which parses with the top parser alone."""
+    """run gives every argv the exit code, stdout and stderr of the reference
+    dispatch, which parses with the top parser alone."""
 
     @settings(max_examples=1000, deadline=None)
     @given(data=st.data())
-    @example(data=_GivenArgv("enumerate", "--shape", "1e-310,1e-310", "--cutoff", "8"))
-    @example(data=_GivenArgv("enumerate", "--shape", "1e308,5e-324", "--cutoff", "50"))
-    @example(data=_GivenArgv("enumerate", "--shape", "1e+308,0.3", "--cutoff", "8"))
-    @example(data=_GivenArgv("certify", "--shape",
-                             "-1.7976931348623157e+308,1.7976931348623157e+308",
-                             "--slope", "-5e-324,-1"))
     @example(data=_GivenArgv("weitz", "--k1=", "--eps", "0.7"))
     @example(data=_GivenArgv("weitz", "--k1", "0.9", "--eps", "0.7", "--k1", "0.8"))
     @example(data=_GivenArgv("weitz", "--k1", "0.9", "--eps", "--seed", "1"))
@@ -900,22 +927,7 @@ class TestDispatchMatchesTopParser:
     def test_same_outcome(self, data):
         with tempfile.TemporaryDirectory() as out_dir:
             argv = data.draw(_argv(out_dir), label="argv")
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code, out, err = _outcome(run, argv)
-            event(f"{argv[0] if argv else '(none)'} exit {code}")
-            assert not caught, [str(w.message) for w in caught]
-            if code == 2:
-                assert out == "" and err.strip()
-            elif out.startswith("usage: dehnfill"):
-                assert code == 0 and {"-h", "--help"} & set(argv)
-            else:
-                assert code in (0, 1)
-                assert err == ""
-                doc = json.loads(out, parse_constant=_reject_constant)
-                assert set(doc) == {"command", "status", "payload", "checks"}
-                assert doc["command"] == argv[0]
-            assert (code, out, err) == _outcome(_parent_run, argv)
+            assert _outcome(run, argv) == _outcome(_parent_run, argv)
 
 
 class TestReadWithoutArgparse:
