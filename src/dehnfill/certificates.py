@@ -83,7 +83,8 @@ def _unfilled_as_none(lhats) -> list:
 
 
 def _values_and_sum(lhats) -> tuple:
-    """The lengths as a tuple of floats and sum(1/Lhat_i^2), or DomainError."""
+    """The lengths as a tuple of floats, sum(1/Lhat_i^2) and the margin, its
+    sign decided exactly near 0 (see certify), or DomainError."""
     # a list or tuple, the usual argument, passes at the first and cheaper test
     if not isinstance(lhats, (list, tuple)) and (
         isinstance(lhats, (str, bytes, bytearray))
@@ -120,7 +121,16 @@ def _values_and_sum(lhats) -> tuple:
             else "not finite: a cusp is too short"
         )
         raise DomainError(f"sum of 1/Lhat^2 is {reason} (normalized lengths {values})")
-    return tuple(values), inv_sq
+    margin = _INV_C_SQ - inv_sq
+    if abs(margin) <= (2 * len(values) + 9) * 2.0 ** -53 * (_INV_C_SQ + inv_sq):
+        from fractions import Fraction  # only near a tie, so an import costs the rest nothing
+
+        total = sum(1 / Fraction(v) ** 2 for v in values if v != math.inf)
+        exact = 1 / Fraction(repr(UNIVERSAL_C)) ** 2 - total
+        if (exact > 0) != (margin > 0.0):
+            inv_sq = float(total)  # at most _INV_C_SQ when certified, so combined_lhat >= C
+            margin = max(float(exact), math.ulp(0.0)) if exact > 0 else float(exact)
+    return tuple(values), inv_sq, margin
 
 
 def certify(lhats) -> FillingCertificate:
@@ -132,7 +142,28 @@ def certify(lhats) -> FillingCertificate:
     term, so every float is the one the general pass gives.  Any other
     argument takes that pass, which converts each length and takes its term
     1/Lhat_i^2 (0 where Lhat_i^2 overflows, inf where it underflows); sum()
-    adds the terms.  Both share the margin, decision and record.
+    adds the terms.  Both share the decision and record.
+
+    The decision is exact for the lengths as the binary floats they are and
+    C the decimal 7.5832.  With u = 2^-53 and k lengths, the float margin
+    1/C^2 - sum is off by at most 5u/C^2 (three roundings make _INV_C_SQ),
+    3u*t per term t (a square and a quotient; a subnormal or lost term adds
+    under 2^-1022, far below u/C^2, and a square below 2^-1022 makes both
+    signs negative), 2k*u*sum for sum() (plain or compensated) and
+    u*|margin| for the subtraction, which keeps the sign.  So where |margin|
+    > (2k + 9) * u * (1/C^2 + sum) the float sign is exact, with about
+    twice the room the terms need.  Within that bound the general pass
+    decides in Fraction and keeps the float margin and sum unless the
+    margin's sign disagrees; then it reports the exact margin and sum, each
+    rounded once (a positive margin that rounds to 0 as the least positive
+    float).  So margin > 0 exactly when certified, and a certified
+    combined_lhat is at least C's float, as envelope_bounds needs: the
+    rounded sum is at most _INV_C_SQ, the float nearest 1/C^2, and
+    1/sqrt(_INV_C_SQ) rounds back to C.  The one-length route needs no
+    fallback: its margin is nondecreasing in v, each float within 2e5 ulps
+    of C is decided exactly (a test checks every one), and beyond them
+    |margin| > 8e-13, far above the bound.
+
     DomainError refuses, in this order: a str, bytes or bytearray argument,
     or a byte or char view of bytes; each element in turn, a string before
     float reads it, then one float() cannot read (an int or Fraction beyond
@@ -141,9 +172,9 @@ def certify(lhats) -> FillingCertificate:
     v = lhats[0] if (type(lhats) is list or type(lhats) is tuple) and len(lhats) == 1 else None
     if type(v) is float and 1e-150 < v < 1e150:
         values, inv_sq = (v,), 1.0 / v ** 2
+        margin = _INV_C_SQ - inv_sq
     else:
-        values, inv_sq = _values_and_sum(lhats)
-    margin = _INV_C_SQ - inv_sq
+        values, inv_sq, margin = _values_and_sum(lhats)
     if margin > 0.0:
         return _record(FillingCertificate, (values, 1.0 / math.sqrt(inv_sq), True, margin,
                                             R0, None, None, None, None, None))

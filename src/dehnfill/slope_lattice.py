@@ -108,8 +108,10 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
     The scan walks the reduced basis over q > 0 plus (1, 0), which
     meets each class once: row q holds the p within one of the chord of
     (p + q*re)^2 + (q*im)^2 <= cutoff^2 * im, for q <= cutoff/sqrt(im).
-    Slopes found are mapped back to the given basis with exact integers; a
-    shape that is already reduced reports the length the scan decided with.
+    Each listed length is the float the scan decided with, |p + q*tau'| /
+    sqrt(im tau') in the reduced basis (slope_normalized_length's bit for
+    bit where reduction leaves the shape as it is, within a few ulps
+    otherwise); only (p, q) is mapped back, with exact integers.
 
     Raises DomainError for a cutoff that is not positive and finite, or one
     whose scan would test more than MAX_CANDIDATES slopes, and for a shape
@@ -128,8 +130,6 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
             f"cutoff {cutoff} is too large for this shape: the scan would test more "
             f"than {MAX_CANDIDATES} candidate slopes"
         )
-    tau0, root0 = shape.tau, math.sqrt(shape.im)
-    unmoved = (m11, m12, m21, m22) == (1, 0, 0, 1) and tau == tau0  # no reduction step taken
     reach = cutoff * cutoff * im
     out = []
     for q in range(math.floor(span) + 1):
@@ -143,18 +143,16 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
         for p in ps:
             if math.gcd(p, q) != 1 or (length := abs(p + qtau) / root) > cutoff:
                 continue
-            if unmoved:  # the decided length is the reported one; negating (p, q) keeps it exact
-                out.append((p, q, length) if p >= 0 else (-p, -q, length))
-                continue
-            # back to original-basis coordinates: M has det 1, so its inverse is its adjugate
+            # back to given-basis coordinates: M has det 1, so its inverse is its adjugate;
+            # negating (p, q) keeps the length exact
             p0, q0 = m22 * p - m12 * q, m11 * q - m21 * p
-            if p0 < 0 or (p0 == 0 and q0 < 0):
-                p0, q0 = -p0, -q0
-            try:
-                out.append((p0, q0, abs(p0 + q0 * tau0) / root0))
-            except OverflowError:
-                raise DomainError(f"cusp shape re={shape.re}, im={shape.im} has a slope beyond "
-                                  f"the float range at cutoff {cutoff}") from None
+            out.append((p0, q0, length) if p0 > 0 or (p0 == 0 and q0 > 0) else (-p0, -q0, length))
+    # certify --slope reads floats; |p|, |q| < 2**22 under MAX_CANDIDATES, so only an entry
+    # of M above 2**960 can carry a slope to 2**1024 - 2**970, the least int float() refuses
+    if max(map(abs, (m11, m12, m21, m22))) > 2 ** 960 and any(
+            max(abs(p0), abs(q0)) >= 2 ** 1024 - 2 ** 970 for p0, q0, _ in out):
+        raise DomainError(f"cusp shape re={shape.re}, im={shape.im} has a slope beyond "
+                          f"the float range at cutoff {cutoff}")
     # a float key takes CPython's fast float compare; adjacent tied lengths need p, then q
     out.sort(key=operator.itemgetter(2))
     lengths = list(map(operator.itemgetter(2), out))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -164,6 +165,19 @@ CERTIFICATES = st.one_of(
 @example(full_certificate([12.0])._replace(visual_area=(1, True)))
 @example(FillingCertificate((9.0,), 9.0, [True], 0.1, 0.5))  # an unhashable field
 def test_certificate_to_json_matches_json_dumps(cert):
+    assert certificate_to_json(cert) == certificate_json(cert)
+
+
+_BOUNDED = full_certificate([12.0])
+
+
+@pytest.mark.parametrize("dv, area", [
+    (tuple(map(np.float64, _BOUNDED.volume_drop)), _BOUNDED.visual_area),
+    (tuple(map(np.float64, _BOUNDED.volume_drop)), tuple(map(np.float64, _BOUNDED.visual_area))),
+])
+def test_bound_pairs_of_a_float_subclass(dv, area):
+    # repr(np.float64(x)) is not float.__repr__(x): only pairs of exact floats take the % layout
+    cert = _BOUNDED._replace(volume_drop=dv, visual_area=area)
     assert certificate_to_json(cert) == certificate_json(cert)
 
 

@@ -1,9 +1,12 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dehnfill.certificates import (
     UNIVERSAL_C,
@@ -107,6 +110,112 @@ class TestCertifyBits:
         with pytest.raises(DomainError) as info:
             certify(lhats)
         assert str(info.value) == message
+
+
+#: 1/C^2 for C the decimal 7.5832, not its float.
+EXACT_INV_C_SQ = 1 / Fraction("7.5832") ** 2
+
+
+def _exact_margin(lhats):
+    return EXACT_INV_C_SQ - sum(1 / Fraction(v) ** 2 for v in lhats if v != math.inf)
+
+
+@st.composite
+def near_ties(draw):
+    """2-3 lengths whose sum of 1/Lhat^2 lies within rounding of 1/C^2: the
+    others drawn, the last solved for and moved by up to 64 ulps, in any order."""
+    others = draw(st.lists(st.one_of(st.floats(UNIVERSAL_C, 2 * UNIVERSAL_C),
+                                     st.floats(UNIVERSAL_C, 1e4)), min_size=1, max_size=2))
+    rest = 1 / UNIVERSAL_C ** 2 - sum(1 / v ** 2 for v in others)
+    assume(rest > 0.0)
+    last, step = 1 / math.sqrt(rest), draw(st.integers(-64, 64))
+    for _ in range(abs(step)):
+        last = math.nextafter(last, math.inf if step > 0 else 0.0)
+    return draw(st.permutations(others + [last]))
+
+
+def _lengths_summing_to(x, bits=1100):
+    """Lengths 2^m whose 1/Lhat^2 sum to x less under 2^-bits: one 4^-m for
+    each even bit of x, two for each odd one."""
+    lengths = []
+    for j in range(1, bits + 1):
+        if x >= Fraction(1, 2 ** j):
+            x -= Fraction(1, 2 ** j)
+            lengths += [2.0 ** (j // 2)] if j % 2 == 0 else [2.0 ** ((j + 1) // 2)] * 2
+    return lengths
+
+
+class TestExactDecision:
+    """certify decides sum(1/Lhat_i^2) < 1/C^2 exactly, for the lengths as
+    the binary floats they are and C the decimal 7.5832, and margin > 0
+    exactly when certified."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(lhats=near_ties())
+    # certified with margin +3.5e-18 by the float sum; the exact margin is -5.34e-19
+    @example(lhats=(7.609315279112138, 129.55402493453926, 129.55402493453926))
+    # not certified by the float sum, whose combined length 7.583199999999998 lies under C
+    @example(lhats=[70.26755710624317, 7.791837340216527, 37.36458612961218])
+    def test_near_ties_against_fraction(self, lhats):
+        exact = _exact_margin(lhats)
+        float_sum = sum(1 / v ** 2 for v in lhats)
+        float_margin = 1 / 7.5832 ** 2 - float_sum
+        kept = (float_margin > 0.0) is (exact > 0)
+        inv_sq = float_sum if kept else float(EXACT_INV_C_SQ - exact)
+        for cert in (certify(lhats), full_certificate(lhats)):
+            assert cert.certified is (exact > 0)
+            assert cert.certified is (cert.margin > 0.0)
+            assert cert.margin.hex() == (float_margin if kept else float(exact)).hex()
+            assert cert.combined_lhat.hex() == (1 / math.sqrt(inv_sq)).hex()
+            if cert.certified:
+                assert cert.combined_lhat >= UNIVERSAL_C
+            else:
+                assert cert.combined_lhat <= UNIVERSAL_C
+        assert (cert.volume_drop is not None) is cert.certified  # envelope_bounds took it
+
+    def test_exact_tie_not_certified(self):
+        # 1/C^2 = 1562500/9479^2, and 1/(9479/2^j)^2 = 4^j/9479^2: one length per unit of
+        # each base-4 digit of 1562500 makes the sum exactly 1/C^2, which the float sum,
+        # largest term first, puts 6.9e-18 below it
+        digits, n, j = [], 1562500, 0
+        while n:
+            digits, n, j = digits + [j] * (n % 4), n // 4, j + 1
+        lhats = sorted(9479 / 2 ** j for j in digits)
+        assert _exact_margin(lhats) == 0
+        assert 1 / 7.5832 ** 2 - sum(1 / v ** 2 for v in lhats) > 0.0
+        cert = certify(lhats)
+        assert not cert.certified and cert.margin == 0.0
+
+    def test_many_lengths_rounding(self):
+        # sum() without compensation (before Python 3.12) gives these 1 000 equal terms
+        # float margin +2.7e-16, 69 units of u*(1/C^2 + sum): the bound grows with the count
+        lhats = [239.8018395258883] * 1000
+        exact = _exact_margin(lhats)
+        cert = certify(lhats)
+        assert exact < 0 and not cert.certified and cert.margin <= 0.0
+
+    def test_one_length_route_is_exact_near_c(self):
+        # every float within 200 000 ulps of C: certified exactly from the first float above C
+        hi = next(v for v in (7.5832, math.nextafter(7.5832, math.inf)) if Fraction(v) > 7.5832)
+        assert Fraction(math.nextafter(hi, 0.0)) < Fraction("7.5832") < Fraction(hi)
+        bits = int(np.float64(hi).view(np.int64))
+        floats = np.arange(bits - 200_001, bits + 200_001, dtype=np.int64).view(np.float64).tolist()
+        assert [certify([v]).certified for v in floats] == [v >= hi for v in floats]
+        assert certify([hi]).combined_lhat >= UNIVERSAL_C >= certify([floats[200_000]]).combined_lhat
+        # beyond the window the margin is far above the general pass's rounding bound
+        assert certify([floats[0]]).margin < -8e-13 and certify([floats[-1]]).margin > 8e-13
+
+    def test_positive_margin_that_rounds_to_zero(self):
+        # the float just below 1/C^2, then the rest in powers of 4: the float sum
+        # rounds up to 1/C^2's float, the exact margin is positive but under 2^-1075
+        below = math.nextafter(1 / 7.5832 ** 2, 0.0)
+        assert Fraction(below) < EXACT_INV_C_SQ < Fraction(1 / 7.5832 ** 2)
+        lhats = _lengths_summing_to(EXACT_INV_C_SQ - Fraction(below)) + \
+            _lengths_summing_to(Fraction(below))[::-1]
+        exact = _exact_margin(lhats)
+        assert exact > 0 and float(exact) == 0.0
+        cert = certify(lhats)
+        assert cert.certified and cert.margin == math.ulp(0.0)
 
 
 class TestVolumeDrop:
@@ -220,3 +329,7 @@ class TestFigureData:
     def test_too_few_samples(self):
         with pytest.raises(DomainError, match="need at least 2 samples, got 1"):
             figure_data(2, 1)
+
+    def test_sample_cap_value(self):
+        with pytest.raises(DomainError, match="samples must be at most 150000, got 150001"):
+            figure_data(2, 150_001)

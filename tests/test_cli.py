@@ -55,6 +55,13 @@ class TestCertify:
         assert doc["payload"]["certified"] is True
         assert doc["payload"]["volume_drop"][0] <= doc["payload"]["volume_drop"][1]
 
+    def test_near_tie_decided_exactly(self, capsys):
+        # the float sum certifies with margin +3.5e-18; the exact margin is -5.34e-19
+        code, doc = run_json(capsys, ["certify", "--lhat",
+                                      "7.609315279112138,129.55402493453926,129.55402493453926"])
+        assert code == 1
+        assert doc["payload"]["certified"] is False and doc["payload"]["margin"] < 0.0
+
     def test_multi_cusp_list(self, capsys):
         code, doc = run_json(capsys, ["certify", "--lhat", "11,11"])
         assert code == 0
@@ -102,12 +109,19 @@ class TestEnumerate:
         assert run(["enumerate", "--shape", "0,-1", "--cutoff", "1"]) == 2
         assert run(["enumerate", "--shape", "nonsense", "--cutoff", "1"]) == 2
 
-    @pytest.mark.xfail(strict=True, reason="far-translated shape: cancellation in |p + q*tau| "
-                                           "reports 8 of the 60 slopes above the cutoff")
     def test_far_translated_shape_lists_lengths_within_cutoff(self, capsys):
         code, doc = run_json(capsys, ["enumerate", "--shape", "3.3e16,1", "--cutoff", "8"])
         assert code == 0 and doc["payload"]["count"] == 60
         assert all(length <= 8.0 for _, _, length in doc["payload"]["slopes"])
+
+    def test_moved_shape_lists_the_decided_length(self, capsys):
+        # reduction moves this shape; (41, 10) has reduced length 13.967220869645935
+        cutoff = "13.967220869645935"
+        code, doc = run_json(capsys, ["enumerate", "--shape=-3.1761672351668375,1.288417842715131",
+                                      "--cutoff", cutoff])
+        assert code == 0
+        assert [41, 10, float(cutoff)] in doc["payload"]["slopes"]
+        assert all(length <= float(cutoff) for _, _, length in doc["payload"]["slopes"])
 
 
 class TestWeitz:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -57,7 +58,7 @@ def reference_enumerate(shape, cutoff):
             q0 = inv[1][0] * p + inv[1][1] * q
             if p0 < 0 or (p0 == 0 and q0 < 0):
                 p0, q0 = -p0, -q0
-            found[(p0, q0)] = slope_normalized_length(shape, (p0, q0))
+            found[(p0, q0)] = slope_normalized_length(reduced, (p, q))
     out = [(p0, q0, length) for (p0, q0), length in found.items()]
     out.sort(key=lambda s: (s[2], s[0], s[1]))
     return out
@@ -99,6 +100,11 @@ class TestNormalizedLength:
     def test_nonpositive_im_rejected(self):
         with pytest.raises(DomainError):
             CuspShape(0.0, -1.0)
+
+    @pytest.mark.parametrize("im", [0.0, -0.0])
+    def test_zero_im_rejected(self, im):
+        with pytest.raises(DomainError, match="im\\(tau\\) > 0"):
+            CuspShape(0.3, im)
 
 
 class TestLatticeReduce:
@@ -193,6 +199,11 @@ class TestEnumerate:
             assert math.gcd(p, q) == 1
             assert p > 0 or (p == 0 and q > 0)
             assert (-p, -q) not in slopes
+
+    @pytest.mark.parametrize("cutoff", [0.0, -0.0])
+    def test_zero_cutoff_rejected(self, cutoff):
+        with pytest.raises(DomainError, match="cutoff must be positive"):
+            enumerate_short_slopes(CuspShape(0.0, 1.0), cutoff)
 
     def test_sorted_by_length(self):
         res = enumerate_short_slopes(CuspShape(0.25, 1.7), 5.0)
@@ -311,6 +322,54 @@ class TestUnmovedShapes:
             assert listed == brute_force_slopes(shape, near)
 
 
+class TestMovedShapes:
+    """For every shape, one that reduction moves included, each listed length
+    is the reduced basis's float for that slope, bit for bit, and no listed
+    length exceeds the cutoff, at a listed length and one ulp either side."""
+
+    @staticmethod
+    def _check(shape, cutoff):
+        reduced, ((m11, m12), (m21, m22)) = lattice_reduce(shape)
+        got = enumerate_short_slopes(shape, cutoff)
+        for p, q, length in got:
+            assert length <= cutoff
+            assert p > 0 or (p == 0 and q > 0)
+            moved = (m11 * p + m12 * q, m21 * p + m22 * q)
+            assert length.hex() == slope_normalized_length(reduced, moved).hex()
+        return got
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, math.log(1e3))).map(
+            lambda t: (t[0], math.sqrt(1.0 - t[0] * t[0]) * math.exp(t[1]))),
+        move=st.one_of(st.none(), st.tuples(st.just("word"), st.integers(0, 2 ** 32)),
+                       st.tuples(st.just("shift"), st.integers(1, 17))),
+        cutoff=st.floats(1.0, 4.2 * C),
+        pick=st.integers(0, 2 ** 16),
+    )
+    # (41, 10) was listed at 13.967220869645937, above this cutoff, its reduced length
+    @example(tau=(-3.1761672351668375, 1.288417842715131), move=None,
+             cutoff=13.967220869645935, pick=0)
+    @example(tau=(0.0, 1.0), move=("shift", 16), cutoff=8.0, pick=59)
+    def test_lengths_within_cutoff_and_nested(self, tau, move, cutoff, pick):
+        tau = complex(*tau)
+        if move and move[0] == "word":
+            tau = _sl2_word(random.Random(move[1]), tau)
+        elif move:
+            tau += 10.0 ** move[1]
+        shape = CuspShape(tau.real, tau.imag)
+        got = self._check(shape, cutoff)
+        if not got:
+            return
+        tie = got[pick % len(got)][2]
+        cutoffs = sorted({cutoff, math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)})
+        listings = [self._check(shape, c) for c in cutoffs]
+        # each listing is the largest one cut at its cutoff: the listing grows with the cutoff
+        for c, listed in zip(cutoffs, listings):
+            assert listed == [s for s in listings[-1] if s[2] <= c]
+        assert got[pick % len(got)] in listings[cutoffs.index(tie)]
+
+
 class TestTieProneShapes:
     """On and next to the edges of the reduced domain many slopes share one
     float length, so the listed order rests on the tie-break by p, then q:
@@ -350,7 +409,6 @@ class TestFarTranslatedShape:
         assert length == pytest.approx(math.sqrt(50.0), rel=1e-12)
         assert not certify([length]).certified
 
-    @pytest.mark.xfail(strict=True, reason="8 of the 60 slopes listed report lengths above 8")
     def test_listed_lengths_within_cutoff(self):
         listed = enumerate_short_slopes(self.SHAPE, 8.0)
         assert len(listed) == 60
@@ -365,3 +423,46 @@ class TestCandidateCap:
         assert enumerate_short_slopes(shape, 5.0) == reference_enumerate(shape, 5.0)
         with pytest.raises(DomainError, match="cutoff 10.0"):
             enumerate_short_slopes(CuspShape(0.0, 1.0), 10.0)
+
+    def test_cap_at_its_edge(self, monkeypatch):
+        # at im = 4 the bound is span*(2*cutoff*2 + 3), span = cutoff/2*(1 + 1e-12): a cutoff
+        # whose bound equals MAX_CANDIDATES is scanned, and the next float up is refused
+        shape, cutoff = CuspShape(0.0, 4.0), 6.7
+        monkeypatch.setattr(slope_lattice, "MAX_CANDIDATES",
+                            cutoff / 2.0 * (1.0 + 1e-12) * (2.0 * cutoff * 2.0 + 3.0))
+        assert enumerate_short_slopes(shape, cutoff) == reference_enumerate(shape, cutoff)
+        with pytest.raises(DomainError, match="too large"):
+            enumerate_short_slopes(shape, math.nextafter(cutoff, math.inf))
+
+    def test_cap_checked_from_the_first_row(self, monkeypatch):
+        # span is exactly 1, so row q = 1 is scanned and the bound 1*(2*8*8 + 3) is checked
+        monkeypatch.setattr(slope_lattice, "MAX_CANDIDATES", 100)
+        cutoff = 7.999999999992
+        assert cutoff / 8.0 * (1.0 + 1e-12) == 1.0
+        with pytest.raises(DomainError, match="too large"):
+            enumerate_short_slopes(CuspShape(0.0, 64.0), cutoff)
+
+    def test_cap_value(self):
+        # square lattice: the bound is 1 500 000.5 at this cutoff
+        with pytest.raises(DomainError, match="more than 1500000 candidate"):
+            enumerate_short_slopes(CuspShape(0.0, 1.0), 865.2758728814053)
+
+
+class TestFloatRange:
+    """A listed slope's coordinates must be floats for certify --slope to read:
+    float() takes every integer below 2**1024 - 2**970 and refuses the rest."""
+
+    def test_slope_at_the_largest_float_listed(self):
+        # re = 2**1023 - 2**970 moves (2, 1) to (2*re + 1, -2), which float() reads as DBL_MAX
+        re = float(2 ** 1023 - 2 ** 970)
+        listed = enumerate_short_slopes(CuspShape(re, 0.5), 2.1)
+        assert (2 * int(re) + 1, -2, 2.0) in listed
+        assert float(2 * int(re) + 1) == sys.float_info.max
+
+    def test_slope_just_past_the_float_range_refused(self):
+        # 3*re = 2**1024 - 2**970, so (3, 1) moves to a first coordinate one past it
+        re = float(2 ** 970 * 6004799503160661)
+        assert 3 * int(re) == 2 ** 1024 - 2 ** 970
+        assert len(enumerate_short_slopes(CuspShape(re, 0.5), 2.1)) == 6
+        with pytest.raises(DomainError, match="has a slope beyond the float range at cutoff 2.6"):
+            enumerate_short_slopes(CuspShape(re, 0.5), 2.6)
