@@ -24,7 +24,6 @@ failed check or a mathematically uncertifiable input, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import copy
 import math
 import os
 import sys
@@ -111,7 +110,7 @@ def _parse_lhat_list(text: str) -> list[float]:
     return vals
 
 
-def cmd_constants(_args) -> tuple[int, str]:
+def cmd_constants(args) -> tuple[int, str]:
     lhat_sq = (2.0 * math.pi) ** 2 / envelope.f(certificates.Z0)
     env = certificates.envelope_bounds(certificates.UNIVERSAL_C)
     checks = [
@@ -126,7 +125,7 @@ def cmd_constants(_args) -> tuple[int, str]:
                packing.H_COEFFICIENT, 5e-4),
     ]
     payload = {"C": certificates.UNIVERSAL_C, "C_derived": math.sqrt(lhat_sq), "R0": packing.R0}
-    return _report("constants", payload, checks)
+    return _report(args.command, payload, checks)
 
 
 def _lhats_from_args(args) -> list[float]:
@@ -149,7 +148,7 @@ def cmd_certify(args) -> tuple[int, str]:
     payload = cert.as_dict()
     if args.lhat is None:
         payload["slopes"] = [{"p": p, "q": q, "kind": _slope_kind(p, q)} for p, q in args.slope]
-    _, out = _report("certify", payload, [])
+    _, out = _report(args.command, payload, [])
     return (0 if cert.certified else 1), out
 
 
@@ -160,14 +159,14 @@ def cmd_bounds(args) -> tuple[int, str]:
     try:
         env = certificates.envelope_bounds(lhat)
     except UncertifiableError as exc:
-        return _report("bounds", {"lhat": lhat, "error": str(exc)}, [], failed=True)
+        return _report(args.command, {"lhat": lhat, "error": str(exc)}, [], failed=True)
     payload = {
         "lhat": lhat,
         "volume_drop": env.volume_drop,
         "visual_area": env.visual_area,
         "core_length_hi": env.core_length_hi,
     }
-    return _report("bounds", payload, [])
+    return _report(args.command, payload, [])
 
 
 def cmd_enumerate(args) -> tuple[int, str]:
@@ -178,7 +177,7 @@ def cmd_enumerate(args) -> tuple[int, str]:
         "count": len(slopes),
         "slopes": slopes,
     }
-    return _report("enumerate", payload, [])
+    return _report(args.command, payload, [])
 
 
 def cmd_weitz(args) -> tuple[int, str]:
@@ -206,7 +205,7 @@ def cmd_weitz(args) -> tuple[int, str]:
     if in_certified_range:
         checks.append(_check("min_b_nonnegative", min(b_min, 0.0), 0.0, 1e-9))
         checks.append(_check("min_b_exact_nonnegative", min(b_exact, 0.0), 0.0, 1e-9))
-    return _report("weitz", payload, checks)
+    return _report(args.command, payload, checks)
 
 
 #: Rows formatted by one % call in render_figure_csv: the text of one block
@@ -231,14 +230,47 @@ def cmd_figure(args) -> tuple[int, str]:
     try:
         render_figure_csv(table, args.out)
     except OSError as exc:
-        return _report("figure", {"error": str(exc)}, [], failed=True)
+        return _report(args.command, {"error": str(exc)}, [], failed=True)
     payload = {
         "which": args.which,
         "samples": args.samples,
         "out": args.out,
         "columns": table[0],
     }
-    return _report("figure", payload, [])
+    return _report(args.command, payload, [])
+
+
+#: Each command, by name: its function, its help line, and each option's keyword
+#: arguments to add_argument.  _build_parser makes argparse's parsers from it,
+#: and _read reads a well-formed command line by it.  _read knows the keywords
+#: type, choices, default, required, help and action="append" (each option
+#: takes one value); teach it any other before a row uses it.
+_TABLE = {
+    "constants": (cmd_constants, "recompute and check the certified constants", {}),
+    "certify": (cmd_certify, "certify surgery coefficients", {
+        "--lhat": {"type": _parse_lhat_list, "help": "comma-separated normalized lengths"},
+        "--shape": {"type": _parse_shape, "action": "append", "default": []},
+        "--slope": {"type": _parse_slope, "action": "append", "default": []},
+    }),
+    "bounds": (cmd_bounds, "geometric bounds for one normalized length", {
+        "--lhat": {"type": float, "required": True},
+    }),
+    "enumerate": (cmd_enumerate, "short-slope enumeration", {
+        "--shape": {"type": _parse_shape, "required": True},
+        "--cutoff": {"type": float, "required": True},
+    }),
+    "weitz": (cmd_weitz, "boundary-form positivity scan", {
+        "--k1": {"type": float, "required": True},
+        "--eps": {"type": float, "required": True},
+        "--seed": {"type": int, "default": 0},
+        "--trials": {"type": int, "default": 100},
+    }),
+    "figure": (cmd_figure, "export figure data as CSV", {
+        "--which": {"type": int, "choices": (1, 2, 3), "required": True},
+        "--samples": {"type": int, "default": 100},
+        "--out": {"required": True},
+    }),
+}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
@@ -250,54 +282,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help):
+    for name, (func, help, options) in _TABLE.items():
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
-        return p
-
-    command("constants", cmd_constants, "recompute and check the certified constants")
-
-    p = command("certify", cmd_certify, "certify surgery coefficients")
-    p.add_argument("--lhat", type=_parse_lhat_list, help="comma-separated normalized lengths")
-    p.add_argument("--shape", type=_parse_shape, action="append", default=[])
-    p.add_argument("--slope", type=_parse_slope, action="append", default=[])
-
-    p = command("bounds", cmd_bounds, "geometric bounds for one normalized length")
-    p.add_argument("--lhat", type=float, required=True)
-
-    p = command("enumerate", cmd_enumerate, "short-slope enumeration")
-    p.add_argument("--shape", type=_parse_shape, required=True)
-    p.add_argument("--cutoff", type=float, required=True)
-
-    p = command("weitz", cmd_weitz, "boundary-form positivity scan")
-    p.add_argument("--k1", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-
-    p = command("figure", cmd_figure, "export figure data as CSV")
-    p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--out", required=True)
+        for opt, kwargs in options.items():
+            p.add_argument(opt, **kwargs)
     return parser, sub
 
 
 _PARSER, _COMMAND = _build_parser()
 _COMMANDS = _COMMAND.choices
-
-
-def _reader_table(parser: argparse.ArgumentParser) -> tuple[dict, dict, tuple[str, ...]]:
-    """A command parser's declarations as _read uses them: its actions by
-    option string, the namespace its parse starts from (each action's default
-    and the parser's set_defaults), and the dests of its required options."""
-    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
-    options = {opt: a for a in actions for opt in a.option_strings}
-    defaults = {**parser._defaults, **{a.dest: a.default for a in actions}}
-    return options, defaults, tuple(a.dest for a in actions if a.required)
-
-
-_READER = {name: _reader_table(parser) for name, parser in _COMMANDS.items()}
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
@@ -321,37 +315,42 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     any other.  Well formed: a command's name, then each of its options once,
     as '--opt v' or '--opt=v', every required one among them; each value is
     not empty, not '-h' and not '--'-led, and passes its option's type and
-    choices.  Options not given take fresh copies of their defaults.  _read
-    prints nothing, so _PARSER can still answer an argv it refuses."""
-    table = _READER.get(argv[0]) if argv else None
-    if table is None:
+    choices.  Options not given take their defaults, an append option's as a
+    fresh list.  _read prints nothing, so _PARSER can still answer an argv it
+    refuses."""
+    entry = _TABLE.get(argv[0]) if argv else None
+    if entry is None:
         return None
-    options, defaults, required = table
+    func, _, options = entry
     values = {}
     tokens = iter(argv[1:])
     for tok in tokens:
         opt, eq, text = tok.partition("=")
-        action = options.get(opt)
-        if action is None or action.dest in values:
+        kwargs = options.get(opt)
+        if kwargs is None or opt in values:
             return None
         if not eq:
             text = next(tokens, "")
         if not text or text == "-h" or text[:2] == "--":
             return None
         try:
-            value = text if action.type is None else action.type(text)
+            value = kwargs.get("type", str)(text)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if "choices" in kwargs and value not in kwargs["choices"]:
             return None
-        if isinstance(action, argparse._AppendAction):
-            value = [*(action.default or ()), value]
-        values[action.dest] = value
-    if not all(dest in values for dest in required):
-        return None
-    args = argparse.Namespace(command=argv[0])
-    for dest, default in defaults.items():
-        setattr(args, dest, values[dest] if dest in values else copy.copy(default))
+        values[opt] = [value] if kwargs.get("action") == "append" else value
+    args = argparse.Namespace(command=argv[0], func=func)
+    for opt, kwargs in options.items():
+        if opt not in values and kwargs.get("required"):
+            return None
+        default = kwargs.get("default")
+        if kwargs.get("action") == "append":  # a fresh list, as argparse appends to a copy
+            value = [*(default or ()), *values.get(opt, ())]
+        else:
+            value = values.get(opt, default)
+        # the field argparse names: '--shape-radius' is shape_radius
+        setattr(args, opt.lstrip("-").replace("-", "_"), value)
     return args
 
 

@@ -15,6 +15,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DomainError
 
@@ -48,18 +49,27 @@ class CuspShape:
 
 def slope_normalized_length(shape: CuspShape, slope: tuple[float, float]) -> float:
     """Normalized length |p + q*tau| / sqrt(im tau) of the class p + q*tau, or
-    inf where |p + q*tau| leaves the float range.
+    inf where it leaves the float range.
+
+    It measures in the reduced basis, where no change of basis can cancel:
+    lattice_reduce's M maps (p, q) exactly (floats as Fractions), the image is
+    rounded once, and the length is |p' + q'*tau'| / sqrt(im tau'), for an
+    integral slope the float enumerate_short_slopes lists, bit for bit.
 
     It returns inf rather than raising by design: certify reads an infinite
     normalized length as a cusp too long to count (1/Lhat^2 = 0).  A NaN
-    entry raises DomainError."""
+    entry, or a shape that lattice_reduce refuses, raises DomainError."""
     p, q = slope
     if p == 0.0 and q == 0.0:
         raise DomainError("slope (0, 0) has no normalized length")
     if math.isnan(p) or math.isnan(q):
         raise DomainError(f"slope {slope} has no normalized length: an entry is NaN")
+    reduced, ((m11, m12), (m21, m22)) = lattice_reduce(shape)
     try:
-        return abs(p + q * shape.tau) / math.sqrt(shape.im)
+        if not (isinstance(p, int) and isinstance(q, int)):
+            p, q = Fraction(p), Fraction(q)
+        p, q = float(m11 * p + m12 * q), float(m21 * p + m22 * q)
+        return abs(p + q * reduced.tau) / math.sqrt(reduced.im)
     except OverflowError:
         return math.inf
 
@@ -109,9 +119,8 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
     meets each class once: row q holds the p within one of the chord of
     (p + q*re)^2 + (q*im)^2 <= cutoff^2 * im, for q <= cutoff/sqrt(im).
     Each listed length is the float the scan decided with, |p + q*tau'| /
-    sqrt(im tau') in the reduced basis (slope_normalized_length's bit for
-    bit where reduction leaves the shape as it is, within a few ulps
-    otherwise); only (p, q) is mapped back, with exact integers.
+    sqrt(im tau') in the reduced basis, slope_normalized_length's bit for
+    bit; only (p, q) is mapped back, with exact integers.
 
     Raises DomainError for a cutoff that is not positive and finite, or one
     whose scan would test more than MAX_CANDIDATES slopes, and for a shape
@@ -125,21 +134,28 @@ def enumerate_short_slopes(shape: CuspShape, cutoff: float) -> list[tuple[int, i
     # rows q = 1..floor(span); the slack keeps a row whose float length
     # rounds down onto the cutoff
     span = cutoff / root * (1.0 + 1e-12)
-    if span >= 1.0 and span * (2.0 * cutoff * root + 3.0) > MAX_CANDIDATES:
-        raise DomainError(
-            f"cutoff {cutoff} is too large for this shape: the scan would test more "
-            f"than {MAX_CANDIDATES} candidate slopes"
-        )
     reach = cutoff * cutoff * im
-    out = []
-    for q in range(math.floor(span) + 1):
+    out, tested = [], 0
+    # a row q >= 1 holds at least 3 candidates, so clamping the rows (span is inf
+    # where cutoff/root overflows) and a row's half-width at MAX_CANDIDATES changes
+    # no scan the cap lets through
+    for q in range(math.floor(min(MAX_CANDIDATES, span)) + 1):
         qtau = q * tau
         if q == 0:
             ps = (1,)
         else:
-            half = math.sqrt(max(reach - (q * im) ** 2, 0.0))
+            try:
+                half = min(MAX_CANDIDATES, math.sqrt(max(reach - (q * im) ** 2, 0.0)))
+            except OverflowError:  # reach is inf too, so the row is wider than the cap
+                half = MAX_CANDIDATES
             centre = -q * re
             ps = range(math.floor(centre - half) - 1, math.ceil(centre + half) + 2)
+        tested += len(ps)
+        if tested > MAX_CANDIDATES:
+            raise DomainError(
+                f"cutoff {cutoff} is too large for this shape: the scan would test more "
+                f"than {MAX_CANDIDATES} candidate slopes"
+            )
         for p in ps:
             if math.gcd(p, q) != 1 or (length := abs(p + qtau) / root) > cutoff:
                 continue

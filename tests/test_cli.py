@@ -82,6 +82,19 @@ class TestCertify:
     def test_missing_input_exit_2(self, capsys):
         assert run(["certify"]) == 2
 
+    @pytest.mark.parametrize("pair", [["--shape", "0,1"], ["--slope", "1,0"]], ids=" ".join)
+    def test_lhat_with_half_a_pair_exit_2(self, capsys, pair):
+        assert run(["certify", "--lhat", "12", *pair]) == 2
+        assert capsys.readouterr() == ("", "--lhat cannot be combined with --shape/--slope\n")
+
+    def test_unreducible_shape_exit_2(self, capsys):
+        # slope_normalized_length measures in the reduced basis, so lattice_reduce's refusal
+        # reaches certify as it reaches enumerate
+        assert run(["certify", "--shape", "1e-310,1e-310", "--slope", "1,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cusp shape re=1e-310, im=1e-310 overflows when reduced\n"
+
 
 class TestBounds:
     def test_bounds_ok(self, capsys):
@@ -90,6 +103,14 @@ class TestBounds:
         assert doc["payload"]["core_length_hi"] == pytest.approx(
             doc["payload"]["visual_area"][1] / (2 * math.pi), rel=1e-12
         )
+
+    def test_payload(self, capsys):
+        code, doc = run_json(capsys, ["bounds", "--lhat", "10"])
+        env = envelope_bounds(10.0)
+        assert code == 0 and doc["payload"] == {
+            "lhat": 10.0, "volume_drop": list(env.volume_drop),
+            "visual_area": list(env.visual_area), "core_length_hi": env.core_length_hi,
+        }
 
     def test_uncertifiable_exit_1(self, capsys):
         code, doc = run_json(capsys, ["bounds", "--lhat", "5"])
@@ -123,6 +144,29 @@ class TestEnumerate:
         assert [41, 10, float(cutoff)] in doc["payload"]["slopes"]
         assert all(length <= float(cutoff) for _, _, length in doc["payload"]["slopes"])
 
+    def test_cap_counts_the_candidates_scanned(self, capsys):
+        # the scan tests 63 258 candidates; a closed-form bound of 2 002 003.5 refused it
+        code, doc = run_json(capsys, ["enumerate", "--shape", "0,1e6", "--cutoff", "1000.5"])
+        assert code == 0
+        # brute force in integers: |p + q*1e6 i| / 1e3 <= 1000.5 is p^2 + q^2*10^12 <= 1000500^2,
+        # so q is -1, 0 or 1, p is +-1 where q = 0, and |p| <= 31627 otherwise
+        exact = {
+            (p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
+            for q in range(-2, 3) for p in range(-40_000, 40_001)
+            if math.gcd(p, q) == 1 and p * p + q * q * 10 ** 12 <= 1_000_500 ** 2
+        }
+        assert len(exact) == 63_254
+        slopes = doc["payload"]["slopes"]
+        assert len(slopes) == doc["payload"]["count"] == len(exact)
+        assert {(p, q) for p, q, _ in slopes} == exact
+
+    def test_cap_refuses_at_the_first_row(self, capsys):
+        # row 1 alone holds about 2 000 000 candidates
+        assert run(["enumerate", "--shape", "0,1", "--cutoff", "1e6"]) == 2
+        assert capsys.readouterr().err == (
+            "cutoff 1000000.0 is too large for this shape: the scan would test more than "
+            "1500000 candidate slopes\n")
+
 
 class TestWeitz:
     def test_certified_range_passes(self, capsys):
@@ -139,8 +183,21 @@ class TestWeitz:
         assert code == 0
         assert doc["payload"]["in_certified_range"] is False
 
+    def test_default_seed_and_trials(self, capsys):
+        code, doc = run_json(capsys, ["weitz", "--k1", "0.8", "--eps", "0.5"])
+        assert code == 0
+        payload = doc["payload"]
+        assert (payload["seed"], payload["trials"]) == (0, 100)
+        assert payload["min_b"] == scan_min_b(BoundaryCurvature(0.8, epsilon=0.5), 0, 100)
+
 
 class TestFigure:
+    def test_default_samples(self, capsys, tmp_path):
+        out = tmp_path / "fig.csv"
+        code, doc = run_json(capsys, ["figure", "--which", "1", "--out", str(out)])
+        assert code == 0 and doc["payload"]["samples"] == 100
+        assert len(out.read_text().splitlines()) == 1 + len(figure_data(1, 100)[1])
+
     def test_figure2_csv(self, capsys, tmp_path):
         out = tmp_path / "fig2.csv"
         code, doc = run_json(
@@ -850,6 +907,47 @@ class TestTopParserAnswers:
         assert _outcome(run, list(argv)) == TOP_PARSER_ANSWERS[argv]
 
 
+#: argv: (exit code, stdout, stderr), with the help laid out for 80 columns: a
+#: command's help, a '-'-led token after an option that takes no value (one with
+#: '=', --help, '--') or after one that takes it, and cli's own usage errors.
+EXACT_ANSWERS = {
+    ("certify", "-h"): (0, """\
+usage: dehnfill certify [-h] [--lhat LHAT] [--shape SHAPE] [--slope SLOPE]
+
+options:
+  -h, --help     show this help message and exit
+  --lhat LHAT    comma-separated normalized lengths
+  --shape SHAPE
+  --slope SLOPE
+""", ""),
+    ("bounds", "--lhat=7", "-3"):
+        (2, "", _TOP_USAGE + "dehnfill: error: unrecognized arguments: -3\n"),
+    ("weitz", "--k1", "-h", "--eps", "0.7"): (2, "", """\
+usage: dehnfill weitz [-h] --k1 K1 --eps EPS [--seed SEED] [--trials TRIALS]
+dehnfill weitz: error: argument --k1: expected one argument
+"""),
+    ("bounds", "--help", "-x"): (0, """\
+usage: dehnfill bounds [-h] --lhat LHAT
+
+options:
+  -h, --help   show this help message and exit
+  --lhat LHAT
+""", ""),
+    ("bounds", "--lhat", "7", "--", "-1"):
+        (2, "", _TOP_USAGE + "dehnfill: error: unrecognized arguments: -- -1\n"),
+    ("certify",): (2, "", "certify requires --lhat or --shape/--slope pairs\n"),
+    ("certify", "--shape", "0,1", "--slope", "1,0", "--slope", "2,1"):
+        (2, "", "--shape and --slope must be paired\n"),
+}
+
+
+class TestExactAnswers:
+    @pytest.mark.parametrize("argv", list(EXACT_ANSWERS), ids=" ".join)
+    def test_exact_answer(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _outcome(run, list(argv)) == EXACT_ANSWERS[argv]
+
+
 class TestLeadingDoubleDash:
     """A leading '--' ends the options, so the command name after it is an
     operand: `dehnfill -- NAME ...` does what `dehnfill NAME ...` does."""
@@ -965,6 +1063,39 @@ class TestReadWithoutArgparse:
         monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
         assert cli._parse(argv) == expected
         assert run(argv) == 0
+
+
+class TestReaderFollowsTheTable:
+    """_read takes each option from the table _build_parser gives argparse,
+    and fills the namespace as argparse does: a dashed option's field has
+    '_' for '-', and an append option gets a fresh list."""
+
+    OPTIONS = {
+        "--shape-radius": {"type": float, "required": True},
+        "--inner-list": {"type": int, "action": "append", "default": [7]},
+        "--pick": {"choices": ("a", "b"), "default": "a"},
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ["probe", "--shape-radius", "0.5"],
+        ["probe", "--inner-list=3", "--shape-radius", "-0.25", "--pick", "b"],
+    ], ids=" ".join)
+    def test_same_namespace_as_argparse(self, monkeypatch, argv):
+        monkeypatch.setitem(cli._TABLE, "probe", (cli.cmd_constants, "probe", self.OPTIONS))
+        parser, _ = cli._build_parser()
+        argv = cli._attach_signed_values(argv)
+        args = cli._read(argv)
+        assert args == parser.parse_args(argv)
+        assert args.inner_list is not self.OPTIONS["--inner-list"]["default"]
+
+    @pytest.mark.parametrize("argv", [
+        ["probe"],
+        ["probe", "--pick", "c", "--shape-radius", "1"],
+        ["probe", "--shape-radius", "1", "--inner-list", "x"],
+    ], ids=" ".join)
+    def test_refused_for_argparse(self, monkeypatch, argv):
+        monkeypatch.setitem(cli._TABLE, "probe", (cli.cmd_constants, "probe", self.OPTIONS))
+        assert cli._read(argv) is None
 
 
 class TestOutValueEdges:

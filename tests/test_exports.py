@@ -1,7 +1,8 @@
 """Every exported name exists and has a caller outside its module, the
 package re-exports only exported names, every exception class is raised
 somewhere, the modules that need no array arithmetic do not import
-numpy, and certificates, cli and packing do not import dataclasses."""
+numpy, certificates, cli and packing do not import dataclasses, and cli
+reads nothing back out of argparse's internals."""
 
 import ast
 import importlib
@@ -132,3 +133,27 @@ def test_envelope_formulas_are_defined_once():
         assert getattr(envelope, name).__module__ == "dehnfill.envelope"
     assert certificates.Z0 is packing.Z0
     assert [n for n in ("H_prime", "G", "Gtilde") if hasattr(envelope, n)] == []
+
+
+#: Private attributes that cli reads of argparse or of its parsers, each with its reason.
+ARGPARSE_PRIVATE = {
+    "_check_value": "the leading-'--' refusal runs argparse's own check on the command "
+                    "name, so the message is argparse's",
+}
+
+
+def test_cli_reads_its_commands_from_its_own_table():
+    """cli declares each command and option once, in a table that both argparse
+    and its fast reader read, so it reads nothing back out of argparse: no
+    private attribute of the argparse module, and no _actions, _defaults or
+    _option_string_actions of a parser.  A private attribute of a dehnfill
+    module is cli's own package; every other one is listed above."""
+    tree = ast.parse(Path(dehnfill.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    read = {  # (the name an attribute is read from, or None, and the attribute)
+        (node.value.id if isinstance(node.value, ast.Name) else None, node.attr)
+        for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+    }
+    assert {attr for owner, attr in read if owner == "argparse"} == set()
+    assert {attr for _, attr in read} & {"_actions", "_defaults", "_option_string_actions"} == set()
+    assert {attr for owner, attr in read if owner not in MODULES} == set(ARGPARSE_PRIVATE)

@@ -370,6 +370,31 @@ class TestMovedShapes:
         assert got[pick % len(got)] in listings[cutoffs.index(tie)]
 
 
+class TestListedLengthIsTheLength:
+    """Each listed (p, q, L) has slope_normalized_length(shape, (p, q)) == L,
+    bit for bit, on shapes that reduction moves: by an SL(2, Z) word, or by
+    a translation far from the reduced domain, where the given basis cancels."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, math.log(1e3))).map(
+            lambda t: (t[0], math.sqrt(1.0 - t[0] * t[0]) * math.exp(t[1]))),
+        move=st.one_of(st.tuples(st.just("word"), st.integers(0, 2 ** 32)),
+                       st.tuples(st.just("shift"), st.integers(1, 17))),
+        cutoff=st.floats(1.0, 2.0 * C),
+    )
+    @example(tau=(0.0, 1.0), move=("shift", 16), cutoff=8.0)
+    def test_bit_for_bit(self, tau, move, cutoff):
+        tau = complex(*tau)
+        if move[0] == "word":
+            tau = _sl2_word(random.Random(move[1]), tau)
+        else:
+            tau += 3.3 * 10.0 ** move[1]
+        shape = CuspShape(tau.real, tau.imag)
+        for p, q, length in enumerate_short_slopes(shape, cutoff):
+            assert slope_normalized_length(shape, (p, q)).hex() == length.hex(), (p, q)
+
+
 class TestTieProneShapes:
     """On and next to the edges of the reduced domain many slopes share one
     float length, so the listed order rests on the tie-break by p, then q:
@@ -396,14 +421,13 @@ class TestTieProneShapes:
 
 
 class TestFarTranslatedShape:
-    """Known defect: a shape translated far from the reduced domain loses
-    its normalized lengths to cancellation in abs(p + q*tau).  tau =
-    3.3e16 + i reduces to tau' = i, where the slope (32999999999999993, -1)
-    is (-7, -1), of exact length sqrt(50) = 7.071, below C."""
+    """A shape translated far from the reduced domain would lose its
+    normalized lengths to cancellation in abs(p + q*tau) in the given basis.
+    tau = 3.3e16 + i reduces to tau' = i, where the slope (32999999999999993,
+    -1) is (-7, -1), of exact length sqrt(50) = 7.071, below C."""
 
     SHAPE, SLOPE = CuspShape(3.3e16, 1.0), (32999999999999993, -1)
 
-    @pytest.mark.xfail(strict=True, reason="the given basis reports 8.062 for sqrt(50)")
     def test_length_is_the_reduced_basis_length(self):
         length = slope_normalized_length(self.SHAPE, self.SLOPE)
         assert length == pytest.approx(math.sqrt(50.0), rel=1e-12)
@@ -418,34 +442,44 @@ class TestFarTranslatedShape:
 class TestCandidateCap:
     def test_cap_is_checked_before_scanning(self, monkeypatch):
         monkeypatch.setattr(slope_lattice, "MAX_CANDIDATES", 100)
-        # square lattice: the bound is 5*(2*5 + 3) = 65 at cutoff 5, 10*(2*10 + 3) = 230 at 10
+        # square lattice: the scan tests 50 candidates at cutoff 5 and 183 at cutoff 10
         shape = CuspShape(0.0, 1.0)
         assert enumerate_short_slopes(shape, 5.0) == reference_enumerate(shape, 5.0)
         with pytest.raises(DomainError, match="cutoff 10.0"):
             enumerate_short_slopes(CuspShape(0.0, 1.0), 10.0)
 
     def test_cap_at_its_edge(self, monkeypatch):
-        # at im = 4 the bound is span*(2*cutoff*2 + 3), span = cutoff/2*(1 + 1e-12): a cutoff
-        # whose bound equals MAX_CANDIDATES is scanned, and the next float up is refused
+        # at im = 4 and cutoff 6.7 the scan tests 1 + 29 + 25 + 15 = 70 candidates:
+        # a cap of 70 lets it through, and a cap of 69 refuses it
         shape, cutoff = CuspShape(0.0, 4.0), 6.7
-        monkeypatch.setattr(slope_lattice, "MAX_CANDIDATES",
-                            cutoff / 2.0 * (1.0 + 1e-12) * (2.0 * cutoff * 2.0 + 3.0))
+        monkeypatch.setattr(slope_lattice, "MAX_CANDIDATES", 70)
         assert enumerate_short_slopes(shape, cutoff) == reference_enumerate(shape, cutoff)
+        monkeypatch.setattr(slope_lattice, "MAX_CANDIDATES", 69)
         with pytest.raises(DomainError, match="too large"):
-            enumerate_short_slopes(shape, math.nextafter(cutoff, math.inf))
+            enumerate_short_slopes(shape, cutoff)
 
     def test_cap_checked_from_the_first_row(self, monkeypatch):
-        # span is exactly 1, so row q = 1 is scanned and the bound 1*(2*8*8 + 3) is checked
-        monkeypatch.setattr(slope_lattice, "MAX_CANDIDATES", 100)
+        # span is exactly 1, so row q = 1 is scanned, and its 3 candidates after (1, 0)
+        # make 4, one past a cap of 3
+        monkeypatch.setattr(slope_lattice, "MAX_CANDIDATES", 3)
         cutoff = 7.999999999992
         assert cutoff / 8.0 * (1.0 + 1e-12) == 1.0
         with pytest.raises(DomainError, match="too large"):
             enumerate_short_slopes(CuspShape(0.0, 64.0), cutoff)
 
     def test_cap_value(self):
-        # square lattice: the bound is 1 500 000.5 at this cutoff
+        # square lattice: (1, 0) and row 1's 1 500 001 candidates make 1 500 002 at this cutoff
         with pytest.raises(DomainError, match="more than 1500000 candidate"):
-            enumerate_short_slopes(CuspShape(0.0, 1.0), 865.2758728814053)
+            enumerate_short_slopes(CuspShape(0.0, 1.0), 749999.0)
+
+    @pytest.mark.parametrize("shape, cutoff", [
+        (CuspShape(0.5, math.sqrt(3.0) / 2.0), 1.7e308),  # cutoff/sqrt(im) overflows
+        (CuspShape(0.0, 1e200), 1e105),  # cutoff^2*im and (q*im)^2 overflow
+        (CuspShape(0.0, 1e100), 1e110),  # cutoff^2*im overflows, (q*im)^2 does not
+    ])
+    def test_cap_past_the_float_range(self, shape, cutoff):
+        with pytest.raises(DomainError, match="too large"):
+            enumerate_short_slopes(shape, cutoff)
 
 
 class TestFloatRange:
