@@ -17,8 +17,9 @@ from dehnfill import (
     slope_normalized_length,
 )
 
-# the figure-eight knot complement cusp, up to normalization
-shape = CuspShape(re=0.5, im=3.0 ** 0.5)
+# the figure-eight knot complement cusp, tau = 2*sqrt(3)*i: the limit of
+# log(longitude)/log(meridian) at the complete hyperbolic structure
+shape = CuspShape(re=0.0, im=2.0 * 3.0 ** 0.5)
 
 print("cusp modulus tau =", shape.tau)
 print("threshold C =", UNIVERSAL_C)

@@ -29,7 +29,7 @@ assert gap.min() >= -1e-14
 print()
 print("L-hat    z-hat     z-tilde   dV in")
 for lhat in (7.6, 8.0, 10.0, 15.0, 30.0):
-    zh, zt, (lo, hi), _, _ = envelope_bounds(lhat)
+    (lo, hi), _, _, zh, zt = envelope_bounds(lhat)
     print(f"{lhat:5.1f}   {zh:.6f}  {zt:.6f}  [{lo:.6f}, {hi:.6f}]")
 
 print()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from typing import NamedTuple
 
 from .envelope import _area_from_z, _dv_lower_from_z, _dv_upper_from_z, f, invert_f, invert_ftilde
@@ -55,9 +56,10 @@ _record = tuple.__new__  # builds a record from its fields, past NamedTuple's __
 class FillingCertificate(NamedTuple):
     """Full decision-plus-bounds report for one surgery coefficient.
 
-    Bound fields are None when the input is not certified (the envelope
-    does not apply below the threshold).  An immutable NamedTuple, read by
-    field name.
+    Four decision fields, tube_radius_floor, then the EnvelopeBounds fields
+    in their order, which full_certificate appends whole.  Bound fields are
+    None when the input is not certified (the envelope does not apply below
+    the threshold).  An immutable NamedTuple, read by field name.
     """
 
     per_cusp_lhat: tuple[float, ...]
@@ -123,8 +125,6 @@ def _values_and_sum(lhats) -> tuple:
         raise DomainError(f"sum of 1/Lhat^2 is {reason} (normalized lengths {values})")
     margin = _INV_C_SQ - inv_sq
     if abs(margin) <= (2 * len(values) + 9) * 2.0 ** -53 * (_INV_C_SQ + inv_sq):
-        from fractions import Fraction  # only near a tie, so an import costs the rest nothing
-
         total = sum(1 / Fraction(v) ** 2 for v in values if v != math.inf)
         exact = 1 / Fraction(repr(UNIVERSAL_C)) ** 2 - total
         if (exact > 0) != (margin > 0.0):
@@ -185,13 +185,15 @@ def certify(lhats) -> FillingCertificate:
 class EnvelopeBounds(NamedTuple):
     """Both envelope inversions at one normalized length and every bound
     read off them: volume_drop and visual_area are (lo, hi) pairs, and
-    core_length_hi is visual_area_hi/(2*pi)."""
+    core_length_hi is visual_area_hi/(2*pi).  The fields are the
+    certificate's tail, in order; FillingCertificate, certify's two records
+    and _LAYOUTS list them too (tests/test_certificate_record.py checks each)."""
 
-    z_hat: float
-    z_tilde: float
     volume_drop: tuple[float, float]
     visual_area: tuple[float, float]
     core_length_hi: float
+    z_hat: float
+    z_tilde: float
 
 
 def envelope_bounds(lhat: float) -> EnvelopeBounds:
@@ -213,17 +215,13 @@ def envelope_bounds(lhat: float) -> EnvelopeBounds:
     z_hat, z_tilde = invert_f(x_hat), invert_ftilde(x_hat)
     dv = (_dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat))
     area = (_area_from_z(z_tilde), _area_from_z(z_hat))
-    return EnvelopeBounds(z_hat, z_tilde, dv, area, area[1] / (2.0 * math.pi))
+    return EnvelopeBounds(dv, area, area[1] / (2.0 * math.pi), z_hat, z_tilde)
 
 
 def full_certificate(lhats) -> FillingCertificate:
     """Certificate with geometric bounds filled in when certified."""
     cert = certify(lhats)
-    if not cert[2]:
-        return cert
-    env = envelope_bounds(cert[1])
-    bounds = env.volume_drop, env.visual_area, env.core_length_hi, env.z_hat, env.z_tilde
-    return _record(FillingCertificate, cert[:5] + bounds)
+    return _record(FillingCertificate, cert[:5] + envelope_bounds(cert[1])) if cert[2] else cert
 
 
 #: '{' or ',' then the indented key of each field, in field order.

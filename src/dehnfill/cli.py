@@ -266,7 +266,7 @@ _TABLE = {
         "--trials": {"type": int, "default": 100},
     }),
     "figure": (cmd_figure, "export figure data as CSV", {
-        "--which": {"type": int, "choices": (1, 2, 3), "required": True},
+        "--which": {"type": int, "choices": tuple(certificates.FIGURE_HEADERS), "required": True},
         "--samples": {"type": int, "default": 100},
         "--out": {"required": True},
     }),

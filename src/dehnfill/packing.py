@@ -50,17 +50,13 @@ H_COEFFICIENT = 3.3957
 AXIS_COEFFICIENT = 0.980258
 
 
-def _over(x: float, hyp, R: float) -> float:
-    """x / hyp(R) for hyp = cosh or sinh; past their float range 1/hyp(R) = 2e^(-R)."""
-    try:
-        return x / hyp(R)
-    except OverflowError:
-        e = math.exp(-0.5 * R)  # e^(-R) itself would be subnormal
-        return x * e * 2.0 * e
-
-
 def h(r: float) -> float:
     """Visual-area lower bound h(r) = 3.3957 tanh(r)/cosh(2r), r > 0."""
     if not r > 0.0:
         raise DomainError(f"h needs r > 0, got {r}")
-    return _over(H_COEFFICIENT * math.tanh(r), math.cosh, 2.0 * r)
+    x = H_COEFFICIENT * math.tanh(r)
+    try:
+        return x / math.cosh(2.0 * r)
+    except OverflowError:  # past cosh's float range, 1/cosh(2r) = 2e^(-2r)
+        e = math.exp(-r)  # e^(-2r) itself would be subnormal
+        return x * e * 2.0 * e

@@ -62,7 +62,7 @@ def slope_normalized_length(shape: CuspShape, slope: tuple[float, float]) -> flo
     p, q = slope
     if p == 0.0 and q == 0.0:
         raise DomainError("slope (0, 0) has no normalized length")
-    if math.isnan(p) or math.isnan(q):
+    if p != p or q != q:  # NaN, tested without converting an int or Fraction to float
         raise DomainError(f"slope {slope} has no normalized length: an entry is NaN")
     reduced, ((m11, m12), (m21, m22)) = lattice_reduce(shape)
     try:

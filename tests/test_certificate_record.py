@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dehnfill import certificates
 from dehnfill.certificates import (
     UNIVERSAL_C,
+    EnvelopeBounds,
     FillingCertificate,
     certificate_to_json,
     certify,
@@ -119,6 +121,17 @@ def test_field_order():
     assert FillingCertificate._fields == FIELDS
 
 
+def test_bound_fields_are_envelope_bounds_in_order():
+    # full_certificate appends an EnvelopeBounds whole after the first five fields
+    assert FillingCertificate._fields[5:] == EnvelopeBounds._fields
+
+
+@pytest.mark.parametrize("lhats", [[12.0], [7.5], [12, 11], [7.5, 7.5], [math.inf, 12.0]])
+def test_certify_record_has_every_field(lhats):
+    # certify builds its two records with tuple.__new__, which takes a tuple of any length
+    assert len(certify(lhats)) == len(FillingCertificate._fields)
+
+
 def test_bound_fields_default_to_none():
     cert = FillingCertificate((9.0,), 9.0, True, 0.1, 0.5)
     assert [getattr(cert, name) for name in FIELDS[5:]] == [None] * 5
@@ -142,11 +155,10 @@ _LHAT = st.one_of(
     st.floats(min_value=0.01, max_value=1e150),  # mostly not
     st.just(math.inf),  # an unfilled cusp
 )
+_LHATS = st.lists(_LHAT, min_size=1, max_size=3).filter(lambda v: any(map(math.isfinite, v)))
 _INT = st.integers(min_value=-10**20, max_value=10**20)
 CERTIFICATES = st.one_of(
-    st.lists(_LHAT, min_size=1, max_size=3)
-    .filter(lambda lhats: any(map(math.isfinite, lhats)))
-    .map(full_certificate),
+    _LHATS.map(full_certificate),
     st.tuples(  # hand-built, with int fields and the bounds left at their default None
         st.lists(_INT, max_size=3).map(tuple), _INT, st.booleans(), _INT, st.none() | _INT,
     ).map(lambda fields: FillingCertificate(*fields)),
@@ -166,6 +178,17 @@ CERTIFICATES = st.one_of(
 @example(FillingCertificate((9.0,), 9.0, [True], 0.1, 0.5))  # an unhashable field
 def test_certificate_to_json_matches_json_dumps(cert):
     assert certificate_to_json(cert) == certificate_json(cert)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LHATS)
+@example([12.0, 11.0])  # certified
+@example([7.5])  # not certified
+@example([math.inf, 12.0])  # an unfilled cusp
+def test_full_certificate_has_a_layout(lhats):
+    # a record without a layout is still written right, token by token, and far slower
+    cert = full_certificate(lhats)
+    assert (cert.certified is True, *map(type, cert)) in certificates._LAYOUTS
 
 
 _BOUNDED = full_certificate([12.0])

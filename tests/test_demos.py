@@ -26,12 +26,13 @@ def test_demo_exits_0(name):
 
 
 def test_certify_filling():
-    # (1, 0) and (7, 1) lie below C on the figure-eight cusp; (12, 5) is certified
+    # on the figure-eight cusp, tau = 2*sqrt(3)*i: (1, 0) and (7, 1) lie below C and
+    # (12, 5) is certified
     proc = _run_demo("certify_filling.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "slope (1, 0): L-hat = 0.7598, below threshold, no certificate" in lines
-    assert "slope (7, 1): L-hat = 5.8488, below threshold, no certificate" in lines
-    assert "slope (12, 5): L-hat = 12.8331" in lines
+    assert "slope (1, 0): L-hat = 0.5373, below threshold, no certificate" in lines
+    assert "slope (7, 1): L-hat = 4.1963, below threshold, no certificate" in lines
+    assert "slope (12, 5): L-hat = 11.3213" in lines
     assert lines.count('  "certified": true,') == 1
     assert '  "certified": false,' not in lines

@@ -33,6 +33,23 @@ class TestH:
             assert expected > 0.0
             assert abs(h(r) - expected) <= math.ulp(0.0)
 
+    def test_matches_the_helper_form_bit_for_bit(self):
+        # x / cosh(R) at R = 2r, with e = exp(-0.5 * R) past cosh's range: h's exp(-r)
+        # is that e exactly, since -0.5 * (2.0 * r) == -r
+        def helper_form(r):
+            x, big_r = H_COEFFICIENT * math.tanh(r), 2.0 * r
+            try:
+                return x / math.cosh(big_r)
+            except OverflowError:
+                e = math.exp(-0.5 * big_r)
+                return x * e * 2.0 * e
+
+        grid = [k / 16 for k in range(1, 6400)] + [
+            5e-324, 1e-300, 1e-3, R0, 355.24, 355.3, 360.0, 371.0, 372.0, 400.0, 1e6, 1e300,
+        ]
+        for r in grid:
+            assert h(r).hex() == helper_form(r).hex(), r
+
     def test_against_arbitrary_precision(self):
         with mpmath.workdps(50):
             expected = float(

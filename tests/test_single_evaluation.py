@@ -88,7 +88,7 @@ def _lhats():
 class TestReadersMatchEnvelopeBounds:
     def test_bit_for_bit(self):
         for lhat in _lhats():
-            z_hat, z_tilde, dv, area, core = envelope_bounds(lhat)
+            dv, area, core, z_hat, z_tilde = envelope_bounds(lhat)
             cert = full_certificate([lhat])
             if lhat == UNIVERSAL_C:  # the envelope applies at C, certification does not
                 assert not cert.certified
@@ -99,7 +99,7 @@ class TestReadersMatchEnvelopeBounds:
     def test_written_out(self):
         for lhat in _lhats()[:20]:
             x_hat = (2.0 * math.pi) ** 2 / lhat ** 2
-            z_hat, z_tilde, dv, area, core = envelope_bounds(lhat)
+            dv, area, core, z_hat, z_tilde = envelope_bounds(lhat)
             assert (z_hat, z_tilde) == (certificates.invert_f(x_hat),
                                         certificates.invert_ftilde(x_hat))
             assert core == area[1] / (2.0 * math.pi)

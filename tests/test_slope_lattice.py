@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -95,6 +96,11 @@ class TestNormalizedLength:
 
     @pytest.mark.parametrize("slope", [(math.inf, 1.0), (1.0, -math.inf), (1.7e308, 1.7e308)])
     def test_infinite_or_overflowing_slope_is_inf(self, slope):
+        assert slope_normalized_length(CuspShape(0.3, 1.2), slope) == math.inf
+
+    @pytest.mark.parametrize("slope", [(10**400, 1), (1, -10**400), (Fraction(10**400, 3), 2)])
+    def test_slope_beyond_float_range_is_inf(self, slope):
+        # the NaN check must not convert an int or Fraction beyond the float range
         assert slope_normalized_length(CuspShape(0.3, 1.2), slope) == math.inf
 
     def test_nonpositive_im_rejected(self):
