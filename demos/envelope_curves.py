@@ -29,8 +29,9 @@ assert gap.min() >= -1e-14
 print()
 print("L-hat    z-hat     z-tilde   dV in")
 for lhat in (7.6, 8.0, 10.0, 15.0, 30.0):
-    (lo, hi), _, _, zh, zt = envelope_bounds(lhat)
-    print(f"{lhat:5.1f}   {zh:.6f}  {zt:.6f}  [{lo:.6f}, {hi:.6f}]")
+    env = envelope_bounds(lhat)
+    lo, hi = env.volume_drop
+    print(f"{lhat:5.1f}   {env.z_hat:.6f}  {env.z_tilde:.6f}  [{lo:.6f}, {hi:.6f}]")
 
 print()
 print("asymptotics at L-hat = 1000 (both ratios should approach 1):")

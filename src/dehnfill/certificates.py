@@ -175,19 +175,17 @@ def certify(lhats) -> FillingCertificate:
         margin = _INV_C_SQ - inv_sq
     else:
         values, inv_sq, margin = _values_and_sum(lhats)
-    if margin > 0.0:
-        return _record(FillingCertificate, (values, 1.0 / math.sqrt(inv_sq), True, margin,
-                                            R0, None, None, None, None, None))
-    return _record(FillingCertificate, (values, 1.0 / math.sqrt(inv_sq), False, margin,
-                                        None, None, None, None, None, None))
+    certified = margin > 0.0
+    return _record(FillingCertificate, (values, 1.0 / math.sqrt(inv_sq), certified, margin,
+                                        R0 if certified else None, None, None, None, None, None))
 
 
 class EnvelopeBounds(NamedTuple):
     """Both envelope inversions at one normalized length and every bound
     read off them: volume_drop and visual_area are (lo, hi) pairs, and
     core_length_hi is visual_area_hi/(2*pi).  The fields are the
-    certificate's tail, in order; FillingCertificate, certify's two records
-    and _LAYOUTS list them too (tests/test_certificate_record.py checks each)."""
+    certificate's tail, in order; FillingCertificate, certify's record and
+    _LAYOUTS list them too (tests/test_certificate_record.py checks each)."""
 
     volume_drop: tuple[float, float]
     visual_area: tuple[float, float]

@@ -112,20 +112,23 @@ def _parse_lhat_list(text: str) -> list[float]:
 
 def cmd_constants(args) -> tuple[int, str]:
     lhat_sq = (2.0 * math.pi) ** 2 / envelope.f(certificates.Z0)
-    env = certificates.envelope_bounds(certificates.UNIVERSAL_C)
-    checks = [
-        _check("threshold_squared", lhat_sq, 57.5041, 5e-3),
-        _check("C", math.sqrt(lhat_sq), certificates.UNIVERSAL_C, 5e-4),
-        _check("volume_drop_hi", env.volume_drop[1], 0.197816, 5e-5),
-        _check("visual_area_ceiling", packing.h(packing.R0), 0.980254, 1e-5),
-        _check("visual_area_hi_at_threshold", env.visual_area[1], packing.h(packing.R0), 1e-4),
-        _check("core_length_hi", env.core_length_hi, 0.156012, 1e-5),
-        _check("inverse_S", 1.0 / packing.S_CONSTANT, 0.980257, 5e-6),
-        _check("h_coefficient", 2.0 * math.sqrt(3.0) * packing.AXIS_COEFFICIENT,
-               packing.H_COEFFICIENT, 5e-4),
-    ]
     payload = {"C": certificates.UNIVERSAL_C, "C_derived": math.sqrt(lhat_sq), "R0": packing.R0}
-    return _report(args.command, payload, checks)
+    try:
+        env = certificates.envelope_bounds(certificates.UNIVERSAL_C)
+    except UncertifiableError as exc:  # a failed report, without the checks that need env
+        env, payload["error"] = None, str(exc)
+    checks = [
+        ("threshold_squared", lhat_sq, 57.5041, 5e-3),
+        ("C", math.sqrt(lhat_sq), certificates.UNIVERSAL_C, 5e-4),
+        env and ("volume_drop_hi", env.volume_drop[1], 0.197816, 5e-5),
+        ("visual_area_ceiling", packing.h(packing.R0), 0.980254, 1e-5),
+        env and ("visual_area_hi_at_threshold", env.visual_area[1], packing.h(packing.R0), 1e-4),
+        env and ("core_length_hi", env.core_length_hi, 0.156012, 1e-5),
+        ("inverse_S", 1.0 / packing.S_CONSTANT, 0.980257, 5e-6),
+        ("h_coefficient", 2.0 * math.sqrt(3.0) * packing.AXIS_COEFFICIENT,
+         packing.H_COEFFICIENT, 5e-4),
+    ]
+    return _report(args.command, payload, [_check(*c) for c in checks if c], failed=env is None)
 
 
 def _lhats_from_args(args) -> list[float]:
@@ -291,13 +294,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
 
 
 _PARSER, _COMMAND = _build_parser()
-_COMMANDS = _COMMAND.choices
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
-    """argv with '--opt -v' as '--opt=-v': every long option but --help takes one
-    value, so a single-'-' token other than -h right after one is its value. A
-    '--opt=--' is refused, as argparse would read that value as an empty list."""
+    """argv with '--opt -v' as '--opt=-v', for argparse, which would read '-v'
+    as an option: every long option but --help takes one value, so a
+    single-'-' token other than -h right after one is its value. A
+    '--opt=--' is refused, as argparse would read that value as an empty
+    list.  Only the argv that _read refuses come here."""
     out = []
     for prev, tok in zip([""] + argv, argv):
         takes_value = prev[:2] == "--" and prev not in ("--", "--help") and "=" not in prev
@@ -311,13 +315,15 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def _read(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace _PARSER.parse_args gives a well-formed argv, or None for
-    any other.  Well formed: a command's name, then each of its options once,
-    as '--opt v' or '--opt=v', every required one among them; each value is
-    not empty, not '-h' and not '--'-led, and passes its option's type and
-    choices.  Options not given take their defaults, an append option's as a
-    fresh list.  _read prints nothing, so _PARSER can still answer an argv it
-    refuses."""
+    """The namespace _PARSER.parse_args(_attach_signed_values(argv)) gives a
+    well-formed argv, read as typed, or None for any other.  Well formed: a
+    command's name, then each of its options once, as '--opt v' or
+    '--opt=v', every required one among them; each value is not empty, not
+    '-h' and not '--'-led, and passes its option's type and choices.  The
+    '-v' of '--opt -v' is read as argparse reads '--opt=-v', the form
+    _attach_signed_values gives it.  Options not given take their defaults,
+    an append option's as a fresh list.  _read prints nothing, so _PARSER
+    can still answer an argv it refuses."""
     entry = _TABLE.get(argv[0]) if argv else None
     if entry is None:
         return None
@@ -355,14 +361,16 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as _PARSER.parse_args parses it.  _read builds the
-    namespace of a well-formed argv; every other argv (empty, help, an
-    unknown name or option, a bad value, a missing option) goes to _PARSER,
-    which prints its own usage, help or error.  A leading '--' ends the
-    options, so the token after it is the command name, an operand: the '--'
-    is dropped, and a token that names no command is refused as argparse
-    refuses an unknown name, '--help' and '-h' included; a lone '--' goes to
-    _PARSER."""
+    """argv parsed as _PARSER.parse_args(_attach_signed_values(argv)) parses
+    it.  _read builds the namespace of a well-formed argv, as typed; every
+    other argv (empty, help, an unknown name or option, a bad value, a
+    missing option) goes to _PARSER, which prints its own usage, help or
+    error.  A leading '--' ends the options, so the token after it is the
+    command name, an operand: the '--' is dropped, and a token that names no
+    command is refused as argparse refuses an unknown name, '--help' and '-h'
+    included; a lone '--' goes to _PARSER."""
+    if (args := _read(argv)) is not None:
+        return args
     argv = _attach_signed_values(argv)
     if argv[:1] == ["--"] and len(argv) > 1:
         argv = argv[1:]
@@ -370,8 +378,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             _PARSER._check_value(_COMMAND, argv[0])
         except argparse.ArgumentError as exc:
             _PARSER.error(str(exc))
-    args = _read(argv)
-    return _PARSER.parse_args(argv) if args is None else args
+    return _PARSER.parse_args(argv)
 
 
 def run(argv: list[str]) -> int:

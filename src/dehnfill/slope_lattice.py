@@ -52,7 +52,7 @@ def slope_normalized_length(shape: CuspShape, slope: tuple[float, float]) -> flo
     inf where it leaves the float range.
 
     It measures in the reduced basis, where no change of basis can cancel:
-    lattice_reduce's M maps (p, q) exactly (floats as Fractions), the image is
+    lattice_reduce's M maps (p, q) exactly (as Fractions), the image is
     rounded once, and the length is |p' + q'*tau'| / sqrt(im tau'), for an
     integral slope the float enumerate_short_slopes lists, bit for bit.
 
@@ -66,8 +66,7 @@ def slope_normalized_length(shape: CuspShape, slope: tuple[float, float]) -> flo
         raise DomainError(f"slope {slope} has no normalized length: an entry is NaN")
     reduced, ((m11, m12), (m21, m22)) = lattice_reduce(shape)
     try:
-        if not (isinstance(p, int) and isinstance(q, int)):
-            p, q = Fraction(p), Fraction(q)
+        p, q = Fraction(p), Fraction(q)
         p, q = float(m11 * p + m12 * q), float(m21 * p + m22 * q)
         return abs(p + q * reduced.tau) / math.sqrt(reduced.im)
     except OverflowError:

@@ -112,10 +112,6 @@ class FourierMode1Form:
                     raise DomainError(f"mode {key} violates the reality constraint")
         self.modes = full
 
-    def coefficient_norm_sq(self) -> float:
-        """Parseval: the L2 norm squared of (sigma_1, sigma_2)."""
-        return sum(abs(c1) ** 2 + abs(c2) ** 2 for c1, c2 in self.modes.values())
-
 
 #: One frequency (m, n) from each pair {(m, n), (-m, -n)} of nonzero
 #: frequencies with |m|, |n| <= MAX_FREQ: 24 rows, m ascending, then n.

@@ -1,0 +1,15 @@
+"""Every warning raised in a test under tests/ fails it, a numpy
+RuntimeWarning (an overflow or an invalid operation) included.  A test's own
+filterwarnings mark still narrows this, as it is applied after this one."""
+
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if TESTS in item.path.resolve().parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)

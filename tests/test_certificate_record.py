@@ -128,7 +128,7 @@ def test_bound_fields_are_envelope_bounds_in_order():
 
 @pytest.mark.parametrize("lhats", [[12.0], [7.5], [12, 11], [7.5, 7.5], [math.inf, 12.0]])
 def test_certify_record_has_every_field(lhats):
-    # certify builds its two records with tuple.__new__, which takes a tuple of any length
+    # certify builds its record with tuple.__new__, which takes a tuple of any length
     assert len(certify(lhats)) == len(FillingCertificate._fields)
 
 

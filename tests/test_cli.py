@@ -7,13 +7,14 @@ import os
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from dehnfill import cli
+from dehnfill import certificates, cli
 from dehnfill.certificates import envelope_bounds, figure_data
 from dehnfill.cli import render_figure_csv, run
 from dehnfill.errors import UncertifiableError
@@ -42,6 +43,18 @@ class TestConstants:
         assert c_check["expected"] == 7.5832
         assert c_check["tolerance"] == 5e-4
 
+    def test_refused_threshold_is_a_failed_report(self, monkeypatch, capsys):
+        # C below C* = 7.583147: the envelope refuses to invert at the threshold (item 13)
+        monkeypatch.setattr(certificates, "UNIVERSAL_C", 7.5831)
+        assert run(["constants"]) == 1
+        out, err = capsys.readouterr()
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert (doc["command"], doc["status"], err) == ("constants", "error", "")
+        assert doc["payload"]["error"].startswith("uncertifiable: normalized length too small")
+        assert [c["name"] for c in doc["checks"]] == [
+            "threshold_squared", "C", "visual_area_ceiling", "inverse_S", "h_coefficient"]
+        assert all(c["pass"] for c in doc["checks"])
+
 
 class TestCertify:
     def test_below_threshold_exit_1(self, capsys):
@@ -61,6 +74,30 @@ class TestCertify:
                                       "7.609315279112138,129.55402493453926,129.55402493453926"])
         assert code == 1
         assert doc["payload"]["certified"] is False and doc["payload"]["margin"] < 0.0
+
+    # the shape route rounds L-hat to 7.583200000000001 before deciding (items 9a and 23)
+    SHAPE_TIE = ["--shape=-0.10510241341049797,13.965538597774776", "--slope", "5,2"]
+    # each typed length rounds up to the float 10.724264286187655 (items 20 and 23)
+    TYPED_TIE = ["--lhat", ",".join(["10.7242642861876540951788016102266268467"] * 2)]
+
+    def test_ties_lie_below_the_threshold_as_given(self):
+        inv_c_sq = 1 / Fraction("7.5832") ** 2
+        re, im = Fraction(-0.10510241341049797), Fraction(13.965538597774776)
+        shape_margin = inv_c_sq - im / ((5 + 2 * re) ** 2 + (2 * im) ** 2)
+        typed_margin = inv_c_sq - 2 / Fraction("10.7242642861876540951788016102266268467") ** 2
+        assert -5.2e-19 < shape_margin < -5.1e-19 and -9.1e-19 < typed_margin < -9.0e-19
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the shape route decides the rounded L-hat, not (tau, p, q) (items 9a and 23)"))
+    def test_shape_route_decided_exactly(self, capsys):
+        code, doc = run_json(capsys, ["certify", *self.SHAPE_TIE])
+        assert (code, doc["payload"]["certified"]) == (1, False)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "--lhat is decided as the binary floats, not as typed (items 20 and 23)"))
+    def test_typed_lengths_decided_as_typed(self, capsys):
+        _, doc = run_json(capsys, ["certify", *self.TYPED_TIE])
+        assert doc["payload"]["certified"] is False
 
     def test_multi_cusp_list(self, capsys):
         code, doc = run_json(capsys, ["certify", "--lhat", "11,11"])
@@ -309,7 +346,7 @@ class TestParserReuse:
         assert (run(argv), run(argv), run(["certify"])) == (0, 0, 2)
         lists = [args.shape for args in parsed] + [args.slope for args in parsed]
         assert lists == [[CuspShape(0.0, 1.0)]] * 2 + [[]] + [[(9.0, 2.0)]] * 2 + [[]]
-        command = cli._COMMANDS["certify"]
+        command = cli._COMMAND.choices["certify"]
         defaults = [command.get_default("shape"), command.get_default("slope")]
         assert defaults == [[], []]
         assert len({id(x) for x in lists + defaults}) == len(lists + defaults)
@@ -966,7 +1003,7 @@ class TestLeadingDoubleDash:
     ]
 
     def test_every_command_is_covered(self):
-        assert {argv[0] for argv in self.ARGV} == set(cli._COMMANDS)
+        assert {argv[0] for argv in self.ARGV} == set(cli._TABLE)
 
     @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
     def test_same_outcome_as_without(self, tmp_path, argv):
@@ -1043,26 +1080,43 @@ class TestDispatchMatchesTopParser:
 
 
 class TestReadWithoutArgparse:
-    """The argv the benchmark's CLI workloads send are read without argparse,
-    into the namespace argparse gives them."""
+    """The argv the benchmark's CLI workloads send, and well-formed argv with a
+    '-'-led value, are read as typed, without argparse and without
+    _attach_signed_values, into the namespace argparse gives them."""
 
-    @pytest.mark.parametrize("argv", [
+    WORKLOAD_ARGV = [
         ["weitz", "--k1", "0.9", "--eps", "0.7", "--trials", "64", "--seed", "27979266"],
         ["weitz", "--k1", repr(math.exp(1.638671875)), "--eps", "1.96875", "--trials", "64",
          "--seed", "0"],
         ["figure", "--which", "2", "--samples", "100", "--out", "{out}"],
         ["figure", "--which", "3", "--samples", "2", "--out", "{out}"],
-    ], ids=lambda argv: argv[0])
+    ]
+
+    @staticmethod
+    def _refuse_argparse(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse, or its argv rewrite, saw a well-formed argv")
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+        monkeypatch.setattr(cli, "_attach_signed_values", refuse)
+
+    @pytest.mark.parametrize("argv", WORKLOAD_ARGV, ids=lambda argv: argv[0])
     def test_parser_not_called(self, monkeypatch, capsys, tmp_path, argv):
         argv = [tok.format(out=tmp_path / "fig.csv") for tok in argv]
         expected = cli._PARSER.parse_args(argv)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("argparse parsed a well-formed argv")
-
-        monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+        self._refuse_argparse(monkeypatch)
         assert cli._parse(argv) == expected
         assert run(argv) == 0
+
+    @pytest.mark.parametrize("argv", WORKLOAD_ARGV + [
+        ["certify", "--shape", "0,1", "--slope", "-7,3"],
+        ["weitz", "--k1", "-1e5", "--eps", "0"],
+    ], ids=" ".join)
+    def test_argv_not_rewritten(self, monkeypatch, tmp_path, argv):
+        argv = [tok.format(out=tmp_path / "fig.csv") for tok in argv]
+        expected = _outcome(_parent_run, argv)
+        self._refuse_argparse(monkeypatch)
+        assert _outcome(run, argv) == expected
 
 
 class TestReaderFollowsTheTable:

@@ -1,8 +1,10 @@
-"""Every exported name exists and has a caller outside its module, the
-package re-exports only exported names, every exception class is raised
-somewhere, the modules that need no array arithmetic do not import
-numpy, certificates, cli and packing do not import dataclasses, and cli
-reads nothing back out of argparse's internals."""
+"""Every exported name exists and has a caller outside its module, every
+function, class, method and module-level name in the package is read by
+the code that ships or runs it, the package re-exports only exported
+names, every exception class is raised somewhere, the modules that need no
+array arithmetic do not import numpy, certificates, cli and packing do not
+import dataclasses, and cli reads nothing back out of argparse's
+internals."""
 
 import ast
 import importlib
@@ -43,16 +45,23 @@ def test_reexports_are_in_module_all():
         assert [a.name for a in node.names if a.name not in module.__all__] == [], node.module
 
 
+def _dehnfill_imports(tree):
+    """The local name of each name a source imports from dehnfill (``from
+    dehnfill... import X``, or a relative import inside the package), and
+    the name it imports."""
+    return {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or node.module.split(".")[0] == "dehnfill") for alias in node.names
+    }
+
+
 def _referenced_names(source):
     """Every attribute a source reads, and every bare name it reads that it
     also imports from dehnfill (``from dehnfill... import X``, or a relative
     import inside the package): a name it defines itself is not a caller."""
     tree = ast.parse(source)
-    imported = {  # the local name of each, and the name it imports
-        alias.asname or alias.name: alias.name
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        and (node.level > 0 or node.module.split(".")[0] == "dehnfill") for alias in node.names
-    }
+    imported = _dehnfill_imports(tree)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id in imported:
@@ -86,6 +95,91 @@ def test_every_public_name_has_a_caller():
         used = set().union(*(v for path, v in names.items() if path not in (own, init)))
         uncalled += [n for n in getattr(module, "__all__", ()) if n not in used]
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+def _definitions(tree, prefix):
+    """(qualified name, name) of every function, class and method in a module,
+    at any depth, and of every name a module-level statement assigns; dunder
+    names, which Python itself reads, are left out."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((prefix + node.name, node.name))
+            found += _definitions(node, prefix + node.name + ".")
+        elif prefix.count(".") == 1 and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(prefix + t.id, t.id) for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+        elif not isinstance(node, ast.expr):  # if, try, with and the like at any level
+            found += _definitions(node, prefix)
+    return [(qual, name) for qual, name in found if not name.startswith("__")]
+
+
+def _reads(tree, own):
+    """Every name a source reads: an attribute not assigned to, a string
+    constant equal to a name (perfbench patches functions by name; a
+    module's __all__ does not count), a bare name imported from dehnfill and,
+    in the module's own file (own), any bare name it loads."""
+    exported = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+                for node in ast.walk(stmt.value)}
+    imported = _dehnfill_imports(tree)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in exported:
+            names.add(node.value)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if own:
+                names.add(node.id)
+            elif node.id in imported:
+                names.add(imported[node.id])
+    return names
+
+
+def _unread_definitions(root):
+    """Each definition under root/src/dehnfill that nothing in src/, demos/ or
+    perfbench/ reads, tests aside, as module.qualified_name."""
+    package = root / "src" / "dehnfill"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for d in ("src", "demos", "perfbench") for path in sorted((root / d).rglob("*.py"))}
+    shared = set().union(*(_reads(tree, own=False) for tree in trees.values()))
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        read = shared | _reads(trees[path], own=True)
+        unread += [qual for qual, name in _definitions(trees[path], path.stem + ".")
+                   if name not in read]
+    return unread
+
+
+def test_definitions_from_its_own_source():
+    tree = ast.parse(
+        "X, (Y, _z) = 1, (2, 3)\n__all__ = ['f']\nif X:\n    W: int = 4\n"
+        "class K:\n    V = 5\n    def m(self):\n        def inner():\n            pass\n"
+        "def f():\n    U = 6\n"
+    )
+    assert _definitions(tree, "mod.") == [
+        ("mod.X", "X"), ("mod.Y", "Y"), ("mod._z", "_z"), ("mod.W", "W"), ("mod.K", "K"),
+        ("mod.K.m", "m"), ("mod.K.m.inner", "inner"), ("mod.f", "f"),
+    ]
+
+
+def test_what_counts_as_a_read():
+    tree = ast.parse(
+        "__all__ = ['exported']\nfrom dehnfill.cli import run\nobj.attr\nobj.stored = 1\n"
+        "setattr(obj, 'patched', run)\nlocal(run)\n"
+    )
+    assert _reads(tree, own=False) == {"run", "attr", "patched"}
+    assert _reads(tree, own=True) == {"run", "attr", "patched", "obj", "setattr", "local"}
+
+
+def test_every_definition_is_read():
+    """Every function, class, method and module-level name in src/dehnfill is
+    read somewhere in src/, demos/ or perfbench/ other than its own
+    definition: a name that only tests read is not part of the program."""
+    assert _unread_definitions(ROOT) == []
 
 
 def test_every_error_class_is_raised():

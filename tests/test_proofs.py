@@ -669,12 +669,10 @@ def _z_hat_box(x_expr):
         iv.prec = saved
 
 
-def test_upper_bounds_at_c_lie_below_the_printed_values():
-    # volume_drop_hi and core_length_hi at C = 7.5832 are read off z-hat, where
-    # f(z-hat) = x-hat = (2 pi)^2/C^2; the true values lie below the paper's
-    # printed 0.197816 and 0.156012.  The library's z-hat meets |f(z) - x| <=
-    # INV_TOL, so it is within INV_TOL/0.2972 of the true one, and each bound,
-    # of slope below 0.14 in z there, within INV_TOL of its true value.
+@functools.cache
+def _upper_bounds_at_c():
+    """Enclosures of the true volume_drop_hi and core_length_hi at C = 7.5832,
+    read off z-hat, where f(z-hat) = x-hat = (2 pi)^2/C^2."""
     x_hat = (2 * sp.pi) ** 2 / sp.Rational(75832, 10000) ** 2
     lo, hi = _z_hat_box(x_hat)
     assert hi - lo < 1e-27
@@ -685,8 +683,27 @@ def test_upper_bounds_at_c_lie_below_the_printed_values():
         core = _enclose(run("_area_from_z")[0].subs(c, PAPER_COEFF) / (2 * sp.pi), box)
     finally:
         iv.prec = saved
+    return dv, core
+
+
+def test_upper_bounds_at_c_lie_below_the_printed_values():
+    # the true values lie below the paper's printed 0.197816 and 0.156012.  The
+    # library's z-hat meets |f(z) - x| <= INV_TOL, so it is within INV_TOL/0.2972
+    # of the true one, and each bound, of slope below 0.14 in z there, within
+    # INV_TOL of its true value.
+    dv, core = _upper_bounds_at_c()
     assert dv.b < 0.197816 and core.b < 0.156012
     assert dv.b - dv.a < 1e-25 and core.b - core.a < 1e-25
     env = envelope_bounds(UNIVERSAL_C)
     for computed, enclosure in ((env.volume_drop[1], dv), (env.core_length_hi, core)):
         assert abs(computed - float(enclosure.a)) <= INV_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "volume_drop_hi and core_length_hi at C are 2 and 4 ulps below the truth: "
+    "the bounds are not rounded outward (item 2b)"))
+def test_upper_bounds_at_c_lie_above_the_truth():
+    dv, core = _upper_bounds_at_c()
+    env = envelope_bounds(UNIVERSAL_C)
+    assert env.volume_drop[1] >= dv.a  # 0.19781231847833464 today
+    assert env.core_length_hi >= core.a  # 0.15600790981177937 today

@@ -88,22 +88,24 @@ def _lhats():
 class TestReadersMatchEnvelopeBounds:
     def test_bit_for_bit(self):
         for lhat in _lhats():
-            dv, area, core, z_hat, z_tilde = envelope_bounds(lhat)
+            env = envelope_bounds(lhat)
             cert = full_certificate([lhat])
             if lhat == UNIVERSAL_C:  # the envelope applies at C, certification does not
                 assert not cert.certified
                 continue
             assert (cert.z_hat, cert.z_tilde, cert.volume_drop, cert.visual_area,
-                    cert.core_length_hi) == (z_hat, z_tilde, dv, area, core)
+                    cert.core_length_hi) == (env.z_hat, env.z_tilde, env.volume_drop,
+                                             env.visual_area, env.core_length_hi)
 
     def test_written_out(self):
         for lhat in _lhats()[:20]:
             x_hat = (2.0 * math.pi) ** 2 / lhat ** 2
-            dv, area, core, z_hat, z_tilde = envelope_bounds(lhat)
-            assert (z_hat, z_tilde) == (certificates.invert_f(x_hat),
-                                        certificates.invert_ftilde(x_hat))
-            assert core == area[1] / (2.0 * math.pi)
-            assert dv[0] <= dv[1] and area[0] <= area[1]
+            env = envelope_bounds(lhat)
+            assert (env.z_hat, env.z_tilde) == (certificates.invert_f(x_hat),
+                                                certificates.invert_ftilde(x_hat))
+            assert env.core_length_hi == env.visual_area[1] / (2.0 * math.pi)
+            assert env.volume_drop[0] <= env.volume_drop[1]
+            assert env.visual_area[0] <= env.visual_area[1]
 
     @pytest.mark.parametrize("lhat", [0.5, 7.5831, math.nextafter(UNIVERSAL_C, 0.0)])
     def test_below_threshold(self, lhat):
