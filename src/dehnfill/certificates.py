@@ -19,7 +19,8 @@ with the core-length bound visual_area_hi/(2*pi) for a smooth core.
 ``envelope_bounds`` evaluates all of these at once, as one ``EnvelopeBounds``.
 The formulas live in ``envelope`` (both volume-drop integrands are rational
 in z and integrated in closed form there); this module owns the decision,
-the threshold C and the records, and z0 = 1/sqrt(3) comes from ``packing``.
+the threshold C, the records and dehnfill's JSON text (``_json`` writes
+every certificate and report), and z0 = 1/sqrt(3) comes from ``packing``.
 Results are immutable ``typing.NamedTuple`` records read by field name:
 ``EnvelopeBounds`` and the ``FillingCertificate`` of ``certify`` and
 ``full_certificate``.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .envelope import _area_from_z, _dv_lower_from_z, _dv_upper_from_z, f, invert_f, invert_ftilde
@@ -222,10 +224,9 @@ def full_certificate(lhats) -> FillingCertificate:
     return _record(FillingCertificate, cert[:5] + envelope_bounds(cert[1])) if cert[2] else cert
 
 
-#: '{' or ',' then the indented key of each field, in field order.
-_JSON_HEADS = tuple(
-    ("," if i else "{") + f'\n  "{name}": ' for i, name in enumerate(FillingCertificate._fields)
-)
+class _Slot(str):
+    """A % slot of a layout: _json copies it verbatim, so that each of
+    _LAYOUTS is _json's own output for a record of slots."""
 
 
 def _json_token(v) -> str:
@@ -243,28 +244,43 @@ def _json_token(v) -> str:
         return float.__repr__(v)
     if isinstance(v, int):
         return int.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not a certificate field value")
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _json_value(v) -> str:
-    """One field as json writes it at indent 2: a scalar or a flat list of scalars."""
-    if isinstance(v, (list, tuple)):
-        return "[\n    " + ",\n    ".join(map(_json_token, v)) + "\n  ]" if v else "[]"
-    return _json_token(v)
+def _json(value, pad: str) -> str:
+    """value as json.dumps(value, indent=2, allow_nan=False) writes it, bytes
+    and errors, each line after the first led by pad: dicts with str keys,
+    lists and tuples laid out at indent 2, str escaped as json's
+    ensure_ascii escapes it, and every other value one _json_token scalar.
+    The one writer of dehnfill's JSON: cli's reports, certificate_to_json's
+    general path and _LAYOUTS.  A _Slot (that type exactly, so any other
+    str subclass is escaped) is copied verbatim."""
+    if isinstance(value, str):
+        return value if type(value) is _Slot else encode_basestring_ascii(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return _json_token(value)
 
 
-def _layout(*tokens: str) -> str:
-    return "".join(map(str.__add__, _JSON_HEADS, tokens)) + "\n}"
-
-
-_LIST, _PAIR = "[\n    %s\n  ]", "[\n    %r,\n    %r\n  ]"
+_LENGTHS, _FLOAT = [_Slot("%s")], _Slot("%r")  # the joined length tokens; one float
 #: The % layout of a record not certified and of one certified with bounds,
-#: by certified and the type of each field; a float goes in as %r.
+#: by certified and the type of each field: _json's output for a record of
+#: slots, where a float goes in as %r.
 _LAYOUTS = {
     (False, tuple, float, bool, float, *(type(None),) * 6):
-        _layout(_LIST, "%r", "false", "%r", *("null",) * 6),
+        _json(FillingCertificate(_LENGTHS, _FLOAT, False, _FLOAT, None).as_dict(), ""),
     (True, tuple, float, bool, float, float, tuple, tuple, float, float, float):
-        _layout(_LIST, "%r", "true", "%r", "%r", _PAIR, _PAIR, "%r", "%r", "%r"),
+        _json(FillingCertificate(_LENGTHS, _FLOAT, True, _FLOAT, _FLOAT, [_FLOAT] * 2,
+                                 [_FLOAT] * 2, _FLOAT, _FLOAT, _FLOAT).as_dict(), ""),
 }
 
 
@@ -272,13 +288,13 @@ def certificate_to_json(cert: FillingCertificate) -> str:
     """Serialize a certificate with exactly its field names, as strict JSON;
     an unfilled cusp (Lhat = inf) is written as null.
 
-    The bytes are those of json.dumps(cert.as_dict(), indent=2,
-    allow_nan=False), and %r is float.__repr__, json's float token.  A
-    record not certified or certified with bounds, with lengths and finite
-    floats, is one % format of its layout.  Any other record (certify's
-    certified one, hand-built, int fields, no lengths, other types) is
-    written token by token.  A non-finite float raises ValueError; a value
-    of any other type (a nested list included) raises TypeError.
+    The bytes and errors are those of json.dumps(cert.as_dict(), indent=2,
+    allow_nan=False): a non-finite float raises ValueError, and a value json
+    cannot write TypeError (a dict in a field must have str keys).  A record
+    not certified or certified with bounds, with lengths and finite floats,
+    is one % format of its layout, and %r is float.__repr__, json's float
+    token.  Any other record (certify's certified one, hand-built, int
+    fields, no lengths, str or nested values) is written by _json.
     """
     lhats, combined, certified, margin, radius, dv, area, *tail = cert
     layout = _LAYOUTS.get((certified is True, *map(type, cert)))  # a field may be unhashable
@@ -288,10 +304,13 @@ def certificate_to_json(cert: FillingCertificate) -> str:
         floats = (combined, margin, radius, *dv, *area, *tail)
     else:
         layout = None
-    # a finite sum proves each float finite; one that overflows takes the token path
-    if layout is None or not lhats or not math.isfinite(sum(floats)):
-        return _layout(*map(_json_value, cert.as_dict().values()))
-    return layout % (",\n    ".join(map(_json_token, _unfilled_as_none(lhats))), *floats)
+    # a finite sum proves each float finite; one that overflows takes the general path
+    if layout and lhats and math.isfinite(sum(floats)):
+        try:
+            return layout % (",\n    ".join(map(_json_token, _unfilled_as_none(lhats))), *floats)
+        except TypeError:  # a str or nested length, which json writes out
+            pass
+    return _json(cert.as_dict(), "")
 
 
 #: Largest sample count accepted by figure_data: about 2 s of `dehnfill

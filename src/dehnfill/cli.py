@@ -17,7 +17,8 @@ directly; argparse answers every other one, so usage, help and error text are
 argparse's own.  Every command prints a JSON report to stdout with fields
 (command, status, payload, checks); checks entries are (name, computed,
 expected, tolerance, pass).  Its bytes are those of json.dumps(report,
-indent=2, allow_nan=False), then a newline.  Exit code 0 on success, 1 on a
+indent=2, allow_nan=False), then a newline, written by certificates._json,
+the one writer of dehnfill's JSON.  Exit code 0 on success, 1 on a
 failed check or a mathematically uncertifiable input, 2 on usage errors.
 """
 
@@ -28,7 +29,6 @@ import math
 import os
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 from . import certificates, envelope, packing, slope_lattice, weitzenboeck
 from .errors import DomainError, UncertifiableError
@@ -42,32 +42,11 @@ def _check(name: str, computed: float, expected: float, tolerance: float) -> dic
     return {**entry, "pass": abs(computed - expected) <= tolerance}
 
 
-def _json(value, pad: str) -> str:
-    """value as json.dumps(value, indent=2, allow_nan=False) writes it, each
-    line after the first led by pad: dicts with str keys, lists and tuples
-    laid out at indent 2, str escaped as json's ensure_ascii escapes it, and
-    every other value one certificates._json_token scalar."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    return certificates._json_token(value)
-
-
 def _report(command: str, payload, checks: list[dict], failed: bool = False) -> tuple[int, str]:
     check_fail = any(not c["pass"] for c in checks)
     status = "error" if (failed or check_fail) else "ok"
     doc = {"command": command, "status": status, "payload": payload, "checks": checks}
-    return (1 if status == "error" else 0), _json(doc, "")
+    return (1 if status == "error" else 0), certificates._json(doc, "")
 
 
 def _parse_shape(text: str) -> slope_lattice.CuspShape:

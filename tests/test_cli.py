@@ -1217,7 +1217,7 @@ def _dumps_or_error(dumps, value):
 
 
 class TestReportEmitter:
-    """cli._json writes the bytes of json.dumps(v, indent=2, allow_nan=False),
+    """certificates._json writes the bytes of json.dumps(v, indent=2, allow_nan=False),
     and raises what it raises."""
 
     @staticmethod
@@ -1227,7 +1227,7 @@ class TestReportEmitter:
     @settings(max_examples=500, deadline=None)
     @given(_json_values(_JSON_SCALARS))
     def test_same_bytes(self, value):
-        assert cli._json(value, "") == self._dumps(value)
+        assert certificates._json(value, "") == self._dumps(value)
 
     @settings(max_examples=300, deadline=None)
     @given(value=_json_values(_JSON_SCALARS), bad=_NOT_JSON, where=st.integers(0, 2))
@@ -1235,8 +1235,8 @@ class TestReportEmitter:
         nested = [[value, bad], {"k": bad, "v": value}, (value, {"deep": [bad]})][where]
         expected = _dumps_or_error(self._dumps, nested)
         assert isinstance(expected, tuple)
-        assert _dumps_or_error(lambda v: cli._json(v, ""), nested) == expected
+        assert _dumps_or_error(lambda v: certificates._json(v, ""), nested) == expected
 
     @pytest.mark.parametrize("value", [{}, [], (), [{}, [], ()], {"a": {"b": [[]]}}, "é\ud800"])
     def test_empty_and_odd(self, value):
-        assert cli._json(value, "") == self._dumps(value)
+        assert certificates._json(value, "") == self._dumps(value)

@@ -3,8 +3,8 @@ function, class, method and module-level name in the package is read by
 the code that ships or runs it, the package re-exports only exported
 names, every exception class is raised somewhere, the modules that need no
 array arithmetic do not import numpy, certificates, cli and packing do not
-import dataclasses, and cli reads nothing back out of argparse's
-internals."""
+import dataclasses, cli reads nothing back out of argparse's internals, and
+certificates alone writes JSON text."""
 
 import ast
 import importlib
@@ -219,6 +219,24 @@ def test_results_are_not_dataclasses(name):
     """Every record that certificates returns, and cli reads, is a NamedTuple,
     and packing's numbers are plain module constants."""
     assert "dataclasses" not in _imported_modules(name)
+
+
+def test_json_text_is_written_in_one_module():
+    """certificates._json writes every certificate and report, so cli imports
+    nothing from json and defines no _json, and no other module imports
+    json.encoder (as ``import json.encoder`` or ``from json[.encoder] import``)."""
+    trees = {name: ast.parse(Path(dehnfill.__file__).with_name(f"{name}.py").read_text(
+        encoding="utf-8")) for name in MODULES}
+    encoders = {
+        name for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and "json.encoder" in {a.name for a in node.names}
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and "json.encoder" in
+        {node.module, *(f"{node.module}.{a.name}" for a in node.names)}
+    }
+    assert encoders == {"certificates"}
+    assert "json" not in _imported_modules("cli")
+    assert "_json" not in {node.name for node in ast.walk(trees["cli"])
+                           if isinstance(node, ast.FunctionDef)}
 
 
 def test_envelope_formulas_are_defined_once():
