@@ -19,8 +19,9 @@ with the core-length bound visual_area_hi/(2*pi) for a smooth core.
 ``envelope_bounds`` evaluates all of these at once, as one ``EnvelopeBounds``.
 The formulas live in ``envelope`` (both volume-drop integrands are rational
 in z and integrated in closed form there); this module owns the decision,
-the threshold C, the records and dehnfill's JSON text (``_json`` writes
-every certificate and report), and z0 = 1/sqrt(3) comes from ``packing``.
+the threshold C, the records and dehnfill's JSON text (``_json``, the
+standard library's encoder at indent 2 with strict floats, writes every
+certificate and report), and z0 = 1/sqrt(3) comes from ``packing``.
 Results are immutable ``typing.NamedTuple`` records read by field name:
 ``EnvelopeBounds`` and the ``FillingCertificate`` of ``certify`` and
 ``full_certificate``.
@@ -28,10 +29,10 @@ Results are immutable ``typing.NamedTuple`` records read by field name:
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .envelope import _area_from_z, _dv_lower_from_z, _dv_upper_from_z, f, invert_f, invert_ftilde
@@ -224,63 +225,38 @@ def full_certificate(lhats) -> FillingCertificate:
     return _record(FillingCertificate, cert[:5] + envelope_bounds(cert[1])) if cert[2] else cert
 
 
-class _Slot(str):
-    """A % slot of a layout: _json copies it verbatim, so that each of
-    _LAYOUTS is _json's own output for a record of slots."""
-
-
 def _json_token(v) -> str:
-    """One JSON scalar, as json writes it: null/true/false, float.__repr__
-    of a finite float, int.__repr__ of an int."""
+    """One length as the % path joins it: null, or float.__repr__ of an
+    exact finite float, json's float token.  TypeError for anything else,
+    which sends the record to _json."""
     if v is None:
         return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    if type(v) is float and math.isfinite(v):
         return float.__repr__(v)
-    if isinstance(v, int):
-        return int.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    raise TypeError(f"not a % path token: {v!r}")
 
 
-def _json(value, pad: str) -> str:
-    """value as json.dumps(value, indent=2, allow_nan=False) writes it, bytes
-    and errors, each line after the first led by pad: dicts with str keys,
-    lists and tuples laid out at indent 2, str escaped as json's
-    ensure_ascii escapes it, and every other value one _json_token scalar.
-    The one writer of dehnfill's JSON: cli's reports, certificate_to_json's
-    general path and _LAYOUTS.  A _Slot (that type exactly, so any other
-    str subclass is escaped) is copied verbatim."""
-    if isinstance(value, str):
-        return value if type(value) is _Slot else encode_basestring_ascii(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    return _json_token(value)
+#: value as json.dumps(value, indent=2, allow_nan=False) writes it, bytes and
+#: errors: the one writer of dehnfill's JSON (cli's reports, the general path
+#: of certificate_to_json and _LAYOUTS), json's encoder at dehnfill's format.
+_json = json.JSONEncoder(indent=2, allow_nan=False).encode
 
 
-_LENGTHS, _FLOAT = [_Slot("%s")], _Slot("%r")  # the joined length tokens; one float
+def _layout(template: FillingCertificate) -> str:
+    """_json's text of a record whose fields hold "%s" and "%r", with those
+    slots unquoted: a layout for one % format."""
+    return _json(template.as_dict()).replace('"%s"', "%s").replace('"%r"', "%r")
+
+
+_S, _R = "%s", "%r"  # the joined length tokens; one float
 #: The % layout of a record not certified and of one certified with bounds,
-#: by certified and the type of each field: _json's output for a record of
-#: slots, where a float goes in as %r.
+#: by certified and the type of each field: _json's text of a template record
+#: of slots, where a float goes in as %r.
 _LAYOUTS = {
     (False, tuple, float, bool, float, *(type(None),) * 6):
-        _json(FillingCertificate(_LENGTHS, _FLOAT, False, _FLOAT, None).as_dict(), ""),
+        _layout(FillingCertificate([_S], _R, False, _R, None)),
     (True, tuple, float, bool, float, float, tuple, tuple, float, float, float):
-        _json(FillingCertificate(_LENGTHS, _FLOAT, True, _FLOAT, _FLOAT, [_FLOAT] * 2,
-                                 [_FLOAT] * 2, _FLOAT, _FLOAT, _FLOAT).as_dict(), ""),
+        _layout(FillingCertificate([_S], _R, True, _R, _R, [_R] * 2, [_R] * 2, _R, _R, _R)),
 }
 
 
@@ -290,11 +266,11 @@ def certificate_to_json(cert: FillingCertificate) -> str:
 
     The bytes and errors are those of json.dumps(cert.as_dict(), indent=2,
     allow_nan=False): a non-finite float raises ValueError, and a value json
-    cannot write TypeError (a dict in a field must have str keys).  A record
-    not certified or certified with bounds, with lengths and finite floats,
-    is one % format of its layout, and %r is float.__repr__, json's float
-    token.  Any other record (certify's certified one, hand-built, int
-    fields, no lengths, str or nested values) is written by _json.
+    cannot write TypeError.  A record not certified or certified with
+    bounds, with finite float fields and lengths, is one % format of its
+    layout, and %r is float.__repr__, json's float token.  Any other record
+    (certify's certified one, hand-built, int fields, no lengths, str or
+    nested values) takes the general path, json's encoder (_json).
     """
     lhats, combined, certified, margin, radius, dv, area, *tail = cert
     layout = _LAYOUTS.get((certified is True, *map(type, cert)))  # a field may be unhashable
@@ -308,9 +284,9 @@ def certificate_to_json(cert: FillingCertificate) -> str:
     if layout and lhats and math.isfinite(sum(floats)):
         try:
             return layout % (",\n    ".join(map(_json_token, _unfilled_as_none(lhats))), *floats)
-        except TypeError:  # a str or nested length, which json writes out
+        except TypeError:  # a length not None or an exact finite float: json's to write
             pass
-    return _json(cert.as_dict(), "")
+    return _json(cert.as_dict())
 
 
 #: Largest sample count accepted by figure_data: about 2 s of `dehnfill

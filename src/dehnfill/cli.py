@@ -18,8 +18,9 @@ argparse's own.  Every command prints a JSON report to stdout with fields
 (command, status, payload, checks); checks entries are (name, computed,
 expected, tolerance, pass).  Its bytes are those of json.dumps(report,
 indent=2, allow_nan=False), then a newline, written by certificates._json,
-the one writer of dehnfill's JSON.  Exit code 0 on success, 1 on a
-failed check or a mathematically uncertifiable input, 2 on usage errors.
+that encoder and the one writer of dehnfill's JSON.  Exit code 0 on
+success, 1 on a failed check or a mathematically uncertifiable input, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _report(command: str, payload, checks: list[dict], failed: bool = False) -> 
     check_fail = any(not c["pass"] for c in checks)
     status = "error" if (failed or check_fail) else "ok"
     doc = {"command": command, "status": status, "payload": payload, "checks": checks}
-    return (1 if status == "error" else 0), certificates._json(doc, "")
+    return (1 if status == "error" else 0), certificates._json(doc)
 
 
 def _parse_shape(text: str) -> slope_lattice.CuspShape:

@@ -179,8 +179,20 @@ CERTIFICATES = st.one_of(
 @example(FillingCertificate((9.0,), 9.0, True, "0.1", 0.5))  # a str field
 @example(FillingCertificate((9.0,), 9.0, True, ((0.1,),), 0.5))  # a nested field
 @example(FillingCertificate(("9",), 9.0, False, -0.1, None))  # a str length, on a layout's key
+# on the not-certified layout's key, lengths that the % path leaves to json
+@example(FillingCertificate((12, 11), 9.0, False, -0.1, None))  # ints
+@example(FillingCertificate((True, 12.0), 9.0, False, -0.1, None))  # a bool
+@example(FillingCertificate((np.float64(12.0),), 9.0, False, -0.1, None))  # a float subclass
+@example(FillingCertificate((math.nan,), 9.0, False, -0.1, None))  # json refuses NaN
+@example(FillingCertificate((12.0, -math.inf), 9.0, False, -0.1, None))  # and -inf
 def test_certificate_to_json_matches_json_dumps(cert):
-    assert certificate_to_json(cert) == certificate_json(cert)
+    try:
+        expected = certificate_json(cert)
+    except ValueError:  # a NaN or infinite length: the same exception type
+        with pytest.raises(ValueError):
+            certificate_to_json(cert)
+    else:
+        assert certificate_to_json(cert) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -1192,7 +1192,14 @@ _JSON_SCALARS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
     st.text(st.characters(exclude_categories=())),
 )
-_JSON_KEYS = st.text(st.characters(exclude_categories=()), max_size=4)
+_JSON_KEYS = st.one_of(  # every key type json writes: str, int, finite float, bool, None
+    st.text(st.characters(exclude_categories=()), max_size=4),
+    st.integers(),
+    st.integers(2**64, 2**200) | st.integers(-2**200, -2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+)
 
 
 def _json_values(leaves):
@@ -1227,7 +1234,7 @@ class TestReportEmitter:
     @settings(max_examples=500, deadline=None)
     @given(_json_values(_JSON_SCALARS))
     def test_same_bytes(self, value):
-        assert certificates._json(value, "") == self._dumps(value)
+        assert certificates._json(value) == self._dumps(value)
 
     @settings(max_examples=300, deadline=None)
     @given(value=_json_values(_JSON_SCALARS), bad=_NOT_JSON, where=st.integers(0, 2))
@@ -1235,8 +1242,19 @@ class TestReportEmitter:
         nested = [[value, bad], {"k": bad, "v": value}, (value, {"deep": [bad]})][where]
         expected = _dumps_or_error(self._dumps, nested)
         assert isinstance(expected, tuple)
-        assert _dumps_or_error(lambda v: certificates._json(v, ""), nested) == expected
+        assert _dumps_or_error(certificates._json, nested) == expected
 
     @pytest.mark.parametrize("value", [{}, [], (), [{}, [], ()], {"a": {"b": [[]]}}, "é\ud800"])
     def test_empty_and_odd(self, value):
-        assert certificates._json(value, "") == self._dumps(value)
+        assert certificates._json(value) == self._dumps(value)
+
+    @pytest.mark.parametrize("kind", [list, dict])
+    def test_cycle(self, kind):
+        value = kind()
+        if kind is list:
+            value.append(value)
+        else:
+            value["v"] = value
+        expected = (ValueError, "Circular reference detected")
+        assert _dumps_or_error(self._dumps, value) == expected
+        assert _dumps_or_error(certificates._json, value) == expected

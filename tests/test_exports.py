@@ -197,16 +197,20 @@ def test_every_error_class_is_raised():
     assert [name for name in defined if name not in raised] == []
 
 
+def _imported_names(node):
+    """The dotted names an absolute import statement binds or reads from:
+    ``import a.b`` gives a.b, ``from a.b import c`` gives a.b and a.b.c."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+    return []
+
+
 def _imported_modules(name):
     """The top-level packages that module dehnfill.<name> imports."""
-    path = Path(dehnfill.__file__).with_name(f"{name}.py")
-    imported = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            imported.update(a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            imported.add(node.module.split(".")[0])
-    return imported
+    tree = ast.parse(Path(dehnfill.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
+    return {imported.split(".")[0] for node in ast.walk(tree) for imported in _imported_names(node)}
 
 
 @pytest.mark.parametrize("name", [name for name in MODULES if name != "weitzenboeck"])
@@ -222,21 +226,22 @@ def test_results_are_not_dataclasses(name):
 
 
 def test_json_text_is_written_in_one_module():
-    """certificates._json writes every certificate and report, so cli imports
-    nothing from json and defines no _json, and no other module imports
-    json.encoder (as ``import json.encoder`` or ``from json[.encoder] import``)."""
-    trees = {name: ast.parse(Path(dehnfill.__file__).with_name(f"{name}.py").read_text(
-        encoding="utf-8")) for name in MODULES}
-    encoders = {
-        name for name, tree in trees.items() for node in ast.walk(tree)
-        if isinstance(node, ast.Import) and "json.encoder" in {a.name for a in node.names}
-        or isinstance(node, ast.ImportFrom) and node.level == 0 and "json.encoder" in
-        {node.module, *(f"{node.module}.{a.name}" for a in node.names)}
-    }
-    assert encoders == {"certificates"}
+    """certificates._json, the standard library's encoder, writes every
+    certificate and report: certificates is the one module of dehnfill that
+    imports json in any form, no module imports json.encoder (a hand-written
+    writer's parts), and cli imports nothing from json and defines no _json."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(dehnfill.__file__).parent.glob("*.py")}
+    imports = {(module, name) for module, tree in trees.items() for node in ast.walk(tree)
+               for name in _imported_names(node) if name.split(".")[0] == "json"}
+    assert {module for module, _ in imports} == {"certificates"}
+    assert {name for _, name in imports if name.split(".")[:2] == ["json", "encoder"]} == set()
     assert "json" not in _imported_modules("cli")
-    assert "_json" not in {node.name for node in ast.walk(trees["cli"])
-                           if isinstance(node, ast.FunctionDef)}
+    cli_nodes = list(ast.walk(trees["cli"]))
+    defined = {node.name for node in cli_nodes if isinstance(node, ast.FunctionDef)}
+    defined |= {node.id for node in cli_nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert "_json" not in defined
 
 
 def test_envelope_formulas_are_defined_once():
