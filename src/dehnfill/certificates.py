@@ -22,9 +22,11 @@ in z and integrated in closed form there); this module owns the decision,
 the threshold C, the records and dehnfill's JSON text (``_json``, the
 standard library's encoder at indent 2 with strict floats, writes every
 certificate and report), and z0 = 1/sqrt(3) comes from ``packing``.
-Results are immutable ``typing.NamedTuple`` records read by field name:
-``EnvelopeBounds`` and the ``FillingCertificate`` of ``certify`` and
-``full_certificate``.
+Results are immutable named tuples read by field name: the
+``FillingCertificate`` of ``certify`` and ``full_certificate``, whose
+annotations declare every field once, and ``EnvelopeBounds``, its bound
+fields.  ``_LAYOUTS`` is built from records of both, so a new bound field is
+an annotation, a None in ``certify``'s record and a value in ``envelope_bounds``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -59,10 +62,10 @@ _record = tuple.__new__  # builds a record from its fields, past NamedTuple's __
 class FillingCertificate(NamedTuple):
     """Full decision-plus-bounds report for one surgery coefficient.
 
-    Four decision fields, tube_radius_floor, then the EnvelopeBounds fields
-    in their order, which full_certificate appends whole.  Bound fields are
-    None when the input is not certified (the envelope does not apply below
-    the threshold).  An immutable NamedTuple, read by field name.
+    Four decision fields, tube_radius_floor, then the bound fields, which
+    EnvelopeBounds is built from and full_certificate appends whole.  Bound
+    fields are None when the input is not certified (the envelope does not
+    apply below the threshold).  An immutable NamedTuple, read by field name.
     """
 
     per_cusp_lhat: tuple[float, ...]
@@ -183,18 +186,13 @@ def certify(lhats) -> FillingCertificate:
                                         R0 if certified else None, None, None, None, None, None))
 
 
-class EnvelopeBounds(NamedTuple):
+class EnvelopeBounds(namedtuple("EnvelopeBounds", FillingCertificate._fields[5:])):
     """Both envelope inversions at one normalized length and every bound
-    read off them: volume_drop and visual_area are (lo, hi) pairs, and
-    core_length_hi is visual_area_hi/(2*pi).  The fields are the
-    certificate's tail, in order; FillingCertificate, certify's record and
-    _LAYOUTS list them too (tests/test_certificate_record.py checks each)."""
+    read off them, FillingCertificate's bound fields in order: volume_drop
+    and visual_area, (lo, hi) pairs of floats; core_length_hi =
+    visual_area_hi/(2*pi), z_hat and z_tilde, floats."""
 
-    volume_drop: tuple[float, float]
-    visual_area: tuple[float, float]
-    core_length_hi: float
-    z_hat: float
-    z_tilde: float
+    __slots__ = ()
 
 
 def envelope_bounds(lhat: float) -> EnvelopeBounds:
@@ -242,22 +240,20 @@ def _json_token(v) -> str:
 _json = json.JSONEncoder(indent=2, allow_nan=False).encode
 
 
-def _layout(template: FillingCertificate) -> str:
-    """_json's text of a record whose fields hold "%s" and "%r", with those
-    slots unquoted: a layout for one % format."""
-    return _json(template.as_dict()).replace('"%s"', "%s").replace('"%r"', "%r")
+def _layout(record: FillingCertificate) -> tuple[tuple, str]:
+    """The _LAYOUTS item of records shaped like this one: the key (certified
+    is True, then each field's type) and _json's text of the record with
+    unquoted slots, %s for the joined lengths and %r for each float and pair
+    element.  Other values are copied, so give it only bools and None besides."""
+    fields = [["%s"]] + [["%r"] * len(v) if type(v) is tuple else "%r" if type(v) is float else v
+                         for v in record[1:]]
+    text = _json(dict(zip(record._fields, fields))).replace('"%s"', "%s").replace('"%r"', "%r")
+    return (record.certified is True, *map(type, record)), text
 
 
-_S, _R = "%s", "%r"  # the joined length tokens; one float
 #: The % layout of a record not certified and of one certified with bounds,
-#: by certified and the type of each field: _json's text of a template record
-#: of slots, where a float goes in as %r.
-_LAYOUTS = {
-    (False, tuple, float, bool, float, *(type(None),) * 6):
-        _layout(FillingCertificate([_S], _R, False, _R, None)),
-    (True, tuple, float, bool, float, float, tuple, tuple, float, float, float):
-        _layout(FillingCertificate([_S], _R, True, _R, _R, [_R] * 2, [_R] * 2, _R, _R, _R)),
-}
+#: by certified and the type of each field: _layout of a record of each kind.
+_LAYOUTS = dict(map(_layout, (certify([1.0]), full_certificate([2.0 * UNIVERSAL_C]))))
 
 
 def certificate_to_json(cert: FillingCertificate) -> str:

@@ -1,6 +1,8 @@
 """The certificate record and the exact bytes every certificate report keeps."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +126,16 @@ def test_field_order():
 def test_bound_fields_are_envelope_bounds_in_order():
     # full_certificate appends an EnvelopeBounds whole after the first five fields
     assert FillingCertificate._fields[5:] == EnvelopeBounds._fields
+
+
+def test_bound_fields_are_annotated_once():
+    # FillingCertificate declares each bound field; EnvelopeBounds and _LAYOUTS are built from it
+    tree = ast.parse(Path(certificates.__file__).read_text(encoding="utf-8"))
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    annotated = [(node.target.id, cls.name) for cls in classes
+                 for node in cls.body if isinstance(node, ast.AnnAssign)]
+    for name in FillingCertificate._fields[5:]:
+        assert [cls for field, cls in annotated if field == name] == ["FillingCertificate"], name
 
 
 @pytest.mark.parametrize("lhats", [[12.0], [7.5], [12, 11], [7.5, 7.5], [math.inf, 12.0]])
