@@ -12,7 +12,9 @@ Subcommands:
     figure    --which 1|2|3 --samples n --out path   CSV figure data
 
 Options are spelled in full and each takes one value, '--opt v' or '--opt=v'; a
-value may begin with '-' (--slope -7,3).  A well-formed command line is read
+value may begin with '-' (--slope -7,3).  Each option is given once, but
+certify's --shape and --slope once per cusp, a pair each; a command line may
+start with '--' (dehnfill -- certify ...).  A well-formed command line is read
 directly; argparse answers every other one, so usage, help and error text are
 argparse's own.  Every command prints a JSON report to stdout with fields
 (command, status, payload, checks); checks entries are (name, computed,
@@ -50,25 +52,28 @@ def _report(command: str, payload, checks: list[dict], failed: bool = False) -> 
     return (1 if status == "error" else 0), certificates._json(doc)
 
 
+def _reals(text: str, form: str, count: int = 0) -> list[float]:
+    """The comma-separated reals of text, exactly count of them unless count
+    is 0; otherwise ArgumentTypeError, with the form in its message."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        vals = []
+    if not vals or (count and len(vals) != count):
+        raise argparse.ArgumentTypeError(f"{form}, got {text!r}")
+    return vals
+
+
 def _parse_shape(text: str) -> slope_lattice.CuspShape:
     try:
-        re_s, im_s = text.split(",")
-        re_v, im_v = float(re_s), float(im_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"shape must be 're,im', got {text!r}")
-    try:
-        return slope_lattice.CuspShape(re_v, im_v)
+        return slope_lattice.CuspShape(*_reals(text, "shape must be 're,im'", 2))
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_slope(text: str) -> tuple[float, float]:
     """A generalized surgery coefficient (p, q): any finite reals."""
-    try:
-        p_s, q_s = text.split(",")
-        p, q = float(p_s), float(q_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"slope must be 'p,q', got {text!r}")
+    p, q = _reals(text, "slope must be 'p,q'", 2)
     if not (math.isfinite(p) and math.isfinite(q)):
         raise argparse.ArgumentTypeError(f"slope must be finite, got {text!r}")
     return p, q
@@ -81,10 +86,7 @@ def _slope_kind(p: float, q: float) -> str:
 
 
 def _parse_lhat_list(text: str) -> list[float]:
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
+    vals = _reals(text, "expected comma-separated reals")
     if any(not v > 0.0 for v in vals):
         raise argparse.ArgumentTypeError(f"normalized lengths must be positive: {text!r}")
     return vals
@@ -297,13 +299,14 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 def _read(argv: list[str]) -> argparse.Namespace | None:
     """The namespace _PARSER.parse_args(_attach_signed_values(argv)) gives a
     well-formed argv, read as typed, or None for any other.  Well formed: a
-    command's name, then each of its options once, as '--opt v' or
-    '--opt=v', every required one among them; each value is not empty, not
-    '-h' and not '--'-led, and passes its option's type and choices.  The
-    '-v' of '--opt -v' is read as argparse reads '--opt=-v', the form
-    _attach_signed_values gives it.  Options not given take their defaults,
-    an append option's as a fresh list.  _read prints nothing, so _PARSER
-    can still answer an argv it refuses."""
+    command's name, then its options, as '--opt v' or '--opt=v', every
+    required one among them, each once but an append option (--shape,
+    --slope) once per cusp; each value is not empty, not '-h' and not
+    '--'-led, and passes its option's type and choices.  The '-v' of '--opt
+    -v' is read as argparse reads '--opt=-v', the form _attach_signed_values
+    gives it.  An append option's values follow a fresh copy of its default,
+    in the order given; any other option not given takes its default.  _read
+    prints nothing, so _PARSER can still answer an argv it refuses."""
     entry = _TABLE.get(argv[0]) if argv else None
     if entry is None:
         return None
@@ -313,7 +316,7 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     for tok in tokens:
         opt, eq, text = tok.partition("=")
         kwargs = options.get(opt)
-        if kwargs is None or opt in values:
+        if kwargs is None or (opt in values and kwargs.get("action") != "append"):
             return None
         if not eq:
             text = next(tokens, "")
@@ -325,7 +328,7 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
             return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
-        values[opt] = [value] if kwargs.get("action") == "append" else value
+        values.setdefault(opt, []).append(value)
     args = argparse.Namespace(command=argv[0], func=func)
     for opt, kwargs in options.items():
         if opt not in values and kwargs.get("required"):
@@ -334,7 +337,7 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
         if kwargs.get("action") == "append":  # a fresh list, as argparse appends to a copy
             value = [*(default or ()), *values.get(opt, ())]
         else:
-            value = values.get(opt, default)
+            value = values[opt][0] if opt in values else default
         # the field argparse names: '--shape-radius' is shape_radius
         setattr(args, opt.lstrip("-").replace("-", "_"), value)
     return args
@@ -342,18 +345,20 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv parsed as _PARSER.parse_args(_attach_signed_values(argv)) parses
-    it.  _read builds the namespace of a well-formed argv, as typed; every
-    other argv (empty, help, an unknown name or option, a bad value, a
+    it.  A leading '--' ends the options, so the token after it is the
+    command name, an operand: the '--' is dropped.  _read builds the
+    namespace of a well-formed argv, as typed, with or without that '--';
+    every other argv (empty, help, an unknown name or option, a bad value, a
     missing option) goes to _PARSER, which prints its own usage, help or
-    error.  A leading '--' ends the options, so the token after it is the
-    command name, an operand: the '--' is dropped, and a token that names no
-    command is refused as argparse refuses an unknown name, '--help' and '-h'
-    included; a lone '--' goes to _PARSER."""
+    error.  After a leading '--', a token that names no command is refused
+    as argparse refuses an unknown name, '--help' and '-h' included; a lone
+    '--' goes to _PARSER."""
+    dashed = argv[:1] == ["--"] and len(argv) > 1
+    argv = argv[dashed:]  # argv[True:] drops the '--'
     if (args := _read(argv)) is not None:
         return args
     argv = _attach_signed_values(argv)
-    if argv[:1] == ["--"] and len(argv) > 1:
-        argv = argv[1:]
+    if dashed:
         try:  # argparse's own check and message, as for a name without '--'
             _PARSER._check_value(_COMMAND, argv[0])
         except argparse.ArgumentError as exc:

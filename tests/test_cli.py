@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from dehnfill import certificates, cli
+from dehnfill import certificates, cli, packing
 from dehnfill.certificates import envelope_bounds, figure_data
 from dehnfill.cli import render_figure_csv, run
 from dehnfill.errors import UncertifiableError
@@ -54,6 +54,13 @@ class TestConstants:
         assert [c["name"] for c in doc["checks"]] == [
             "threshold_squared", "C", "visual_area_ceiling", "inverse_S", "h_coefficient"]
         assert all(c["pass"] for c in doc["checks"])
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "every constants check is two-sided, so an unsafe AXIS_COEFFICIENT passes (item 13)"))
+    def test_unsafe_axis_coefficient_fails(self, monkeypatch):
+        # 0.980259 lies above 1/S = 0.980257..., where the packing bound no longer holds
+        monkeypatch.setattr(packing, "AXIS_COEFFICIENT", 0.980259)
+        assert run(["constants"]) == 1
 
 
 class TestCertify:
@@ -226,6 +233,13 @@ class TestWeitz:
         payload = doc["payload"]
         assert (payload["seed"], payload["trials"]) == (0, 100)
         assert payload["min_b"] == scan_min_b(BoundaryCurvature(0.8, epsilon=0.5), 0, 100)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "outside the window weitz reports the frequency box's minimum as ok (item 6a)"))
+    def test_unbounded_below_outside_the_window(self, capsys):
+        # over |m|, |n| <= N the minimum is -38.4, -426 and -3 837 for N = 3, 10 and 30
+        _, doc = run_json(capsys, ["weitz", "--k1", "1.8", "--eps", "0"])
+        assert doc["payload"].get("unbounded_below") is True
 
 
 class TestFigure:
@@ -1081,8 +1095,9 @@ class TestDispatchMatchesTopParser:
 
 class TestReadWithoutArgparse:
     """The argv the benchmark's CLI workloads send, and well-formed argv with a
-    '-'-led value, are read as typed, without argparse and without
-    _attach_signed_values, into the namespace argparse gives them."""
+    '-'-led value, one --shape/--slope pair per cusp or a leading '--', are
+    read as typed, without argparse and without _attach_signed_values, into
+    the namespace argparse gives them."""
 
     WORKLOAD_ARGV = [
         ["weitz", "--k1", "0.9", "--eps", "0.7", "--trials", "64", "--seed", "27979266"],
@@ -1111,12 +1126,24 @@ class TestReadWithoutArgparse:
     @pytest.mark.parametrize("argv", WORKLOAD_ARGV + [
         ["certify", "--shape", "0,1", "--slope", "-7,3"],
         ["weitz", "--k1", "-1e5", "--eps", "0"],
+        ["certify", "--shape", "0,1", "--slope", "9,2", "--shape=0.5,1", "--slope", "-7,1"],
     ], ids=" ".join)
     def test_argv_not_rewritten(self, monkeypatch, tmp_path, argv):
         argv = [tok.format(out=tmp_path / "fig.csv") for tok in argv]
         expected = _outcome(_parent_run, argv)
         self._refuse_argparse(monkeypatch)
         assert _outcome(run, argv) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["constants"],
+        ["weitz", "--k1", "-1e5", "--eps", "0"],
+        ["certify", "--shape", "0,1", "--slope", "9,2", "--shape=0.5,1", "--slope", "-7,1"],
+    ], ids=" ".join)
+    def test_leading_double_dash_not_rewritten(self, monkeypatch, argv):
+        # _PARSER.parse_args misreads a leading '--' itself, so the reference has none
+        expected = _outcome(_parent_run, argv)
+        self._refuse_argparse(monkeypatch)
+        assert _outcome(run, ["--", *argv]) == expected
 
 
 class TestReaderFollowsTheTable:

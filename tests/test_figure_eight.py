@@ -16,8 +16,15 @@ These check certified statements against that manifold: the true volume drop
 lies in full_certificate's volume_drop and a primitive filling's core length
 lies below core_length_hi.  Two strict xfails hold the known failures: a cone
 manifold's core (t >= 2) and the float lower volume-drop bound at large L-hat.
+
+They also check the theorem itself: every generalized coefficient (p, q) with
+L-hat >= C, an exceptional slope's cone manifolds included, has positively
+oriented shapes all along the path from the complete structure.  Positive
+orientation is sufficient, not necessary, for a hyperbolic structure, so only
+that direction is asserted.
 """
 
+import cmath
 import json
 import math
 import random
@@ -162,3 +169,86 @@ def test_large_filling_drop_above_volume_drop_lo():
     with mpmath.workdps(DPS):
         drop, _ = filling(100000, 1, steps=3)  # 6.5e-8 (relative) below volume_drop[0]
         assert cert.volume_drop[0] <= drop
+
+
+def _lowest_im_in_floats(p, q, steps=60):
+    """solve in complex floats: the smallest Im of z and w after each of `steps`
+    steps, each solved by Newton's method to 1e-13, or None where Newton does
+    not converge, divides by zero or leaves the positively oriented shapes."""
+    two_pi_i = 2j * math.pi
+    z = w = cmath.exp(1j * math.pi / 3)
+    lowest = z.imag
+    try:
+        for k in range(1, steps + 1):
+            target = two_pi_i * k / steps
+            for _ in range(50):
+                log_1mz = cmath.log(1 - z)
+                log_m, log_l = cmath.log(w) + log_1mz, 2 * cmath.log(z) + 2 * log_1mz
+                edge = cmath.log(z) + cmath.log(z - 1) + cmath.log(w) + cmath.log(w - 1) - two_pi_i
+                cusp = p * log_m + q * log_l - target
+                a, b = 1 / z + 1 / (z - 1), 1 / w + 1 / (w - 1)
+                c, d = p / (z - 1) + q * (2 / z + 2 / (z - 1)), p / w
+                det = a * d - b * c
+                dz, dw = (d * edge - b * cusp) / det, (a * cusp - c * edge) / det
+                z, w = z - dz, w - dw
+                if abs(dz) + abs(dw) < 1e-13:
+                    break
+            else:
+                return None
+            lowest = min(lowest, z.imag, w.imag)
+            if not lowest > 0:
+                return None
+    except ZeroDivisionError:
+        return None
+    return lowest
+
+
+def positively_oriented(p, q):
+    """Whether the filling (p, q) has positively oriented shapes all along the
+    path; a float path that comes within 1e-6 of the real axis is re-solved at
+    DPS digits."""
+    lowest = _lowest_im_in_floats(p, q)
+    if lowest is not None and lowest < 1e-6:
+        with mpmath.workdps(DPS):
+            try:
+                solve(p, q, 60)
+            except (ArithmeticError, AssertionError):  # ZeroDivisionError is an ArithmeticError
+                return False
+    return lowest is not None
+
+
+def _lhat_at_least_c(count=50):
+    """Seeded generalized coefficients with C <= L-hat <= 1.1 C: points of the
+    ellipse p^2 + 12 q^2 = 2 sqrt(3) (r C)^2, where L-hat = r C, with r in
+    [1, 1.1], kept where slope_normalized_length puts them at or above C."""
+    rng = random.Random(20261022)
+    points = []
+    while len(points) < count:
+        r, angle = rng.uniform(1.0, 1.1), rng.uniform(0.0, math.pi)
+        p_max = math.sqrt(2.0 * math.sqrt(3.0)) * r * UNIVERSAL_C
+        p, q = p_max * math.cos(angle), p_max / math.sqrt(12.0) * math.sin(angle)
+        if slope_normalized_length(SHAPE, (p, q)) >= UNIVERSAL_C:
+            points.append((p, q))
+    return points
+
+
+class TestHyperbolicOutsideTheDisc:
+    """The theorem on this manifold: every generalized coefficient with L-hat
+    >= C gives a hyperbolic structure (ROADMAP item 25)."""
+
+    def test_near_the_ellipse(self):
+        points = _lhat_at_least_c()
+        assert [point for point in points if not positively_oriented(*point)] == []
+
+    def test_exceptional_slopes_at_their_largest_certified_cone_angle(self):
+        # t * (a, b) has cone angle 2 pi / t, and L-hat(t * (a, b)) = t * L-hat(a, b) >= C
+        for a, b in EXCEPTIONAL:
+            t = UNIVERSAL_C / slope_normalized_length(SHAPE, (a, b)) * (1 + 1e-9)
+            assert slope_normalized_length(SHAPE, (t * a, t * b)) >= UNIVERSAL_C
+            assert positively_oriented(t * a, t * b), (a, b, math.degrees(2 * math.pi / t))
+
+    @pytest.mark.parametrize("slope", [(4, 1), (4.4, 1.0)], ids=str)
+    def test_check_fails_inside_the_disc(self, slope):
+        # L-hat 2.843 and 3.009; without these the check above could pass vacuously
+        assert slope_normalized_length(SHAPE, slope) < UNIVERSAL_C
+        assert not positively_oriented(*slope)
