@@ -16,12 +16,14 @@ ftilde(z-tilde) = x-hat, and
     1/H(z-tilde) <= visual area <= 1/H(z-hat),
 
 with the core-length bound visual_area_hi/(2*pi) for a smooth core.
-``envelope_bounds`` evaluates all of these at once, as one ``EnvelopeBounds``.
-The formulas live in ``envelope`` (both volume-drop integrands are rational
-in z and integrated in closed form there); this module owns the decision,
-the threshold C, the records and dehnfill's JSON text (``_json``, the
-standard library's encoder at indent 2 with strict floats, writes every
-certificate and report), and z0 = 1/sqrt(3) comes from ``packing``.
+``envelope_bounds`` evaluates all of these at once, as one ``EnvelopeBounds``
+built from its fields by ``_record``, and ``full_certificate`` appends that
+record to the first five fields of a certified one.  The formulas live in
+``envelope`` (both volume-drop integrands are rational in z and integrated
+in closed form there); this module owns the decision, the threshold C,
+the records and dehnfill's JSON text (``_json``, the standard library's
+encoder at indent 2 with strict floats, writes every certificate and
+report), and z0 = 1/sqrt(3) comes from ``packing``.
 Results are immutable named tuples read by field name: the
 ``FillingCertificate`` of ``certify`` and ``full_certificate``, whose
 annotations declare every field once, and ``EnvelopeBounds``, its bound
@@ -80,14 +82,10 @@ class FillingCertificate(NamedTuple):
     z_tilde: float | None = None
 
     def as_dict(self) -> dict:
-        """The fields by name, in order, ready for strict JSON: an unfilled
-        cusp (Lhat = inf) is written as None."""
-        return dict(zip(self._fields, (_unfilled_as_none(self.per_cusp_lhat), *self[1:])))
-
-
-def _unfilled_as_none(lhats) -> list:
-    """The lengths as JSON reads them: an unfilled cusp (Lhat = inf) is None."""
-    return [None if v == math.inf else v for v in lhats]
+        """The fields by name, in order, ready for strict JSON: the lengths
+        as a list, an unfilled cusp (Lhat = inf) written as None."""
+        lhats = [None if v == math.inf else v for v in self.per_cusp_lhat]
+        return dict(zip(self._fields, (lhats, *self[1:])))
 
 
 def _values_and_sum(lhats) -> tuple:
@@ -214,23 +212,24 @@ def envelope_bounds(lhat: float) -> EnvelopeBounds:
     z_hat, z_tilde = invert_f(x_hat), invert_ftilde(x_hat)
     dv = (_dv_lower_from_z(z_tilde), _dv_upper_from_z(z_hat))
     area = (_area_from_z(z_tilde), _area_from_z(z_hat))
-    return EnvelopeBounds(dv, area, area[1] / (2.0 * math.pi), z_hat, z_tilde)
+    return _record(EnvelopeBounds, (dv, area, area[1] / (2.0 * math.pi), z_hat, z_tilde))
 
 
 def full_certificate(lhats) -> FillingCertificate:
-    """Certificate with geometric bounds filled in when certified."""
+    """Certificate with geometric bounds filled in when certified: certify's
+    first five fields followed by the whole EnvelopeBounds record, built once
+    as a FillingCertificate."""
     cert = certify(lhats)
     return _record(FillingCertificate, cert[:5] + envelope_bounds(cert[1])) if cert[2] else cert
 
 
 def _json_token(v) -> str:
-    """One length as the % path joins it: null, or float.__repr__ of an
-    exact finite float, json's float token.  TypeError for anything else,
-    which sends the record to _json."""
-    if v is None:
-        return "null"
-    if type(v) is float and math.isfinite(v):
-        return float.__repr__(v)
+    """One length as the % path joins it, for an exact float only:
+    float.__repr__ of a finite one, json's float token, and null for inf,
+    an unfilled cusp as as_dict writes it.  TypeError for anything else (a
+    float subclass equal to inf included), which sends the record to _json."""
+    if type(v) is float and -math.inf < v:  # not -inf or NaN
+        return "null" if v == math.inf else float.__repr__(v)
     raise TypeError(f"not a % path token: {v!r}")
 
 
@@ -263,24 +262,27 @@ def certificate_to_json(cert: FillingCertificate) -> str:
     The bytes and errors are those of json.dumps(cert.as_dict(), indent=2,
     allow_nan=False): a non-finite float raises ValueError, and a value json
     cannot write TypeError.  A record not certified or certified with
-    bounds, with finite float fields and lengths, is one % format of its
-    layout, and %r is float.__repr__, json's float token.  Any other record
-    (certify's certified one, hand-built, int fields, no lengths, str or
-    nested values) takes the general path, json's encoder (_json).
+    bounds, with finite float fields, bound pairs of two floats and lengths
+    that are floats, finite or inf, is one % format of its layout: the
+    lengths joined in one pass of _json_token, and %r is float.__repr__,
+    json's float token.  Any other record (certify's certified one,
+    hand-built, int fields, no lengths, str or nested values) takes the
+    general path, json's encoder (_json).
     """
     lhats, combined, certified, margin, radius, dv, area, *tail = cert
-    layout = _LAYOUTS.get((certified is True, *map(type, cert)))  # a field may be unhashable
+    layout = _LAYOUTS.get((certified is True, *map(type, cert)))
     if dv is None:
         floats = (combined, margin)
-    elif layout and tuple(map(type, dv)) == tuple(map(type, area)) == (float, float):
+    elif (layout and len(dv) == len(area) == 2
+          and type(dv[0]) is type(dv[1]) is type(area[0]) is type(area[1]) is float):
         floats = (combined, margin, radius, *dv, *area, *tail)
     else:
         layout = None
     # a finite sum proves each float finite; one that overflows takes the general path
     if layout and lhats and math.isfinite(sum(floats)):
         try:
-            return layout % (",\n    ".join(map(_json_token, _unfilled_as_none(lhats))), *floats)
-        except TypeError:  # a length not None or an exact finite float: json's to write
+            return layout % (",\n    ".join(map(_json_token, lhats)), *floats)
+        except TypeError:  # a length not an exact finite float or inf: json's to write
             pass
     return _json(cert.as_dict())
 

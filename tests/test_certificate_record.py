@@ -197,6 +197,14 @@ CERTIFICATES = st.one_of(
 @example(FillingCertificate((np.float64(12.0),), 9.0, False, -0.1, None))  # a float subclass
 @example(FillingCertificate((math.nan,), 9.0, False, -0.1, None))  # json refuses NaN
 @example(FillingCertificate((12.0, -math.inf), 9.0, False, -0.1, None))  # and -inf
+@example(full_certificate([math.inf, math.inf, 12.0]))  # two unfilled cusps
+@example(FillingCertificate((np.float64(math.inf), 12.0), 9.0, False, -0.1, None))  # unfilled, np
+# a certified record whose bound pair has a length other than 2, or a float subclass
+@example(full_certificate([12.0])._replace(visual_area=(0.4, 0.5, 0.6)))
+@example(full_certificate([12.0])._replace(volume_drop=(0.1, np.float64(0.2))))
+@example(full_certificate([12.0])._replace(volume_drop=(np.float64(0.1), 0.2)))
+@example(full_certificate([12.0])._replace(visual_area=(np.float64(0.4), 0.5)))
+@example(FillingCertificate((9.0,), 9.0, True, 0.1, 0.5, 7))  # a bound field, no layout
 def test_certificate_to_json_matches_json_dumps(cert):
     try:
         expected = certificate_json(cert)
@@ -216,6 +224,20 @@ def test_full_certificate_has_a_layout(lhats):
     # a record without a layout is still written right, by the general writer, and far slower
     cert = full_certificate(lhats)
     assert (cert.certified is True, *map(type, cert)) in certificates._LAYOUTS
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LHATS)
+@example([12.0, 11.0])  # certified
+@example([7.5])  # not certified
+@example([math.inf, math.inf, 12.0])  # unfilled cusps
+def test_full_certificate_is_written_by_its_layout(lhats):
+    # json's pure-Python indent encoder is about 3 times slower: full_certificate's records skip it
+    cert = full_certificate(lhats)
+    expected = certificate_json(cert)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certificates, "_json", None)
+        assert certificate_to_json(cert) == expected
 
 
 _BOUNDED = full_certificate([12.0])

@@ -1,9 +1,10 @@
 """Each bound comes from one inversion of each envelope.
 
 ``envelope_bounds`` is the only evaluation of the envelope bounds:
-``full_certificate`` reads its record, and the CLI calls it once per
-command.  Inversions are counted by wrapping ``invert_f`` and
-``invert_ftilde`` in the ``certificates`` namespace, where they are called.
+``full_certificate`` appends its record whole to the first five fields of a
+certified one, and the CLI calls it once per command.  It calls ``invert_f``
+and ``invert_ftilde`` as globals of the ``certificates`` namespace, once
+each per record, so inversions are counted by wrapping them there.
 """
 
 import math
@@ -111,6 +112,12 @@ class TestReadersMatchEnvelopeBounds:
     def test_below_threshold(self, lhat):
         with pytest.raises(UncertifiableError, match="below threshold 7.5832"):
             envelope_bounds(lhat)
+
+    def test_below_threshold_message(self):
+        # the bounds command reports this text as its error
+        with pytest.raises(UncertifiableError) as info:
+            envelope_bounds(7.5)
+        assert str(info.value) == "uncertifiable: normalized length 7.5 below threshold 7.5832"
 
     def test_nan_refused(self):
         # NaN is not a length below the threshold: it was refused as one
